@@ -19,7 +19,9 @@ fn bench_matmul(c: &mut Criterion) {
     });
 }
 
-fn bench_conv(c: &mut Criterion) {
+/// Forward and backward of one 3×3 pad-1 conv layer at the given
+/// input shape `[n, c_in, h, w]` and output channel count.
+fn bench_conv_layer(c: &mut Criterion, name: &str, in_shape: [usize; 4], c_out: usize) {
     let mut r = rng::seeded(2);
     let geo = ConvGeometry {
         kh: 3,
@@ -27,25 +29,32 @@ fn bench_conv(c: &mut Criterion) {
         stride: 1,
         pad: 1,
     };
-    let x = init::normal(&[8, 16, 8, 8], 1.0, &mut r);
-    let w = init::normal(&[32, 16, 3, 3], 0.1, &mut r);
-    let b = Tensor::zeros(&[32]);
-    c.bench_function("conv3x3_16to32_8x8_b8_fwd", |bench| {
+    let x = init::normal(&in_shape, 1.0, &mut r);
+    let w = init::normal(&[c_out, in_shape[1], 3, 3], 0.1, &mut r);
+    let b = Tensor::zeros(&[c_out]);
+    c.bench_function(&format!("{name}_fwd"), |bench| {
         bench.iter(|| conv2d_forward(black_box(&x), black_box(&w), black_box(&b), geo))
     });
-    let (y, caches) = conv2d_forward(&x, &w, &b, geo);
+    let (y, cols) = conv2d_forward(&x, &w, &b, geo);
     let dy = Tensor::ones(y.shape());
-    c.bench_function("conv3x3_16to32_8x8_b8_bwd", |bench| {
+    c.bench_function(&format!("{name}_bwd"), |bench| {
         bench.iter(|| {
             conv2d_backward(
                 black_box(&dy),
                 black_box(&w),
-                black_box(&caches),
+                black_box(&cols),
                 x.shape(),
                 geo,
             )
         })
     });
+}
+
+fn bench_conv(c: &mut Criterion) {
+    bench_conv_layer(c, "conv3x3_16to32_8x8_b8", [8, 16, 8, 8], 32);
+    // A deep layer of the 8×8 models: one output pixel per sample, where
+    // lowering the whole minibatch at once matters most.
+    bench_conv_layer(c, "conv3x3_64to64_1x1_b16", [16, 64, 1, 1], 64);
 }
 
 fn config() -> Criterion {

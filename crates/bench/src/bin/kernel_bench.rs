@@ -3,7 +3,8 @@
 //! Times the reference (naive) kernels against the register-blocked
 //! ones over a ladder of shapes, verifies bit-identity per shape, then
 //! times one heterogeneous aggregation round and one full local
-//! training step at the quick-test scale. Results land in a JSON
+//! training session each of TinyCnn, VGG16-fast (the fig3 model) and
+//! MobileNetV2 ×0.5 (the fig6 test-bed model). Results land in a JSON
 //! report (default `BENCH_KERNELS.json`, override with `--out PATH`).
 //!
 //! Exits non-zero when the blocked kernel is not measurably faster
@@ -16,10 +17,12 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
+use adaptivefl_bench::{paper_models, syn_cifar10, syn_widar};
 use adaptivefl_core::aggregate::{aggregate_with_scratch, Upload};
 use adaptivefl_core::pool::{ModelPool, DEFAULT_RATIOS};
 use adaptivefl_core::trace::NoopTracer;
 use adaptivefl_core::trainer::LocalTrainer;
+use adaptivefl_data::{SynthSpec, SynthTask};
 use adaptivefl_models::ModelConfig;
 use adaptivefl_nn::layer::LayerExt;
 use adaptivefl_tensor::ops::{
@@ -45,12 +48,19 @@ struct ShapeReport {
 }
 
 #[derive(Debug, Serialize)]
+struct SessionReport {
+    model: String,
+    samples: usize,
+    session_ms: f64,
+}
+
+#[derive(Debug, Serialize)]
 struct Report {
     min_speedup_gate: f64,
     largest_shape_speedup: f64,
     shapes: Vec<ShapeReport>,
     aggregation_round_us: u64,
-    training_step_ms: u64,
+    sessions: Vec<SessionReport>,
 }
 
 /// Deterministic pseudo-random matrix (no RNG dependency in the hot
@@ -147,19 +157,19 @@ fn bench_aggregation_round() -> u64 {
     best
 }
 
-/// One full local training session (LocalTrainer::fast) on a small
-/// synthetic shard — the per-client unit of work of every round.
-fn bench_training_step() -> u64 {
-    use adaptivefl_data::{SynthSpec, SynthTask};
-    let mut spec = SynthSpec::test_spec(4);
-    spec.input = (3, 8, 8);
+/// Samples per timed local session.
+const SESSION_SAMPLES: usize = 64;
+
+/// One full local training session (LocalTrainer::fast) of `cfg` on a
+/// synthetic shard of `spec` — the per-client unit of work of every
+/// round. Best of several runs, in milliseconds.
+fn bench_session(name: &str, cfg: ModelConfig, spec: SynthSpec) -> SessionReport {
     let mut r = rng::seeded(61);
     let task = SynthTask::new(spec, 2, &mut r);
-    let data = task.dataset_uniform(64, &mut r);
-    let cfg = ModelConfig::tiny(4);
+    let data = task.dataset_uniform(SESSION_SAMPLES, &mut r);
     let trainer = LocalTrainer::fast();
     let scratch = Scratch::new();
-    let mut best = u64::MAX;
+    let mut best = f64::INFINITY;
     for rep in 0..=3u64 {
         let mut net = cfg.build(&cfg.full_plan(), &mut rng::seeded(62));
         let mut train_rng = rng::seeded(63 + rep);
@@ -170,10 +180,35 @@ fn bench_training_step() -> u64 {
             &mut train_rng,
             &scratch,
         );
-        best = best.min(start.elapsed().as_millis() as u64);
-        assert!(loss.is_finite(), "training diverged");
+        best = best.min(start.elapsed().as_secs_f64() * 1e3);
+        assert!(loss.is_finite(), "{name}: training diverged");
     }
-    best
+    SessionReport {
+        model: name.to_string(),
+        samples: SESSION_SAMPLES,
+        session_ms: best,
+    }
+}
+
+/// The timed sessions: TinyCnn on the unit-test task, then the models
+/// the fig3 and fig6 experiments train, on their datasets.
+fn bench_sessions() -> Vec<SessionReport> {
+    let mut tiny_spec = SynthSpec::test_spec(4);
+    tiny_spec.input = (3, 8, 8);
+    let cifar = syn_cifar10();
+    let [(_, vgg16), _] = paper_models(cifar.classes, cifar.input);
+    let widar = syn_widar();
+    let mobilenet = ModelConfig {
+        classes: widar.classes,
+        input: widar.input,
+        width_mult: 0.5,
+        ..ModelConfig::mobilenet_v2_fast(widar.classes)
+    };
+    vec![
+        bench_session("tiny", ModelConfig::tiny(4), tiny_spec),
+        bench_session("vgg16_fast", vgg16, cifar),
+        bench_session("mobilenetv2_x0.5", mobilenet, widar),
+    ]
 }
 
 fn main() -> ExitCode {
@@ -218,8 +253,13 @@ fn main() -> ExitCode {
 
     let aggregation_round_us = bench_aggregation_round();
     println!("aggregation round (tiny, 3 uploads): {aggregation_round_us}us");
-    let training_step_ms = bench_training_step();
-    println!("local training session (tiny, 64 samples): {training_step_ms}ms");
+    let sessions = bench_sessions();
+    for s in &sessions {
+        println!(
+            "local training session ({}, {} samples): {:.1}ms",
+            s.model, s.samples, s.session_ms
+        );
+    }
 
     let (largest, drift) = {
         let big = shapes
@@ -234,7 +274,7 @@ fn main() -> ExitCode {
         largest_shape_speedup: largest,
         shapes,
         aggregation_round_us,
-        training_step_ms,
+        sessions,
     };
     let json = serde_json::to_string_pretty(&report).expect("serialize report");
     std::fs::write(&out, json + "\n").unwrap_or_else(|e| panic!("write {out}: {e}"));

@@ -32,7 +32,8 @@ pub struct Conv2d {
 
 #[derive(Debug)]
 struct ForwardCache {
-    cols: Vec<Tensor>,
+    /// The minibatch's column matrix `[c_in·k·k, n·oh·ow]`.
+    cols: Tensor,
     in_shape: Vec<usize>,
 }
 

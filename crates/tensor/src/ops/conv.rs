@@ -1,10 +1,18 @@
 //! im2col-based 2-D convolution, forward and backward.
 //!
-//! Input layout is NCHW. The convolution is lowered to a matrix product
-//! per sample: `out[n] = W₂d · cols(x[n]) + b`, where `cols` unfolds
-//! every receptive field into a column.
+//! Input layout is NCHW. Each layer is lowered **once per minibatch**:
+//! every sample's receptive fields are unfolded into one column matrix
+//! `cols` of shape `[K, n·P]` (`K = c_in·kh·kw`, `P = oh·ow`; sample `i`
+//! owns columns `i·P..(i+1)·P`), so the forward pass is a single
+//! `W₂d · cols` and the input gradient a single `W₂dᵀ · dY`.
+//!
+//! Widening the B operand of a matrix product leaves every output
+//! element's k-chain (and the zero-skip on `W`) untouched, so the results
+//! equal a per-sample lowering bit for bit. The weight and bias
+//! gradients keep their per-sample accumulation order (see
+//! [`conv2d_backward`] and DESIGN.md §10).
 
-use crate::ops::matmul::{matmul, matmul_a_bt, matmul_at_b};
+use crate::ops::matmul::{matmul, matmul_a_bt_segmented, matmul_at_b};
 use crate::Tensor;
 
 /// Static geometry of a convolution: kernel, stride, padding and the
@@ -56,13 +64,21 @@ pub struct Conv2dGrads {
     pub db: Tensor,
 }
 
-/// Unfolds one sample `[c, h, w]` into a column matrix
-/// `[c·kh·kw, oh·ow]`.
-pub fn im2col(x: &[f32], c: usize, h: usize, w: usize, geo: ConvGeometry) -> Tensor {
+/// Unfolds one sample `[c, h, w]` into columns `col0..col0 + oh·ow` of
+/// the row-major column matrix `out` (row stride `ld`). Padding cells
+/// are left as they are, so `out` must start zeroed.
+#[allow(clippy::too_many_arguments)]
+fn im2col_into(
+    x: &[f32],
+    c: usize,
+    h: usize,
+    w: usize,
+    geo: ConvGeometry,
+    out: &mut [f32],
+    ld: usize,
+    col0: usize,
+) {
     let (oh, ow) = geo.out_hw(h, w);
-    let rows = c * geo.kh * geo.kw;
-    let cols = oh * ow;
-    let mut out = vec![0.0f32; rows * cols];
     for ci in 0..c {
         for ki in 0..geo.kh {
             for kj in 0..geo.kw {
@@ -73,7 +89,7 @@ pub fn im2col(x: &[f32], c: usize, h: usize, w: usize, geo: ConvGeometry) -> Ten
                         continue;
                     }
                     let src_row = ci * h * w + ii as usize * w;
-                    let dst_row = row * cols + oi * ow;
+                    let dst_row = row * ld + col0 + oi * ow;
                     for oj in 0..ow {
                         let jj = (oj * geo.stride + kj) as isize - geo.pad as isize;
                         if jj < 0 || jj as usize >= w {
@@ -85,17 +101,24 @@ pub fn im2col(x: &[f32], c: usize, h: usize, w: usize, geo: ConvGeometry) -> Ten
             }
         }
     }
-    Tensor::from_vec(out, &[rows, cols])
 }
 
-/// Folds a column matrix `[c·kh·kw, oh·ow]` back into a sample
-/// `[c, h, w]`, summing overlapping contributions (adjoint of
-/// [`im2col`]).
-pub fn col2im(cols_t: &Tensor, c: usize, h: usize, w: usize, geo: ConvGeometry) -> Vec<f32> {
+/// Folds columns `col0..col0 + oh·ow` of the column matrix `src` (row
+/// stride `ld`) back into one sample `out` `[c, h, w]`, summing
+/// overlapping contributions into what `out` already holds (adjoint of
+/// [`im2col_into`]).
+#[allow(clippy::too_many_arguments)]
+fn col2im_from(
+    src: &[f32],
+    ld: usize,
+    col0: usize,
+    c: usize,
+    h: usize,
+    w: usize,
+    geo: ConvGeometry,
+    out: &mut [f32],
+) {
     let (oh, ow) = geo.out_hw(h, w);
-    let cols = oh * ow;
-    let src = cols_t.as_slice();
-    let mut out = vec![0.0f32; c * h * w];
     for ci in 0..c {
         for ki in 0..geo.kh {
             for kj in 0..geo.kw {
@@ -106,7 +129,7 @@ pub fn col2im(cols_t: &Tensor, c: usize, h: usize, w: usize, geo: ConvGeometry) 
                         continue;
                     }
                     let dst_row = ci * h * w + ii as usize * w;
-                    let src_row = row * cols + oi * ow;
+                    let src_row = row * ld + col0 + oi * ow;
                     for oj in 0..ow {
                         let jj = (oj * geo.stride + kj) as isize - geo.pad as isize;
                         if jj < 0 || jj as usize >= w {
@@ -118,7 +141,6 @@ pub fn col2im(cols_t: &Tensor, c: usize, h: usize, w: usize, geo: ConvGeometry) 
             }
         }
     }
-    out
 }
 
 /// Forward 2-D convolution.
@@ -127,8 +149,8 @@ pub fn col2im(cols_t: &Tensor, c: usize, h: usize, w: usize, geo: ConvGeometry) 
 /// * `weight` — `[c_out, c_in, kh, kw]`
 /// * `bias` — `[c_out]`
 ///
-/// Returns the output `[n, c_out, oh, ow]` and the cached column
-/// matrices (one per sample) needed by [`conv2d_backward`].
+/// Returns the output `[n, c_out, oh, ow]` and the batch column matrix
+/// `[c_in·kh·kw, n·oh·ow]` needed by [`conv2d_backward`].
 ///
 /// # Panics
 ///
@@ -138,7 +160,7 @@ pub fn conv2d_forward(
     weight: &Tensor,
     bias: &Tensor,
     geo: ConvGeometry,
-) -> (Tensor, Vec<Tensor>) {
+) -> (Tensor, Tensor) {
     let (n, c_in, h, w) = nchw(x);
     let ws = weight.shape();
     assert_eq!(ws.len(), 4, "conv weight must be 4-D");
@@ -147,69 +169,115 @@ pub fn conv2d_forward(
     assert_eq!((kh, kw), (geo.kh, geo.kw), "kernel/geometry mismatch");
     assert_eq!(bias.numel(), c_out, "bias size mismatch");
     let (oh, ow) = geo.out_hw(h, w);
-    let w2d = weight.reshape(&[c_out, c_in * kh * kw]);
-    let mut out = vec![0.0f32; n * c_out * oh * ow];
-    let mut caches = Vec::with_capacity(n);
-    let bslice = bias.as_slice();
+    let (k, p) = (c_in * kh * kw, oh * ow);
+    let np = n * p;
+    let chw = c_in * h * w;
+
+    let mut cols = vec![0.0f32; k * np];
     for ni in 0..n {
-        let sample = &x.as_slice()[ni * c_in * h * w..(ni + 1) * c_in * h * w];
-        let cols = im2col(sample, c_in, h, w, geo);
-        let y = matmul(&w2d, &cols); // [c_out, oh*ow]
-        let dst = &mut out[ni * c_out * oh * ow..(ni + 1) * c_out * oh * ow];
-        for co in 0..c_out {
-            let b = bslice[co];
-            let src = &y.as_slice()[co * oh * ow..(co + 1) * oh * ow];
-            let d = &mut dst[co * oh * ow..(co + 1) * oh * ow];
-            for (o, &v) in d.iter_mut().zip(src) {
+        let sample = &x.as_slice()[ni * chw..(ni + 1) * chw];
+        im2col_into(sample, c_in, h, w, geo, &mut cols, np, ni * p);
+    }
+    let cols = Tensor::from_vec(cols, &[k, np]);
+    let y = matmul(&weight.reshape(&[c_out, k]), &cols); // [c_out, n·P]
+
+    let mut out = vec![0.0f32; n * c_out * p];
+    let ys = y.as_slice();
+    for (co, &b) in bias.as_slice().iter().enumerate() {
+        for ni in 0..n {
+            let src = &ys[co * np + ni * p..co * np + (ni + 1) * p];
+            let dst = &mut out[(ni * c_out + co) * p..(ni * c_out + co + 1) * p];
+            for (o, &v) in dst.iter_mut().zip(src) {
                 *o = v + b;
             }
         }
-        caches.push(cols);
     }
-    (Tensor::from_vec(out, &[n, c_out, oh, ow]), caches)
+    (Tensor::from_vec(out, &[n, c_out, oh, ow]), cols)
 }
 
-/// Backward 2-D convolution given the forward column caches.
+/// Backward 2-D convolution given the forward column matrix.
 ///
-/// `dy` has shape `[n, c_out, oh, ow]`.
+/// `dy` has shape `[n, c_out, oh, ow]`; `cols` and `in_shape` are the
+/// column matrix returned by [`conv2d_forward`] and the shape of its
+/// input.
+///
+/// `dx` is one `W₂dᵀ · dY` over the whole batch. `dw` and `db` keep the
+/// per-sample order: each sample's sum starts at `0.0` and is added in
+/// sample order onto a `+0.0` start, exactly as `n` separate per-sample
+/// backward passes summed into a zeroed gradient would.
 ///
 /// # Panics
 ///
-/// Panics on shape inconsistency with the forward pass.
+/// Panics on shape inconsistency with the forward pass: `in_shape` not
+/// 4-D, a batch size, channel count or output size that does not match
+/// `dy` and `weight`, or a `cols` that is not `[c_in·kh·kw, n·oh·ow]`.
 pub fn conv2d_backward(
     dy: &Tensor,
     weight: &Tensor,
-    caches: &[Tensor],
+    cols: &Tensor,
     in_shape: &[usize],
     geo: ConvGeometry,
 ) -> Conv2dGrads {
     let (n, c_out, oh, ow) = nchw(dy);
-    let (_, c_in, h, w) = (in_shape[0], in_shape[1], in_shape[2], in_shape[3]);
-    assert_eq!(caches.len(), n, "cache count mismatch");
+    assert_eq!(
+        in_shape.len(),
+        4,
+        "conv backward: in_shape must be NCHW, got {in_shape:?}"
+    );
+    assert_eq!(
+        in_shape[0], n,
+        "conv backward: in_shape batch {} differs from dy batch {n}",
+        in_shape[0]
+    );
+    let (c_in, h, w) = (in_shape[1], in_shape[2], in_shape[3]);
     let ws = weight.shape().to_vec();
-    let w2d = weight.reshape(&[c_out, ws[1] * ws[2] * ws[3]]);
-    let mut dw2d = Tensor::zeros(&[c_out, ws[1] * ws[2] * ws[3]]);
-    let mut db = Tensor::zeros(&[c_out]);
-    let mut dx = vec![0.0f32; n * c_in * h * w];
+    assert_eq!(ws.len(), 4, "conv weight must be 4-D");
+    assert_eq!(
+        ws[1], c_in,
+        "conv backward: in_shape channels differ from weight"
+    );
+    assert_eq!(
+        geo.out_hw(h, w),
+        (oh, ow),
+        "conv backward: dy spatial size does not match in_shape"
+    );
+    let (k, p) = (ws[1] * ws[2] * ws[3], oh * ow);
+    let np = n * p;
+    assert_eq!(
+        cols.shape(),
+        [k, np],
+        "conv backward: cols must be [K, n·P] = [{k}, {np}]"
+    );
+    let dys = dy.as_slice();
+
+    // dY gathered channel-major, [c_out, n·P]: sample i in columns i·P.. .
+    let mut dyg = vec![0.0f32; c_out * np];
     for ni in 0..n {
-        let dyn_ = Tensor::from_vec(
-            dy.as_slice()[ni * c_out * oh * ow..(ni + 1) * c_out * oh * ow].to_vec(),
-            &[c_out, oh * ow],
-        );
-        // dW += dY · colsᵀ
-        let contrib = matmul_a_bt(&dyn_, &caches[ni]);
-        dw2d.add_assign(&contrib);
-        // db += row sums of dY
         for co in 0..c_out {
-            let s: f32 = dyn_.as_slice()[co * oh * ow..(co + 1) * oh * ow]
-                .iter()
-                .sum();
-            db.as_mut_slice()[co] += s;
+            dyg[co * np + ni * p..co * np + (ni + 1) * p]
+                .copy_from_slice(&dys[(ni * c_out + co) * p..(ni * c_out + co + 1) * p]);
         }
-        // dcols = Wᵀ · dY, then fold back.
-        let dcols = matmul_at_b(&w2d, &dyn_);
-        let dxi = col2im(&dcols, c_in, h, w, geo);
-        dx[ni * c_in * h * w..(ni + 1) * c_in * h * w].copy_from_slice(&dxi);
+    }
+    let dyg = Tensor::from_vec(dyg, &[c_out, np]);
+
+    // dcols = W₂dᵀ · dY in one product, then fold back per sample.
+    let dcols = matmul_at_b(&weight.reshape(&[c_out, k]), &dyg); // [K, n·P]
+    let chw = c_in * h * w;
+    let mut dx = vec![0.0f32; n * chw];
+    for ni in 0..n {
+        let dxi = &mut dx[ni * chw..(ni + 1) * chw];
+        col2im_from(dcols.as_slice(), np, ni * p, c_in, h, w, geo, dxi);
+    }
+
+    // dW = ((+0.0 + dY₀·cols₀ᵀ) + dY₁·cols₁ᵀ) + …, one segment per
+    // sample; db likewise, from per-sample row sums.
+    let dw2d = matmul_a_bt_segmented(&dyg, cols, p); // [c_out, K]
+    let mut db = Tensor::zeros(&[c_out]);
+    for ni in 0..n {
+        for co in 0..c_out {
+            let row = &dys[(ni * c_out + co) * p..(ni * c_out + co + 1) * p];
+            db.as_mut_slice()[co] += row.iter().sum::<f32>();
+        }
     }
     Conv2dGrads {
         dx: Tensor::from_vec(dx, &[n, c_in, h, w]),
@@ -300,6 +368,22 @@ mod tests {
         assert_eq!(y.at(&[1, 2, 1, 1]), 3.0);
     }
 
+    #[test]
+    fn cols_hold_each_sample_in_its_own_column_block() {
+        // Two 1x2x2 samples through a 1x1 kernel: cols is [1, 2·4] with
+        // sample 0 in columns 0..4 and sample 1 in columns 4..8.
+        let x = Tensor::from_vec((0..8).map(|v| v as f32).collect(), &[2, 1, 2, 2]);
+        let g = ConvGeometry {
+            kh: 1,
+            kw: 1,
+            stride: 1,
+            pad: 0,
+        };
+        let (_, cols) = conv2d_forward(&x, &Tensor::ones(&[1, 1, 1, 1]), &Tensor::zeros(&[1]), g);
+        assert_eq!(cols.shape(), &[1, 8]);
+        assert_eq!(cols.as_slice(), x.as_slice());
+    }
+
     /// Finite-difference check of the full backward pass.
     #[test]
     fn gradients_match_finite_differences() {
@@ -324,9 +408,9 @@ mod tests {
         // Loss = sum(conv(x)) so dy = ones.
         let loss =
             |x: &Tensor, wt: &Tensor, b: &Tensor| -> f32 { conv2d_forward(x, wt, b, geo).0.sum() };
-        let (y, caches) = conv2d_forward(&x, &wt, &b, geo);
+        let (y, cols) = conv2d_forward(&x, &wt, &b, geo);
         let dy = Tensor::ones(y.shape());
-        let grads = conv2d_backward(&dy, &wt, &caches, x.shape(), geo);
+        let grads = conv2d_backward(&dy, &wt, &cols, x.shape(), geo);
 
         let eps = 1e-2f32;
         // Check a scattering of weight gradient entries.
@@ -366,28 +450,91 @@ mod tests {
 
     #[test]
     fn col2im_is_adjoint_of_im2col() {
-        // <im2col(x), y> == <x, col2im(y)> for random x, y.
+        // <im2col(x), y> == <x, col2im(y)> for random x, y, with every
+        // sample of a batch of three in its own column block.
         let geo = ConvGeometry {
             kh: 3,
             kw: 3,
             stride: 2,
             pad: 1,
         };
-        let (c, h, w) = (2, 5, 5);
-        let x: Vec<f32> = (0..c * h * w).map(|i| (i as f32 * 0.37).cos()).collect();
-        let cols = im2col(&x, c, h, w, geo);
-        let y = Tensor::from_vec(
-            (0..cols.numel()).map(|i| (i as f32 * 0.11).sin()).collect(),
-            cols.shape(),
-        );
-        let lhs: f32 = cols
-            .as_slice()
-            .iter()
-            .zip(y.as_slice())
-            .map(|(a, b)| a * b)
-            .sum();
-        let folded = col2im(&y, c, h, w, geo);
-        let rhs: f32 = x.iter().zip(folded.iter()).map(|(a, b)| a * b).sum();
+        let (n, c, h, w) = (3, 2, 5, 5);
+        let (oh, ow) = geo.out_hw(h, w);
+        let (k, p) = (c * 9, oh * ow);
+        let chw = c * h * w;
+        let x: Vec<f32> = (0..n * chw).map(|i| (i as f32 * 0.37).cos()).collect();
+        let mut cols = vec![0.0f32; k * n * p];
+        for ni in 0..n {
+            im2col_into(
+                &x[ni * chw..(ni + 1) * chw],
+                c,
+                h,
+                w,
+                geo,
+                &mut cols,
+                n * p,
+                ni * p,
+            );
+        }
+        let y: Vec<f32> = (0..cols.len()).map(|i| (i as f32 * 0.11).sin()).collect();
+        let lhs: f32 = cols.iter().zip(&y).map(|(a, b)| a * b).sum();
+        let mut folded = vec![0.0f32; n * chw];
+        for ni in 0..n {
+            col2im_from(
+                &y,
+                n * p,
+                ni * p,
+                c,
+                h,
+                w,
+                geo,
+                &mut folded[ni * chw..(ni + 1) * chw],
+            );
+        }
+        let rhs: f32 = x.iter().zip(&folded).map(|(a, b)| a * b).sum();
         assert!((lhs - rhs).abs() < 1e-3, "{lhs} vs {rhs}");
+    }
+
+    fn backward_fixture() -> (Tensor, Tensor, Tensor) {
+        let x = Tensor::ones(&[2, 1, 3, 3]);
+        let w = Tensor::ones(&[2, 1, 3, 3]);
+        let (y, cols) = conv2d_forward(&x, &w, &Tensor::zeros(&[2]), geo3());
+        (Tensor::ones(y.shape()), w, cols)
+    }
+
+    #[test]
+    #[should_panic(expected = "in_shape must be NCHW")]
+    fn backward_rejects_short_in_shape() {
+        let (dy, w, cols) = backward_fixture();
+        conv2d_backward(&dy, &w, &cols, &[2, 1, 3], geo3());
+    }
+
+    #[test]
+    #[should_panic(expected = "differs from dy batch")]
+    fn backward_rejects_batch_mismatch() {
+        let (dy, w, cols) = backward_fixture();
+        conv2d_backward(&dy, &w, &cols, &[3, 1, 3, 3], geo3());
+    }
+
+    #[test]
+    #[should_panic(expected = "channels differ from weight")]
+    fn backward_rejects_channel_mismatch() {
+        let (dy, w, cols) = backward_fixture();
+        conv2d_backward(&dy, &w, &cols, &[2, 2, 3, 3], geo3());
+    }
+
+    #[test]
+    #[should_panic(expected = "spatial size does not match")]
+    fn backward_rejects_spatial_mismatch() {
+        let (dy, w, cols) = backward_fixture();
+        conv2d_backward(&dy, &w, &cols, &[2, 1, 4, 4], geo3());
+    }
+
+    #[test]
+    #[should_panic(expected = "cols must be [K, n·P]")]
+    fn backward_rejects_wrong_cols_shape() {
+        let (dy, w, _) = backward_fixture();
+        let cols = Tensor::zeros(&[9, 9]);
+        conv2d_backward(&dy, &w, &cols, &[2, 1, 3, 3], geo3());
     }
 }

@@ -22,6 +22,11 @@
 //! reference row loop. `crates/tensor/tests/kernel_diff.rs` asserts the
 //! equivalence differentially with `f32::to_bits`.
 //!
+//! Besides `A·B`, `Aᵀ·B` and `A·Bᵀ` there is a segmented `A·Bᵀ`
+//! ([`matmul_a_bt_segmented`]): the sum of per-segment `A·Bᵀ` products,
+//! each restarted from `0.0`, which the batched convolution uses for its
+//! weight gradient.
+//!
 //! Setting `TENSOR_NAIVE=1` in the environment forces the reference
 //! kernels at run time (read once per process).
 
@@ -385,9 +390,90 @@ pub fn matmul_at_b_blocked(a: &Tensor, b: &Tensor) -> Tensor {
 ///
 /// See [`matmul_a_bt`].
 pub fn matmul_a_bt_blocked(a: &Tensor, b: &Tensor) -> Tensor {
-    let (m, k) = dims2(a, "matmul_a_bt lhs");
-    let (n, k2) = dims2(b, "matmul_a_bt rhs");
+    let (_, k) = dims2(a, "matmul_a_bt lhs");
+    let (_, k2) = dims2(b, "matmul_a_bt rhs");
     assert_eq!(k, k2, "matmul_a_bt shared dim {k} vs {k2}");
+    a_bt_blocked(a, b, None)
+}
+
+/// `C = Σₛ Aₛ · Bₛᵀ`, where `Aₛ`, `Bₛ` are the `seg`-wide column
+/// blocks `s·seg..(s+1)·seg` of `A [m, S·seg]` and `B [n, S·seg]`.
+///
+/// Every segment's dot product starts at `0.0` and is added, in segment
+/// order, onto a total that starts at `+0.0`:
+/// `c = ((+0.0 + a₀·b₀) + a₁·b₁) + …` — exactly what summing `S`
+/// separate [`matmul_a_bt`] products into a zeroed matrix computes. This
+/// is the batched conv's weight gradient (one segment per sample).
+///
+/// Dispatches like [`matmul`].
+///
+/// # Panics
+///
+/// Panics if the operands are not 2-D, `A.cols != B.cols`, `seg == 0`,
+/// or `seg` does not divide the shared dimension.
+pub fn matmul_a_bt_segmented(a: &Tensor, b: &Tensor, seg: usize) -> Tensor {
+    if naive_kernels_forced() {
+        matmul_a_bt_segmented_reference(a, b, seg)
+    } else {
+        matmul_a_bt_segmented_blocked(a, b, seg)
+    }
+}
+
+/// Reference [`matmul_a_bt_segmented`]: the [`matmul_a_bt_reference`]
+/// dot product per segment, summed onto a `+0.0` total.
+///
+/// # Panics
+///
+/// See [`matmul_a_bt_segmented`].
+pub fn matmul_a_bt_segmented_reference(a: &Tensor, b: &Tensor, seg: usize) -> Tensor {
+    let (m, k) = dims2(a, "matmul_a_bt_segmented lhs");
+    let (n, _) = dims2(b, "matmul_a_bt_segmented rhs");
+    check_segments(a, b, seg);
+    let mut out = vec![0.0f32; m * n];
+    a_bt_rows_reference(
+        a.as_slice(),
+        b.as_slice(),
+        &mut out,
+        0,
+        m,
+        0,
+        n,
+        k,
+        n,
+        Some(seg),
+    );
+    Tensor::from_vec(out, &[m, n])
+}
+
+/// Blocked [`matmul_a_bt_segmented`], bit-identical to
+/// [`matmul_a_bt_segmented_reference`]: the panel scheme of
+/// [`matmul_a_bt_blocked`] with a second bank of register accumulators
+/// holding the running totals, so the per-segment partial products are
+/// never written out.
+///
+/// # Panics
+///
+/// See [`matmul_a_bt_segmented`].
+pub fn matmul_a_bt_segmented_blocked(a: &Tensor, b: &Tensor, seg: usize) -> Tensor {
+    check_segments(a, b, seg);
+    a_bt_blocked(a, b, Some(seg))
+}
+
+fn check_segments(a: &Tensor, b: &Tensor, seg: usize) {
+    let (_, k) = dims2(a, "matmul_a_bt_segmented lhs");
+    let (_, k2) = dims2(b, "matmul_a_bt_segmented rhs");
+    assert_eq!(k, k2, "matmul_a_bt_segmented shared dim {k} vs {k2}");
+    assert!(
+        seg > 0 && k % seg == 0,
+        "matmul_a_bt_segmented: segment width {seg} does not divide shared dim {k}"
+    );
+}
+
+/// Shared panel loop of the blocked `A·Bᵀ` kernels: plain when `seg` is
+/// `None`, segmented (see [`matmul_a_bt_segmented`]) otherwise.
+fn a_bt_blocked(a: &Tensor, b: &Tensor, seg: Option<usize>) -> Tensor {
+    let (m, k) = (a.shape()[0], a.shape()[1]);
+    let n = b.shape()[0];
     let mut out = vec![0.0f32; m * n];
     let av = a.as_slice();
     let bv = b.as_slice();
@@ -409,33 +495,41 @@ pub fn matmul_a_bt_blocked(a: &Tensor, b: &Tensor) -> Tensor {
                 let mh = MR.min(m - i0);
                 if mh == MR {
                     let apanel = &av[i0 * k..(i0 + MR) * k];
-                    match isa {
+                    let t = &tbuf;
+                    let o = &mut out;
+                    match (isa, seg) {
                         #[cfg(target_arch = "x86_64")]
-                        // SAFETY: `isa()` verified the feature at run time.
-                        Isa::Avx512 => unsafe {
-                            x86::a_bt_tile_avx2(apanel, &tbuf, &mut out, i0, j0, k, n)
+                        // SAFETY: `isa()` verified the feature at run time
+                        // (AVX-512 implies AVX2; `NR == 8` fits one ymm).
+                        (Isa::Avx512 | Isa::Avx2, None) => unsafe {
+                            x86::a_bt_tile_avx2(apanel, t, o, i0, j0, k, n)
                         },
                         #[cfg(target_arch = "x86_64")]
                         // SAFETY: as above.
-                        Isa::Avx2 => unsafe {
-                            x86::a_bt_tile_avx2(apanel, &tbuf, &mut out, i0, j0, k, n)
+                        (Isa::Avx512 | Isa::Avx2, Some(s)) => unsafe {
+                            x86::a_bt_seg_tile_avx2(apanel, t, o, i0, j0, k, n, s)
                         },
-                        Isa::Portable => a_bt_tile_portable(apanel, &tbuf, &mut out, i0, j0, k, n),
+                        (Isa::Portable, None) => a_bt_tile_portable(apanel, t, o, i0, j0, k, n),
+                        (Isa::Portable, Some(s)) => {
+                            a_bt_seg_tile_portable(apanel, t, o, i0, j0, k, n, s)
+                        }
                     }
                 } else {
-                    a_bt_rows_reference(av, bv, &mut out, i0, mh, j0, nw, k, n);
+                    a_bt_rows_reference(av, bv, &mut out, i0, mh, j0, nw, k, n, seg);
                 }
                 i0 += MR;
             }
         } else {
-            a_bt_rows_reference(av, bv, &mut out, 0, m, j0, nw, k, n);
+            a_bt_rows_reference(av, bv, &mut out, 0, m, j0, nw, k, n, seg);
         }
         j0 += NR;
     }
     Tensor::from_vec(out, &[m, n])
 }
 
-/// Reference-order serial dot products for an `A·Bᵀ` edge block.
+/// Reference-order serial dot products for an `A·Bᵀ` edge block
+/// (segmented like [`matmul_a_bt_segmented_reference`] when `seg` is
+/// set).
 #[inline]
 #[allow(clippy::too_many_arguments)]
 fn a_bt_rows_reference(
@@ -448,16 +542,32 @@ fn a_bt_rows_reference(
     nw: usize,
     k: usize,
     n: usize,
+    seg: Option<usize>,
 ) {
     for i in i0..i0 + mh {
         let arow = &av[i * k..(i + 1) * k];
         for j in j0..j0 + nw {
             let brow = &bv[j * k..(j + 1) * k];
-            let mut acc = 0.0f32;
-            for (&x, &y) in arow.iter().zip(brow.iter()) {
-                acc += x * y;
-            }
-            out[i * n + j] = acc;
+            out[i * n + j] = match seg {
+                None => {
+                    let mut acc = 0.0f32;
+                    for (&x, &y) in arow.iter().zip(brow.iter()) {
+                        acc += x * y;
+                    }
+                    acc
+                }
+                Some(seg) => {
+                    let mut total = 0.0f32;
+                    for (aseg, bseg) in arow.chunks_exact(seg).zip(brow.chunks_exact(seg)) {
+                        let mut acc = 0.0f32;
+                        for (&x, &y) in aseg.iter().zip(bseg.iter()) {
+                            acc += x * y;
+                        }
+                        total += acc;
+                    }
+                    total
+                }
+            };
         }
     }
 }
@@ -486,6 +596,44 @@ fn a_bt_tile_portable(
     for (ii, arow) in acc.iter().enumerate() {
         let off = (i0 + ii) * n + j0;
         out[off..off + NR].copy_from_slice(arow);
+    }
+}
+
+/// Portable segmented `MR × NR` tile of
+/// [`matmul_a_bt_segmented_blocked`]: per segment a fresh accumulator
+/// tile, added onto the running totals at the segment's end.
+#[allow(clippy::too_many_arguments)]
+fn a_bt_seg_tile_portable(
+    apanel: &[f32],
+    tbuf: &[f32],
+    out: &mut [f32],
+    i0: usize,
+    j0: usize,
+    k: usize,
+    n: usize,
+    seg: usize,
+) {
+    let mut total = [[0.0f32; NR]; MR];
+    for s0 in (0..k).step_by(seg) {
+        let mut acc = [[0.0f32; NR]; MR];
+        for kk in s0..s0 + seg {
+            let brow = &tbuf[kk * NR..(kk + 1) * NR];
+            for (ii, arow) in acc.iter_mut().enumerate() {
+                let aik = apanel[ii * k + kk];
+                for (o, &bkj) in arow.iter_mut().zip(brow.iter()) {
+                    *o += aik * bkj;
+                }
+            }
+        }
+        for (trow, arow) in total.iter_mut().zip(acc.iter()) {
+            for (t, &a) in trow.iter_mut().zip(arow.iter()) {
+                *t += a;
+            }
+        }
+    }
+    for (ii, trow) in total.iter().enumerate() {
+        let off = (i0 + ii) * n + j0;
+        out[off..off + NR].copy_from_slice(trow);
     }
 }
 
@@ -667,6 +815,48 @@ mod x86 {
             _mm256_storeu_ps(out.as_mut_ptr().add((i0 + ii) * n + j0), *c);
         }
     }
+
+    /// AVX2 segmented `MR × NR` tile of the segmented `A·Bᵀ` kernel: a
+    /// fresh accumulator per `seg`-long stretch of k, added onto `MR`
+    /// running-total registers at each segment's end.
+    ///
+    /// # Safety
+    ///
+    /// As [`a_bt_tile_avx2`], plus `seg > 0` dividing `k`.
+    #[target_feature(enable = "avx2")]
+    #[allow(clippy::too_many_arguments)]
+    pub unsafe fn a_bt_seg_tile_avx2(
+        apanel: &[f32],
+        tbuf: &[f32],
+        out: &mut [f32],
+        i0: usize,
+        j0: usize,
+        k: usize,
+        n: usize,
+        seg: usize,
+    ) {
+        let ap = apanel.as_ptr();
+        let tp = tbuf.as_ptr();
+        let mut total = [_mm256_setzero_ps(); MR];
+        let mut s0 = 0;
+        while s0 < k {
+            let mut acc = [_mm256_setzero_ps(); MR];
+            for kk in s0..s0 + seg {
+                let b0 = _mm256_loadu_ps(tp.add(kk * NR));
+                for (ii, c) in acc.iter_mut().enumerate() {
+                    let a = _mm256_set1_ps(*ap.add(ii * k + kk));
+                    *c = _mm256_add_ps(*c, _mm256_mul_ps(a, b0));
+                }
+            }
+            for (t, c) in total.iter_mut().zip(acc.iter()) {
+                *t = _mm256_add_ps(*t, *c);
+            }
+            s0 += seg;
+        }
+        for (ii, t) in total.iter().enumerate() {
+            _mm256_storeu_ps(out.as_mut_ptr().add((i0 + ii) * n + j0), *t);
+        }
+    }
 }
 
 fn dims2(t: &Tensor, what: &str) -> (usize, usize) {
@@ -759,23 +949,24 @@ mod tests {
         assert_eq!(matmul_a_bt_blocked(&a, &b), matmul_a_bt_reference(&a, &b));
     }
 
+    fn fill(rows: usize, cols: usize, seed: u64) -> Tensor {
+        let mut s = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).max(1);
+        let data: Vec<f32> = (0..rows * cols)
+            .map(|_| {
+                s = s
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                ((s >> 33) as f32 / (1u64 << 31) as f32) - 0.5
+            })
+            .collect();
+        Tensor::from_vec(data, &[rows, cols])
+    }
+
     #[test]
     fn portable_paths_match_reference_bitwise() {
         // The portable microkernels are exercised regardless of the
         // machine's SIMD support: drive them directly on shapes that
         // hit full tiles, ragged edges, and the staging paths.
-        let fill = |rows: usize, cols: usize, seed: u64| {
-            let mut s = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).max(1);
-            let data: Vec<f32> = (0..rows * cols)
-                .map(|_| {
-                    s = s
-                        .wrapping_mul(6364136223846793005)
-                        .wrapping_add(1442695040888963407);
-                    ((s >> 33) as f32 / (1u64 << 31) as f32) - 0.5
-                })
-                .collect();
-            Tensor::from_vec(data, &[rows, cols])
-        };
         for (m, k, n) in [(4, 5, 8), (4, 3, 11), (9, 4, 8), (12, 7, 19)] {
             let a = fill(m, k, 1);
             let b = fill(k, n, 2);
@@ -802,6 +993,33 @@ mod tests {
             let want = matmul_reference(&a, &b);
             for (x, y) in out.iter().zip(want.as_slice()) {
                 assert_eq!(x.to_bits(), y.to_bits(), "{m}x{k}x{n}");
+            }
+        }
+    }
+
+    #[test]
+    fn portable_segmented_tile_matches_reference_bitwise() {
+        // Two MR-row panels against one NR-wide B panel, at segment
+        // widths 1 (the conv's single-pixel layers) through 4.
+        let m = 2 * MR;
+        for (seg, segs) in [(1, 16), (2, 3), (4, 5)] {
+            let k = seg * segs;
+            let a = fill(m, k, 3);
+            let b = fill(NR, k, 4);
+            let mut tbuf = vec![0.0f32; k * NR];
+            for kk in 0..k {
+                for jj in 0..NR {
+                    tbuf[kk * NR + jj] = b.as_slice()[jj * k + kk];
+                }
+            }
+            let mut out = vec![0.0f32; m * NR];
+            for i0 in (0..m).step_by(MR) {
+                let apanel = &a.as_slice()[i0 * k..(i0 + MR) * k];
+                a_bt_seg_tile_portable(apanel, &tbuf, &mut out, i0, 0, k, NR, seg);
+            }
+            let want = matmul_a_bt_segmented_reference(&a, &b, seg);
+            for (x, y) in out.iter().zip(want.as_slice()) {
+                assert_eq!(x.to_bits(), y.to_bits(), "seg {seg} x {segs}");
             }
         }
     }

@@ -10,9 +10,10 @@ mod matmul;
 mod pool;
 mod softmax;
 
-pub use conv::{col2im, conv2d_backward, conv2d_forward, im2col, Conv2dGrads, ConvGeometry};
+pub use conv::{conv2d_backward, conv2d_forward, Conv2dGrads, ConvGeometry};
 pub use matmul::{
-    matmul, matmul_a_bt, matmul_a_bt_blocked, matmul_a_bt_reference, matmul_at_b,
+    matmul, matmul_a_bt, matmul_a_bt_blocked, matmul_a_bt_reference, matmul_a_bt_segmented,
+    matmul_a_bt_segmented_blocked, matmul_a_bt_segmented_reference, matmul_at_b,
     matmul_at_b_blocked, matmul_at_b_reference, matmul_blocked, matmul_reference,
     naive_kernels_forced,
 };

@@ -6,8 +6,9 @@
 //! kernel that drops the skip would diverge on signed zeros).
 
 use adaptivefl_tensor::ops::{
-    matmul_a_bt_blocked, matmul_a_bt_reference, matmul_at_b_blocked, matmul_at_b_reference,
-    matmul_blocked, matmul_reference,
+    matmul_a_bt_blocked, matmul_a_bt_reference, matmul_a_bt_segmented_blocked,
+    matmul_a_bt_segmented_reference, matmul_at_b_blocked, matmul_at_b_reference, matmul_blocked,
+    matmul_reference,
 };
 use adaptivefl_tensor::Tensor;
 use proptest::prelude::*;
@@ -94,6 +95,49 @@ proptest! {
         );
     }
 
+    /// Segmented `A·Bᵀ` (the batched conv's weight gradient) over
+    /// randomized row counts, segment widths and segment counts.
+    #[test]
+    fn matmul_a_bt_segmented_blocked_is_bit_equal(
+        m in 1usize..=19, n in 1usize..=19, seg in 1usize..=6, segs in 1usize..=5,
+        seed in 0u64..1 << 60,
+    ) {
+        let a = matrix(m, seg * segs, seed);
+        let b = matrix(n, seg * segs, seed ^ 0xabcd);
+        assert_bits_equal(
+            &matmul_a_bt_segmented_blocked(&a, &b, seg),
+            &matmul_a_bt_segmented_reference(&a, &b, seg),
+            "matmul_a_bt_segmented",
+        );
+    }
+
+    /// The segmented reference is, by definition, the per-segment
+    /// `A·Bᵀ` products summed in segment order into a zeroed matrix.
+    #[test]
+    fn segmented_reference_sums_per_segment_products(
+        m in 1usize..=9, n in 1usize..=9, seg in 1usize..=6, segs in 1usize..=5,
+        seed in 0u64..1 << 60,
+    ) {
+        let k = seg * segs;
+        let a = matrix(m, k, seed);
+        let b = matrix(n, k, seed ^ 0xabcd);
+        let columns = |t: &Tensor, rows: usize, s: usize| {
+            let data = (0..rows)
+                .flat_map(|r| t.as_slice()[r * k + s * seg..r * k + (s + 1) * seg].to_vec())
+                .collect();
+            Tensor::from_vec(data, &[rows, seg])
+        };
+        let mut want = Tensor::zeros(&[m, n]);
+        for s in 0..segs {
+            want.add_assign(&matmul_a_bt_reference(&columns(&a, m, s), &columns(&b, n, s)));
+        }
+        assert_bits_equal(
+            &matmul_a_bt_segmented_reference(&a, &b, seg),
+            &want,
+            "segmented vs summed segments",
+        );
+    }
+
     /// Larger shapes spanning several full tiles plus ragged edges.
     #[test]
     fn big_ragged_shapes_are_bit_equal(
@@ -129,6 +173,13 @@ fn degenerate_and_off_tile_shapes_are_bit_equal() {
                     &matmul_a_bt_reference(&a, &bt),
                     "matmul_a_bt",
                 );
+                for seg in (1..=k).filter(|s| k % s == 0) {
+                    assert_bits_equal(
+                        &matmul_a_bt_segmented_blocked(&a, &bt, seg),
+                        &matmul_a_bt_segmented_reference(&a, &bt, seg),
+                        "matmul_a_bt_segmented",
+                    );
+                }
             }
         }
     }
@@ -163,4 +214,15 @@ fn non_finite_values_match_bitwise() {
         &matmul_a_bt_reference(&a, &bt),
         "matmul_a_bt inf",
     );
+    assert_bits_equal(
+        &matmul_a_bt_segmented_blocked(&a, &bt, 1),
+        &matmul_a_bt_segmented_reference(&a, &bt, 1),
+        "matmul_a_bt_segmented inf",
+    );
+}
+
+#[test]
+#[should_panic(expected = "does not divide")]
+fn segmented_rejects_ragged_segments() {
+    matmul_a_bt_segmented_blocked(&matrix(2, 5, 1), &matrix(3, 5, 2), 2);
 }
