@@ -436,6 +436,25 @@ mod tests {
         }
     }
 
+    /// `sample_snapshot()` as written by the original v1 encoder.
+    const V1_FIXTURE: &[u8] = include_bytes!("../tests/fixtures/v1-adaptivefl-c.afs");
+    /// The same snapshot written without a method kind (flag 0).
+    const V1_KINDLESS: &[u8] = include_bytes!("../tests/fixtures/v1-kindless.afs");
+
+    #[test]
+    fn v1_fixture_decodes_to_the_same_snapshot() {
+        assert_eq!(
+            decode_snapshot(V1_FIXTURE).expect("v1 file decodes"),
+            sample_snapshot()
+        );
+    }
+
+    #[test]
+    fn kindless_v1_fixture_decodes() {
+        let snap = decode_snapshot(V1_KINDLESS).expect("kind-less v1 file decodes");
+        assert_eq!(snap.kind, None);
+    }
+
     #[test]
     fn every_corrupting_byte_flip_is_detected() {
         let snap = sample_snapshot();
