@@ -24,13 +24,9 @@ use std::fs;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use adaptivefl_core::methods::{FlMethod, MethodKind};
-use adaptivefl_core::metrics::RunResult;
-use adaptivefl_core::sim::{Env, RunHooks, SimConfig, Simulation};
-use adaptivefl_core::transport::PerfectTransport;
+use adaptivefl_core::sim::SimConfig;
 use adaptivefl_data::SynthSpec;
 use adaptivefl_models::ModelConfig;
-use adaptivefl_store::{run_or_resume, SnapshotStore};
 use adaptivefl_trace::JsonlTracer;
 use serde::Serialize;
 
@@ -133,22 +129,6 @@ impl Args {
         };
         (out, rest)
     }
-
-    fn store_for(&self, slug: &str) -> Option<SnapshotStore> {
-        let dir = self.resume.as_ref()?;
-        Some(SnapshotStore::open(dir.join(sanitize_slug(slug))).expect("opening checkpoint store"))
-    }
-
-    /// When `--trace <dir>` is on, installs a [`JsonlTracer`] writing
-    /// to `<dir>/<sanitized-slug>.jsonl` and returns a handle to it
-    /// (flush it after the run).
-    pub fn attach_tracer(&self, sim: &mut Simulation, slug: &str) -> Option<Arc<JsonlTracer>> {
-        let dir = self.trace.as_ref()?;
-        let path = dir.join(format!("{}.jsonl", sanitize_slug(slug)));
-        let tracer = Arc::new(JsonlTracer::create(&path).expect("creating trace file"));
-        sim.set_tracer(Arc::clone(&tracer) as Arc<dyn adaptivefl_core::trace::Tracer>);
-        Some(tracer)
-    }
 }
 
 /// Resolves a `--seeds` argument: a bare count expands to consecutive
@@ -196,62 +176,6 @@ pub(crate) fn finish_trace(tracer: Option<Arc<JsonlTracer>>) {
             println!("[traced {}]", t.path().display());
         }
     }
-}
-
-/// Runs `kind` in `sim` — plain when `--resume` is off; checkpointed
-/// into (and resumed from) the slug's subdirectory of the resume
-/// directory when it is on. `slug` must uniquely identify the run
-/// (bin, model, dataset, partition, method).
-pub fn run_kind(sim: &mut Simulation, kind: MethodKind, args: &Args, slug: &str) -> RunResult {
-    let tracer = args.attach_tracer(sim, slug);
-    let result = match args.store_for(slug) {
-        None => sim.run(kind),
-        Some(mut store) => run_or_resume(
-            sim,
-            kind,
-            &mut PerfectTransport,
-            &mut store,
-            CHECKPOINT_EVERY,
-        )
-        .expect("checkpointed run"),
-    };
-    finish_trace(tracer);
-    result
-}
-
-/// [`run_kind`] for explicitly constructed methods (ablation
-/// variants). `make` must build the method exactly as the original run
-/// did — on resume its state is replaced by the snapshot's.
-pub fn run_method(
-    sim: &mut Simulation,
-    make: impl FnOnce(&Env) -> Box<dyn FlMethod>,
-    args: &Args,
-    slug: &str,
-) -> RunResult {
-    let tracer = args.attach_tracer(sim, slug);
-    let Some(mut store) = args.store_for(slug) else {
-        let method = make(sim.env());
-        let result = sim.run_method(method);
-        finish_trace(tracer);
-        return result;
-    };
-    let method = make(sim.env());
-    let resume_point = store.latest_valid().expect("scanning checkpoint store");
-    let hooks = RunHooks {
-        checkpoint_every: CHECKPOINT_EVERY,
-        sink: &mut store,
-        halt_after: None,
-    };
-    let result = match &resume_point {
-        Some((_, snap)) => sim
-            .resume_method_with_hooks(method, snap, &mut PerfectTransport, hooks)
-            .expect("resumed run"),
-        None => sim
-            .run_method_with_hooks(method, &mut PerfectTransport, hooks)
-            .expect("checkpointed run"),
-    };
-    finish_trace(tracer);
-    result.expect("no halt configured, so the run completes")
 }
 
 /// The `results/` directory at the workspace root (created on demand).

@@ -4,10 +4,9 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use adaptivefl_core::methods::{AdaptiveFl, FlMethod, MethodKind};
+use adaptivefl_core::methods::MethodKind;
 use adaptivefl_core::metrics::RunResult;
-use adaptivefl_core::select::SelectionStrategy;
-use adaptivefl_core::sim::{Env, RunHooks, SimConfig, Simulation};
+use adaptivefl_core::sim::{SimConfig, Simulation};
 use adaptivefl_core::transport::PerfectTransport;
 use adaptivefl_data::{Partition, SynthSpec};
 use adaptivefl_device::testbed::paper_testbed;
@@ -23,13 +22,15 @@ pub enum CellRun {
     /// A method of the paper's line-up.
     Kind(MethodKind),
     /// AdaptiveFL (+CS) with a non-default RL success-rate reward cap
-    /// (the `reward-cap` ablation).
+    /// (the `reward-cap` ablation); runs as
+    /// [`MethodKind::AdaptiveFlCapped`].
     AdaptiveCap(f64),
 }
 
 impl CellRun {
     /// Display name — matches the instantiated method's
-    /// `FlMethod::name`.
+    /// `FlMethod::name` (the records' `method` field and the run-RNG
+    /// label both use it).
     pub fn method_name(&self) -> String {
         match self {
             CellRun::Kind(k) => k.to_string(),
@@ -37,14 +38,11 @@ impl CellRun {
         }
     }
 
-    /// Builds the method exactly as the original bins did.
-    pub fn instantiate(&self, env: &Env) -> Box<dyn FlMethod> {
-        match self {
-            CellRun::Kind(k) => k.instantiate(env),
-            CellRun::AdaptiveCap(cap) => Box::new(
-                AdaptiveFl::new(env, SelectionStrategy::CuriosityAndResource, false)
-                    .with_reward_cap(*cap),
-            ),
+    /// The method kind the cell runs.
+    pub fn kind(&self) -> MethodKind {
+        match *self {
+            CellRun::Kind(k) => k,
+            CellRun::AdaptiveCap(cap) => MethodKind::adaptive_fl_capped(cap),
         }
     }
 }
@@ -245,45 +243,20 @@ fn run_prepared(cell: &Cell, seed: u64, store_slug: &str, opts: &JobOpts) -> Run
         sim.set_tracer(Arc::clone(&t) as Arc<dyn adaptivefl_core::trace::Tracer>);
         t
     });
+    let kind = cell.run.kind();
     let result = match &opts.resume {
-        None => {
-            let method = cell.run.instantiate(sim.env());
-            sim.run_method(method)
-        }
-        // Checkpointed runs keep the exact `run_kind`/`run_method`
-        // flow of the single-seed bins (same snapshot `kind` field,
-        // same checkpoint trace events), so old resume directories
-        // stay valid.
+        None => sim.run(kind),
         Some(dir) => {
             let mut store =
                 SnapshotStore::open(dir.join(store_slug)).expect("opening checkpoint store");
-            match cell.run {
-                CellRun::Kind(kind) => run_or_resume(
-                    &mut sim,
-                    kind,
-                    &mut PerfectTransport,
-                    &mut store,
-                    CHECKPOINT_EVERY,
-                )
-                .expect("checkpointed run"),
-                CellRun::AdaptiveCap(_) => {
-                    let method = cell.run.instantiate(sim.env());
-                    let resume_point = store.latest_valid().expect("scanning checkpoint store");
-                    let hooks = RunHooks {
-                        checkpoint_every: CHECKPOINT_EVERY,
-                        sink: &mut store,
-                        halt_after: None,
-                    };
-                    let run = match &resume_point {
-                        Some((_, snap)) => {
-                            sim.resume_method_with_hooks(method, snap, &mut PerfectTransport, hooks)
-                        }
-                        None => sim.run_method_with_hooks(method, &mut PerfectTransport, hooks),
-                    };
-                    run.expect("checkpointed run")
-                        .expect("no halt configured, so the run completes")
-                }
-            }
+            run_or_resume(
+                &mut sim,
+                kind,
+                &mut PerfectTransport,
+                &mut store,
+                CHECKPOINT_EVERY,
+            )
+            .expect("checkpointed run")
         }
     };
     finish_trace(tracer);

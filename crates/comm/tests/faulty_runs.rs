@@ -6,6 +6,7 @@
 
 use adaptivefl_comm::{FaultPlan, SimTransport};
 use adaptivefl_core::methods::{AdaptiveFl, FlMethod, MethodKind};
+use adaptivefl_core::rl::PAPER_REWARD_CAP;
 use adaptivefl_core::select::SelectionStrategy;
 use adaptivefl_core::sim::{SimConfig, Simulation};
 use adaptivefl_core::PerfectTransport;
@@ -64,7 +65,12 @@ fn upload_drops_degrade_gracefully() {
 fn dropped_clients_t_r_decreases() {
     let sim = prepare(301);
     let env = sim.env();
-    let mut method = AdaptiveFl::new(env, SelectionStrategy::CuriosityAndResource, false);
+    let mut method = AdaptiveFl::new(
+        env,
+        SelectionStrategy::CuriosityAndResource,
+        false,
+        PAPER_REWARD_CAP,
+    );
     // Every upload is lost: every dispatched client must be punished
     // across all pool sizes (t_r decreases, clamped at zero).
     let mut transport = SimTransport::new().with_faults(FaultPlan {

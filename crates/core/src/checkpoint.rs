@@ -23,7 +23,9 @@
 //! round `R` replays rounds `R+1..T` with the exact RNG stream and
 //! server state of the uninterrupted run, so the final accuracy, RL
 //! tables and [`CommStats`](crate::transport::CommStats) are
-//! bit-identical at any thread count (see `Simulation::resume_*`).
+//! bit-identical at any thread count (see
+//! [`Simulation::resume_with_transport`](crate::sim::Simulation::resume_with_transport)
+//! and [`Simulation::resume_with_hooks`](crate::sim::Simulation::resume_with_hooks)).
 
 use adaptivefl_nn::ParamMap;
 use rand_chacha::ChaCha8Rng;
@@ -88,11 +90,9 @@ pub trait Checkpointable {
 /// One frozen run, as captured between rounds.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServerSnapshot {
-    /// The method kind, when the run was started from a
-    /// [`MethodKind`]; `None` for explicitly constructed methods
-    /// (whose resume goes through
-    /// `Simulation::resume_method_with_transport`).
-    pub kind: Option<MethodKind>,
+    /// The method kind; resume instantiates it afresh and then
+    /// restores [`ServerSnapshot::method`] into it.
+    pub kind: MethodKind,
     /// The method's display name (resume validates it).
     pub method_name: String,
     /// Rounds fully completed (the resumed run starts at this index).
@@ -201,6 +201,21 @@ mod tests {
         assert!(state.into_single().is_err());
     }
 
+    fn snapshot(completed_rounds: usize, rng_words: Vec<u32>) -> ServerSnapshot {
+        ServerSnapshot {
+            kind: MethodKind::AdaptiveFl,
+            method_name: "x".into(),
+            completed_rounds,
+            rng_words,
+            method: MethodState::default(),
+            rounds: Vec::new(),
+            evals: Vec::new(),
+            cfg_fingerprint: String::new(),
+            pool_p: 1,
+            pool_params: Vec::new(),
+        }
+    }
+
     #[test]
     fn snapshot_rng_restores_stream() {
         use rand::SeedableRng;
@@ -208,56 +223,22 @@ mod tests {
         for _ in 0..7 {
             let _ = rng.next_u32();
         }
-        let snap = ServerSnapshot {
-            kind: None,
-            method_name: "x".into(),
-            completed_rounds: 0,
-            rng_words: rng.state_words().to_vec(),
-            method: MethodState::default(),
-            rounds: Vec::new(),
-            evals: Vec::new(),
-            cfg_fingerprint: String::new(),
-            pool_p: 1,
-            pool_params: Vec::new(),
-        };
+        let snap = snapshot(0, rng.state_words().to_vec());
         let mut restored = snap.rng().expect("valid words");
         assert_eq!(restored.next_u64(), rng.next_u64());
     }
 
     #[test]
     fn snapshot_rng_rejects_bad_word_count() {
-        let snap = ServerSnapshot {
-            kind: None,
-            method_name: "x".into(),
-            completed_rounds: 0,
-            rng_words: vec![0; 5],
-            method: MethodState::default(),
-            rounds: Vec::new(),
-            evals: Vec::new(),
-            cfg_fingerprint: String::new(),
-            pool_p: 1,
-            pool_params: Vec::new(),
-        };
-        assert!(snap.rng().is_err());
+        assert!(snapshot(0, vec![0; 5]).rng().is_err());
     }
 
     #[test]
     fn memory_sink_collects_and_finds() {
         let mut sink = MemorySink::new();
         for r in [2usize, 4] {
-            let snap = ServerSnapshot {
-                kind: None,
-                method_name: "x".into(),
-                completed_rounds: r,
-                rng_words: Vec::new(),
-                method: MethodState::default(),
-                rounds: Vec::new(),
-                evals: Vec::new(),
-                cfg_fingerprint: String::new(),
-                pool_p: 1,
-                pool_params: Vec::new(),
-            };
-            sink.save(&snap).expect("memory sink is infallible");
+            sink.save(&snapshot(r, Vec::new()))
+                .expect("memory sink is infallible");
         }
         assert_eq!(sink.snapshots.len(), 2);
         assert_eq!(sink.latest().expect("latest").completed_rounds, 4);

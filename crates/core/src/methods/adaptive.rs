@@ -1,27 +1,25 @@
 //! AdaptiveFL — Algorithm 1 of the paper.
 
-use adaptivefl_models::cost::cost_of;
-use adaptivefl_nn::layer::LayerExt;
 use adaptivefl_nn::ParamMap;
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 
-use crate::aggregate::{aggregate_with_scratch, Upload};
 use crate::checkpoint::{Checkpointable, MethodState};
 use crate::error::CoreError;
-use crate::methods::FlMethod;
+use crate::methods::{evaluate_levels, play_round, Arch, Assignments, Fit, FlMethod, RoundHooks};
 use crate::metrics::{EvalRecord, RoundRecord};
 use crate::rl::RlState;
 use crate::select::{select_client, SelectionStrategy};
 use crate::sim::Env;
-use crate::trace::{status_name, Phase, PhaseTimer, TraceEvent};
-use crate::trainer::evaluate;
-use crate::transport::{ClientJob, JobFn, LocalOutcome, Transport};
+use crate::trace::TraceEvent;
+use crate::transport::{Delivery, Transport};
 
 /// AdaptiveFL server state: the full global model, the RL tables, and
 /// the selection strategy (ablation variants reuse this struct).
 pub struct AdaptiveFl {
     global: ParamMap,
+    /// One submodel per pool entry, indexed like the pool.
+    archs: Vec<Arch>,
     rl: RlState,
     strategy: SelectionStrategy,
     /// "AdaptiveFL+Greed": skip the random model pick and always
@@ -30,31 +28,41 @@ pub struct AdaptiveFl {
 }
 
 impl AdaptiveFl {
-    /// Initialises the global model and RL tables for an environment.
-    pub fn new(env: &Env, strategy: SelectionStrategy, greedy_dispatch: bool) -> Self {
+    /// Initialises the global model and RL tables for an environment,
+    /// with the resource reward capped at `reward_cap` (the paper's is
+    /// [`PAPER_REWARD_CAP`](crate::rl::PAPER_REWARD_CAP)).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `reward_cap` is in `(0, 1]`.
+    pub fn new(
+        env: &Env,
+        strategy: SelectionStrategy,
+        greedy_dispatch: bool,
+        reward_cap: f64,
+    ) -> Self {
+        let model = &env.cfg.model;
+        let archs = env
+            .pool
+            .entries()
+            .iter()
+            .map(|e| {
+                let prune = env.pool.prune_plan(e.index).clone();
+                Arch::new(env, e.name(), model.full_blueprint(&e.plan), Some(prune))
+            })
+            .collect();
         AdaptiveFl {
             global: env.fresh_global(),
-            rl: RlState::new(env.pool.p(), env.data.num_clients()),
+            archs,
+            rl: RlState::new(env.pool.p(), env.data.num_clients()).with_reward_cap(reward_cap),
             strategy,
             greedy_dispatch,
         }
     }
 
-    /// Overrides the resource-reward cap (paper default 0.5) — used by
-    /// the design-choice ablation benches.
-    pub fn with_reward_cap(mut self, cap: f64) -> Self {
-        self.rl = self.rl.with_reward_cap(cap);
-        self
-    }
-
     /// Read access to the RL state (for diagnostics/tests).
     pub fn rl(&self) -> &RlState {
         &self.rl
-    }
-
-    /// Read access to the global model.
-    pub fn global(&self) -> &ParamMap {
-        &self.global
     }
 }
 
@@ -84,32 +92,16 @@ impl Checkpointable for AdaptiveFl {
     }
 }
 
-impl FlMethod for AdaptiveFl {
-    fn name(&self) -> String {
-        if self.greedy_dispatch {
-            "AdaptiveFL+Greed".to_string()
-        } else {
-            match self.strategy {
-                SelectionStrategy::CuriosityAndResource => "AdaptiveFL".to_string(),
-                s => format!("AdaptiveFL+{s}"),
-            }
-        }
-    }
+impl RoundHooks for AdaptiveFl {
+    const FIT: Fit = Fit::LargestFitting;
 
-    fn round(
-        &mut self,
-        env: &Env,
-        round: usize,
-        transport: &mut dyn Transport,
-        rng: &mut ChaCha8Rng,
-    ) -> RoundRecord {
+    /// Steps 2+3: pick (model, client) pairs; clients are distinct
+    /// within a round.
+    fn assign(&mut self, env: &Env, round: usize, rng: &mut ChaCha8Rng) -> Assignments {
         let pool = &env.pool;
         let k = env.cfg.clients_per_round;
         let mut eligible = env.eligible_clients(round);
-
-        // Step 2+3: pick (model, client) pairs; clients are distinct
-        // within a round.
-        let mut assignments: Vec<(usize, usize)> = Vec::with_capacity(k); // (pool idx, client)
+        let mut assignments = Vec::with_capacity(k);
         for _ in 0..k {
             if eligible.is_empty() {
                 break;
@@ -131,186 +123,75 @@ impl FlMethod for AdaptiveFl {
                 break;
             };
             eligible.retain(|&x| x != c);
-            assignments.push((m_idx, c));
+            assignments.push((c, m_idx));
         }
+        (assignments, 0)
+    }
 
-        // Steps 4-5: dispatch one job per assignment; the closure is
-        // the client side — adaptive pruning to the currently available
-        // resources, then local training.
-        let dispatch_timer = PhaseTimer::start(env.tracer(), Phase::Dispatch);
-        let global = &self.global;
-        let mut jobs: Vec<ClientJob<'_>> = Vec::with_capacity(assignments.len());
-        let mut sent = 0u64;
-        for &(m_idx, c) in &assignments {
-            let entry = pool.entry(m_idx);
-            self.rl.update_on_dispatch(entry.level, c);
-            sent += entry.params;
-            if env.tracer().enabled() {
-                env.tracer().event(TraceEvent::Dispatch {
-                    round,
-                    client: c,
-                    tag: m_idx,
-                    params: entry.params,
-                });
-                env.tracer().event(TraceEvent::RlDispatch {
-                    round,
-                    client: c,
-                    level: entry.level.type_index(),
-                });
-            }
+    fn parts(&mut self) -> (&[Arch], &mut [ParamMap]) {
+        (&self.archs, std::slice::from_mut(&mut self.global))
+    }
 
-            let run: JobFn<'_> = Box::new(move |rng: &mut ChaCha8Rng| {
-                let train_timer = PhaseTimer::start(env.tracer(), Phase::ClientTrain);
-                let capacity = env.fleet.device(c).capacity_at(round);
-                let Some(fit) = pool.largest_fitting(m_idx, capacity) else {
-                    // The dispatched model still travelled down the
-                    // link; the transport charges the downlink.
-                    train_timer.stop(env.tracer());
-                    return LocalOutcome::failure();
-                };
-                let sub = pool.prune_plan(fit.index).extract(global);
-                let mut net = env.cfg.model.build(&fit.plan, rng);
-                net.load_param_map(&sub);
-                let data = env.data.client(c);
-                let loss = env
-                    .cfg
-                    .local
-                    .train_with_scratch(&mut net, data, rng, &env.scratch);
-                let macs = cost_of(
-                    &env.cfg.model.full_blueprint(&fit.plan),
-                    env.cfg.model.input,
-                )
-                .macs;
-                train_timer.stop(env.tracer());
-                if env.tracer().enabled() {
-                    env.tracer().event(TraceEvent::ClientTrain {
-                        round,
-                        client: c,
-                        tag: fit.index,
-                        loss,
-                        samples: data.len(),
-                        macs_per_sample: macs,
-                    });
-                }
-                LocalOutcome {
-                    upload: Some(Upload {
-                        params: net.param_map(),
-                        weight: data.len() as f32,
-                    }),
-                    loss,
-                    tag: fit.index,
-                    macs_per_sample: macs,
-                    samples: data.len(),
-                    up_params: fit.params,
-                }
+    fn on_dispatch(&mut self, env: &Env, round: usize, client: usize, tag: usize) {
+        let level = env.pool.entry(tag).level;
+        self.rl.update_on_dispatch(level, client);
+        if env.tracer().enabled() {
+            env.tracer().event(TraceEvent::RlDispatch {
+                round,
+                client,
+                level: level.type_index(),
             });
-            jobs.push(ClientJob {
-                client: c,
-                tag: m_idx,
-                down_params: entry.params,
-                run,
-            });
-        }
-        dispatch_timer.stop(env.tracer());
-
-        let exchange = transport.exchange(env, round, jobs, rng);
-
-        // Step 6: consume deliveries — RL return updates, then
-        // heterogeneous aggregation of whatever survived the link.
-        let collect_timer = PhaseTimer::start(env.tracer(), Phase::Collect);
-        let mut uploads = Vec::with_capacity(exchange.deliveries.len());
-        let mut returned = 0u64;
-        let mut loss_acc = 0.0f32;
-        let mut trained = 0usize;
-        let mut failures = 0usize;
-        for d in exchange.deliveries {
-            if env.tracer().enabled() {
-                env.tracer().event(TraceEvent::Collect {
-                    round,
-                    client: d.client,
-                    status: status_name(d.status),
-                    up_params: if d.status.is_delivered() {
-                        d.up_params
-                    } else {
-                        0
-                    },
-                });
-            }
-            if d.status.is_delivered() {
-                returned += d.up_params;
-                loss_acc += d.loss;
-                trained += 1;
-                uploads.push(d.upload.expect("delivered upload present"));
-                self.rl
-                    .update_on_return(pool, d.tag, Some(d.client_tag), d.client);
-                if env.tracer().enabled() {
-                    env.tracer().event(TraceEvent::RlReturn {
-                        round,
-                        client: d.client,
-                        sent: d.tag,
-                        returned: Some(d.client_tag),
-                    });
-                }
-            } else {
-                // Resource failures and transport losses (drops, late
-                // uploads, crashes) look the same from the server: the
-                // dispatched model never came back, so `T_r` records a
-                // total failure.
-                self.rl.update_on_return(pool, d.tag, None, d.client);
-                if env.tracer().enabled() {
-                    env.tracer().event(TraceEvent::RlReturn {
-                        round,
-                        client: d.client,
-                        sent: d.tag,
-                        returned: None,
-                    });
-                }
-                failures += 1;
-            }
-        }
-        collect_timer.stop(env.tracer());
-        let agg_timer = PhaseTimer::start(env.tracer(), Phase::Aggregate);
-        aggregate_with_scratch(
-            &mut self.global,
-            &uploads,
-            env.tracer(),
-            round,
-            &env.scratch,
-        );
-        agg_timer.stop(env.tracer());
-
-        RoundRecord {
-            round,
-            sent_params: sent,
-            returned_params: returned,
-            train_loss: if trained > 0 {
-                loss_acc / trained as f32
-            } else {
-                0.0
-            },
-            sim_secs: exchange.round_secs,
-            failures,
-            comm: exchange.stats,
         }
     }
 
+    /// Step 6: `T_r` learns what came back. Resource failures and
+    /// transport losses (drops, late uploads, crashes) look the same
+    /// from the server: the dispatched model never came back, so `T_r`
+    /// records a total failure.
+    fn on_delivery(&mut self, env: &Env, round: usize, d: &Delivery) {
+        let returned = d.status.is_delivered().then_some(d.client_tag);
+        self.rl
+            .update_on_return(&env.pool, d.tag, returned, d.client);
+        if env.tracer().enabled() {
+            env.tracer().event(TraceEvent::RlReturn {
+                round,
+                client: d.client,
+                sent: d.tag,
+                returned,
+            });
+        }
+    }
+}
+
+impl FlMethod for AdaptiveFl {
+    fn name(&self) -> String {
+        if self.greedy_dispatch {
+            "AdaptiveFL+Greed".to_string()
+        } else {
+            match self.strategy {
+                SelectionStrategy::CuriosityAndResource => "AdaptiveFL".to_string(),
+                s => format!("AdaptiveFL+{s}"),
+            }
+        }
+    }
+
+    fn round(
+        &mut self,
+        env: &Env,
+        round: usize,
+        transport: &mut dyn Transport,
+        rng: &mut ChaCha8Rng,
+    ) -> RoundRecord {
+        play_round(self, env, round, transport, rng)
+    }
+
     fn evaluate(&mut self, env: &Env, round: usize) -> EvalRecord {
-        let mut levels = Vec::new();
-        for rep in env.pool.level_representatives() {
-            let sub = env.pool.prune_plan(rep.index).extract(&self.global);
-            let mut net = env.cfg.model.build(&rep.plan, &mut env.eval_rng());
-            net.load_param_map(&sub);
-            levels.push((
-                rep.name(),
-                evaluate(&mut net, env.data.test(), env.cfg.eval_batch),
-            ));
-        }
-        // Full accuracy = the L_1 (global) model, which is the last rep.
-        let full = levels.last().map_or(0.0, |(_, a)| *a);
-        EvalRecord {
-            round,
-            full,
-            levels,
-        }
+        // The level representatives ascend, so the full accuracy is
+        // that of the L_1 (global) model.
+        let reps = env.pool.level_representatives();
+        let levels = reps
+            .iter()
+            .map(|rep| (&self.archs[rep.index], &self.global));
+        evaluate_levels(env, round, levels)
     }
 }

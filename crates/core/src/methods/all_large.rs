@@ -2,20 +2,17 @@
 //! client (McMahan et al.), the paper's non-resource-constrained
 //! reference.
 
-use adaptivefl_models::cost::cost_of;
-use adaptivefl_nn::layer::LayerExt;
 use adaptivefl_nn::ParamMap;
 use rand_chacha::ChaCha8Rng;
 
-use crate::aggregate::{aggregate_with_scratch, Upload};
 use crate::checkpoint::{Checkpointable, MethodState};
 use crate::error::CoreError;
-use crate::methods::{sample_clients, trace_client_train, trace_collect, trace_dispatch, FlMethod};
+use crate::methods::{
+    accuracy, play_round, sample_clients, Arch, Assignments, Fit, FlMethod, RoundHooks,
+};
 use crate::metrics::{EvalRecord, RoundRecord};
 use crate::sim::Env;
-use crate::trace::{Phase, PhaseTimer};
-use crate::trainer::evaluate;
-use crate::transport::{ClientJob, JobFn, LocalOutcome, Transport};
+use crate::transport::Transport;
 
 /// FedAvg on `L_1` with uniformly sampled clients. Resource limits are
 /// deliberately ignored (the paper trains All-Large "with all clients
@@ -23,13 +20,18 @@ use crate::transport::{ClientJob, JobFn, LocalOutcome, Transport};
 /// scenarios).
 pub struct AllLarge {
     global: ParamMap,
+    /// `L_1`, loaded straight from the global model (no extraction).
+    full: [Arch; 1],
 }
 
 impl AllLarge {
     /// Initialises the global model.
     pub fn new(env: &Env) -> Self {
+        let l1 = env.pool.largest();
+        let blueprint = env.cfg.model.full_blueprint(&l1.plan);
         AllLarge {
             global: env.fresh_global(),
+            full: [Arch::new(env, l1.name(), blueprint, None)],
         }
     }
 }
@@ -45,6 +47,19 @@ impl Checkpointable for AllLarge {
     }
 }
 
+impl RoundHooks for AllLarge {
+    const FIT: Fit = Fit::Any;
+
+    fn assign(&mut self, env: &Env, round: usize, rng: &mut ChaCha8Rng) -> Assignments {
+        let clients = sample_clients(env, round, env.cfg.clients_per_round, rng);
+        (clients.into_iter().map(|c| (c, 0)).collect(), 0)
+    }
+
+    fn parts(&mut self) -> (&[Arch], &mut [ParamMap]) {
+        (&self.full, std::slice::from_mut(&mut self.global))
+    }
+}
+
 impl FlMethod for AllLarge {
     fn name(&self) -> String {
         "All-Large".to_string()
@@ -57,108 +72,13 @@ impl FlMethod for AllLarge {
         transport: &mut dyn Transport,
         rng: &mut ChaCha8Rng,
     ) -> RoundRecord {
-        let full = env.pool.largest();
-        let clients = sample_clients(env, round, env.cfg.clients_per_round, rng);
-        let macs = cost_of(
-            &env.cfg.model.full_blueprint(&full.plan),
-            env.cfg.model.input,
-        )
-        .macs;
-
-        let dispatch_timer = PhaseTimer::start(env.tracer(), Phase::Dispatch);
-        let global = &self.global;
-        let jobs: Vec<ClientJob<'_>> = clients
-            .iter()
-            .map(|&c| {
-                trace_dispatch(env, round, c, 0, full.params);
-                let run: JobFn<'_> = Box::new(move |rng: &mut ChaCha8Rng| {
-                    let train_timer = PhaseTimer::start(env.tracer(), Phase::ClientTrain);
-                    let mut net = env.cfg.model.build(&full.plan, rng);
-                    net.load_param_map(global);
-                    let data = env.data.client(c);
-                    let loss = env
-                        .cfg
-                        .local
-                        .train_with_scratch(&mut net, data, rng, &env.scratch);
-                    train_timer.stop(env.tracer());
-                    trace_client_train(env, round, c, 0, loss, data.len(), macs);
-                    LocalOutcome {
-                        upload: Some(Upload {
-                            params: net.param_map(),
-                            weight: data.len() as f32,
-                        }),
-                        loss,
-                        tag: 0,
-                        macs_per_sample: macs,
-                        samples: data.len(),
-                        up_params: full.params,
-                    }
-                });
-                ClientJob {
-                    client: c,
-                    tag: 0,
-                    down_params: full.params,
-                    run,
-                }
-            })
-            .collect();
-        dispatch_timer.stop(env.tracer());
-
-        let exchange = transport.exchange(env, round, jobs, rng);
-
-        let collect_timer = PhaseTimer::start(env.tracer(), Phase::Collect);
-        let mut uploads = Vec::with_capacity(exchange.deliveries.len());
-        let mut returned = 0u64;
-        let mut loss_acc = 0.0;
-        let mut trained = 0usize;
-        let mut failures = 0usize;
-        for d in exchange.deliveries {
-            trace_collect(env, round, &d);
-            if d.status.is_delivered() {
-                returned += d.up_params;
-                loss_acc += d.loss;
-                trained += 1;
-                uploads.push(d.upload.expect("delivered upload present"));
-            } else {
-                failures += 1;
-            }
-        }
-        collect_timer.stop(env.tracer());
-        let agg_timer = PhaseTimer::start(env.tracer(), Phase::Aggregate);
-        aggregate_with_scratch(
-            &mut self.global,
-            &uploads,
-            env.tracer(),
-            round,
-            &env.scratch,
-        );
-        agg_timer.stop(env.tracer());
-
-        RoundRecord {
-            round,
-            sent_params: full.params * clients.len() as u64,
-            returned_params: returned,
-            train_loss: if trained > 0 {
-                loss_acc / trained as f32
-            } else {
-                0.0
-            },
-            sim_secs: exchange.round_secs,
-            failures,
-            comm: exchange.stats,
-        }
+        play_round(self, env, round, transport, rng)
     }
 
     fn evaluate(&mut self, env: &Env, round: usize) -> EvalRecord {
-        let mut net = env
-            .cfg
-            .model
-            .build(&env.pool.largest().plan, &mut env.eval_rng());
-        net.load_param_map(&self.global);
-        let full = evaluate(&mut net, env.data.test(), env.cfg.eval_batch);
         EvalRecord {
             round,
-            full,
+            full: accuracy(env, &self.full[0], &self.global),
             levels: Vec::new(),
         }
     }

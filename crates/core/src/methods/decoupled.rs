@@ -1,43 +1,47 @@
 //! Decoupled: one independent FedAvg federation per level (S/M/L) with
 //! no cross-level parameter sharing — the paper's weakest baseline.
 
-use adaptivefl_models::cost::cost_of;
-use adaptivefl_models::WidthPlan;
+use adaptivefl_models::Network;
 use adaptivefl_nn::layer::LayerExt;
 use adaptivefl_nn::ParamMap;
 use rand_chacha::ChaCha8Rng;
 
-use crate::aggregate::{aggregate_with_scratch, Upload};
 use crate::checkpoint::{Checkpointable, MethodState};
 use crate::error::CoreError;
-use crate::methods::{sample_clients, trace_client_train, trace_collect, trace_dispatch, FlMethod};
+use crate::methods::{
+    evaluate_levels, play_round, sample_clients, Arch, Assignments, Fit, FlMethod, RoundHooks,
+};
 use crate::metrics::{EvalRecord, RoundRecord};
 use crate::sim::Env;
-use crate::trace::{Phase, PhaseTimer};
-use crate::trainer::evaluate;
-use crate::transport::{ClientJob, JobFn, LocalOutcome, Transport};
+use crate::transport::Transport;
 
 /// Per-level global models (`S_1`, `M_1`, `L_1`), each trained only by
 /// the clients that can afford that level.
 pub struct Decoupled {
-    /// `(level name, plan, params, global weights)`, ascending by size.
-    levels: Vec<(String, WidthPlan, u64, ParamMap)>,
+    /// The level submodels, ascending by size.
+    levels: Vec<Arch>,
+    /// One global model per level, index-aligned with `levels`.
+    globals: Vec<ParamMap>,
 }
 
 impl Decoupled {
     /// Initialises one independent global model per level.
     pub fn new(env: &Env) -> Self {
-        let levels = env
+        let model = &env.cfg.model;
+        let levels: Vec<Arch> = env
             .pool
             .level_representatives()
             .into_iter()
-            .map(|rep| {
+            .map(|rep| Arch::new(env, rep.name(), model.full_blueprint(&rep.plan), None))
+            .collect();
+        let globals = levels
+            .iter()
+            .map(|level| {
                 let mut rng = adaptivefl_tensor::rng::derived(env.cfg.seed, "decoupled-init");
-                let net = env.cfg.model.build(&rep.plan, &mut rng);
-                (rep.name(), rep.plan.clone(), rep.params, net.param_map())
+                Network::build(&level.blueprint, &mut rng).param_map()
             })
             .collect();
-        Decoupled { levels }
+        Decoupled { levels, globals }
     }
 }
 
@@ -47,7 +51,8 @@ impl Checkpointable for Decoupled {
             params: self
                 .levels
                 .iter()
-                .map(|(name, _, _, global)| (name.clone(), global.clone()))
+                .zip(&self.globals)
+                .map(|(level, global)| (level.name.clone(), global.clone()))
                 .collect(),
             rl: None,
             extra: Vec::new(),
@@ -55,23 +60,41 @@ impl Checkpointable for Decoupled {
     }
 
     fn restore(&mut self, state: MethodState) -> Result<(), CoreError> {
-        if state.params.len() != self.levels.len() {
+        let names: Vec<&str> = state.params.iter().map(|(n, _)| n.as_str()).collect();
+        let levels: Vec<&str> = self.levels.iter().map(|l| l.name.as_str()).collect();
+        if names != levels {
             return Err(CoreError::Snapshot(format!(
-                "Decoupled snapshot has {} level models, environment builds {}",
-                state.params.len(),
-                self.levels.len()
+                "Decoupled snapshot has level models {names:?}, environment builds {levels:?}"
             )));
         }
-        for ((name, global), level) in state.params.into_iter().zip(self.levels.iter_mut()) {
-            if name != level.0 {
-                return Err(CoreError::Snapshot(format!(
-                    "Decoupled level mismatch: snapshot {name}, environment {}",
-                    level.0
-                )));
-            }
-            level.3 = global;
-        }
+        self.globals = state.params.into_iter().map(|(_, global)| global).collect();
         Ok(())
+    }
+}
+
+impl RoundHooks for Decoupled {
+    const FIT: Fit = Fit::Any;
+
+    /// Each sampled client gets the largest level that fits it right
+    /// now. A client with no affordable level is never dispatched to at
+    /// all — no downlink is spent, unlike the other baselines.
+    fn assign(&mut self, env: &Env, round: usize, rng: &mut ChaCha8Rng) -> Assignments {
+        let clients = sample_clients(env, round, env.cfg.clients_per_round, rng);
+        let mut skipped = 0;
+        let assignments = clients
+            .into_iter()
+            .filter_map(|c| {
+                let capacity = env.fleet.device(c).capacity_at(round);
+                let level = self.levels.iter().rposition(|l| l.params <= capacity);
+                skipped += usize::from(level.is_none());
+                Some((c, level?))
+            })
+            .collect();
+        (assignments, skipped)
+    }
+
+    fn parts(&mut self) -> (&[Arch], &mut [ParamMap]) {
+        (&self.levels, &mut self.globals)
     }
 }
 
@@ -87,123 +110,10 @@ impl FlMethod for Decoupled {
         transport: &mut dyn Transport,
         rng: &mut ChaCha8Rng,
     ) -> RoundRecord {
-        let clients = sample_clients(env, round, env.cfg.clients_per_round, rng);
-        let mut sent = 0u64;
-        let mut failures = 0usize;
-
-        // A client with no affordable level is never dispatched to at
-        // all — no downlink is spent, unlike the other baselines.
-        let dispatch_timer = PhaseTimer::start(env.tracer(), Phase::Dispatch);
-        let levels = &self.levels;
-        let mut jobs: Vec<ClientJob<'_>> = Vec::with_capacity(clients.len());
-        for &c in &clients {
-            let capacity = env.fleet.device(c).capacity_at(round);
-            // Largest level that fits the client right now.
-            let Some(li) = levels
-                .iter()
-                .rposition(|(_, _, params, _)| *params <= capacity)
-            else {
-                failures += 1;
-                continue;
-            };
-            let params = levels[li].2;
-            sent += params;
-            trace_dispatch(env, round, c, li, params);
-            let run: JobFn<'_> = Box::new(move |rng: &mut ChaCha8Rng| {
-                let train_timer = PhaseTimer::start(env.tracer(), Phase::ClientTrain);
-                let (_, plan, params, global) = &levels[li];
-                let mut net = env.cfg.model.build(plan, rng);
-                net.load_param_map(global);
-                let data = env.data.client(c);
-                let loss = env
-                    .cfg
-                    .local
-                    .train_with_scratch(&mut net, data, rng, &env.scratch);
-                let macs = cost_of(&env.cfg.model.full_blueprint(plan), env.cfg.model.input).macs;
-                train_timer.stop(env.tracer());
-                trace_client_train(env, round, c, li, loss, data.len(), macs);
-                LocalOutcome {
-                    upload: Some(Upload {
-                        params: net.param_map(),
-                        weight: data.len() as f32,
-                    }),
-                    loss,
-                    tag: li,
-                    macs_per_sample: macs,
-                    samples: data.len(),
-                    up_params: *params,
-                }
-            });
-            jobs.push(ClientJob {
-                client: c,
-                tag: li,
-                down_params: params,
-                run,
-            });
-        }
-        dispatch_timer.stop(env.tracer());
-
-        let exchange = transport.exchange(env, round, jobs, rng);
-
-        let collect_timer = PhaseTimer::start(env.tracer(), Phase::Collect);
-        let mut per_level_uploads: Vec<Vec<Upload>> = vec![Vec::new(); self.levels.len()];
-        let mut returned = 0u64;
-        let mut loss_acc = 0.0;
-        let mut trained = 0usize;
-        for d in exchange.deliveries {
-            trace_collect(env, round, &d);
-            if d.status.is_delivered() {
-                returned += d.up_params;
-                loss_acc += d.loss;
-                trained += 1;
-                per_level_uploads[d.tag].push(d.upload.expect("delivered upload present"));
-            } else {
-                failures += 1;
-            }
-        }
-        collect_timer.stop(env.tracer());
-        let agg_timer = PhaseTimer::start(env.tracer(), Phase::Aggregate);
-        for (li, uploads) in per_level_uploads.into_iter().enumerate() {
-            aggregate_with_scratch(
-                &mut self.levels[li].3,
-                &uploads,
-                env.tracer(),
-                round,
-                &env.scratch,
-            );
-        }
-        agg_timer.stop(env.tracer());
-
-        RoundRecord {
-            round,
-            sent_params: sent,
-            returned_params: returned,
-            train_loss: if trained > 0 {
-                loss_acc / trained as f32
-            } else {
-                0.0
-            },
-            sim_secs: exchange.round_secs,
-            failures,
-            comm: exchange.stats,
-        }
+        play_round(self, env, round, transport, rng)
     }
 
     fn evaluate(&mut self, env: &Env, round: usize) -> EvalRecord {
-        let mut levels = Vec::new();
-        for (name, plan, _, global) in &self.levels {
-            let mut net = env.cfg.model.build(plan, &mut env.eval_rng());
-            net.load_param_map(global);
-            levels.push((
-                name.clone(),
-                evaluate(&mut net, env.data.test(), env.cfg.eval_batch),
-            ));
-        }
-        let full = levels.last().map_or(0.0, |(_, a)| *a);
-        EvalRecord {
-            round,
-            full,
-            levels,
-        }
+        evaluate_levels(env, round, self.levels.iter().zip(&self.globals))
     }
 }

@@ -8,23 +8,19 @@
 //! currently available resources cannot hold its statically assigned
 //! submodel, the round fails for that client.
 
-use adaptivefl_device::DeviceClass;
-use adaptivefl_models::cost::cost_of;
-use adaptivefl_models::{PruneSpec, WidthPlan};
-use adaptivefl_nn::layer::LayerExt;
 use adaptivefl_nn::ParamMap;
 use rand_chacha::ChaCha8Rng;
 
-use crate::aggregate::{aggregate_with_scratch, Upload};
 use crate::checkpoint::{Checkpointable, MethodState};
 use crate::error::CoreError;
-use crate::methods::{sample_clients, trace_client_train, trace_collect, trace_dispatch, FlMethod};
+use crate::methods::{
+    assign_by_class, evaluate_levels, play_round, uniform_plan, Arch, Assignments, Fit, FlMethod,
+    RoundHooks,
+};
 use crate::metrics::{EvalRecord, RoundRecord};
 use crate::prune::PrunePlan;
 use crate::sim::Env;
-use crate::trace::{Phase, PhaseTimer};
-use crate::trainer::evaluate;
-use crate::transport::{ClientJob, JobFn, LocalOutcome, Transport};
+use crate::transport::Transport;
 
 /// Uniform width ratios per level: 1.0× / 0.5× / 0.25× model size,
 /// i.e. width ratios 1.0 / √0.5 / 0.5 (params scale ≈ quadratically in
@@ -34,38 +30,25 @@ const WIDTH_RATIOS: [(&str, f32); 3] = [("S_1", 0.5), ("M_1", 0.707), ("L_1", 1.
 /// HeteroFL server state.
 pub struct HeteroFl {
     global: ParamMap,
-    /// `(name, plan, params, extraction cache)` ascending by size.
-    levels: Vec<(String, WidthPlan, u64, PrunePlan)>,
+    /// The three static submodels, ascending by size.
+    levels: Vec<Arch>,
 }
 
 impl HeteroFl {
     /// Initialises the global model and the three static submodels.
     pub fn new(env: &Env) -> Self {
+        let model = &env.cfg.model;
         let levels = WIDTH_RATIOS
             .iter()
             .map(|&(name, r)| {
-                let plan = if r >= 1.0 {
-                    env.cfg.model.full_plan()
-                } else {
-                    // start_unit = 0: prune every unit (uniform/coarse).
-                    env.cfg.model.plan(&PruneSpec::new(r, 0))
-                };
-                let params = env.cfg.model.num_params(&plan);
-                let prune = PrunePlan::new(&env.cfg.model, &plan);
-                (name.to_string(), plan, params, prune)
+                let plan = uniform_plan(model, r);
+                let prune = PrunePlan::new(model, &plan);
+                Arch::new(env, name.into(), model.full_blueprint(&plan), Some(prune))
             })
             .collect();
         HeteroFl {
             global: env.fresh_global(),
             levels,
-        }
-    }
-
-    fn level_for_class(&self, class: DeviceClass) -> usize {
-        match class {
-            DeviceClass::Weak => 0,
-            DeviceClass::Medium => 1,
-            DeviceClass::Strong => 2,
         }
     }
 }
@@ -81,6 +64,20 @@ impl Checkpointable for HeteroFl {
     }
 }
 
+impl RoundHooks for HeteroFl {
+    // No client-side adaptation: a resource dip below the assigned
+    // size fails the round for this client.
+    const FIT: Fit = Fit::Exact;
+
+    fn assign(&mut self, env: &Env, round: usize, rng: &mut ChaCha8Rng) -> Assignments {
+        assign_by_class(env, round, rng)
+    }
+
+    fn parts(&mut self) -> (&[Arch], &mut [ParamMap]) {
+        (&self.levels, std::slice::from_mut(&mut self.global))
+    }
+}
+
 impl FlMethod for HeteroFl {
     fn name(&self) -> String {
         "HeteroFL".to_string()
@@ -93,120 +90,10 @@ impl FlMethod for HeteroFl {
         transport: &mut dyn Transport,
         rng: &mut ChaCha8Rng,
     ) -> RoundRecord {
-        let clients = sample_clients(env, round, env.cfg.clients_per_round, rng);
-        let mut sent = 0u64;
-
-        let dispatch_timer = PhaseTimer::start(env.tracer(), Phase::Dispatch);
-        let global = &self.global;
-        let levels = &self.levels;
-        let mut jobs: Vec<ClientJob<'_>> = Vec::with_capacity(clients.len());
-        for &c in &clients {
-            let li = self.level_for_class(env.fleet.device(c).class());
-            let params = levels[li].2;
-            sent += params;
-            trace_dispatch(env, round, c, li, params);
-            let run: JobFn<'_> = Box::new(move |rng: &mut ChaCha8Rng| {
-                let train_timer = PhaseTimer::start(env.tracer(), Phase::ClientTrain);
-                let (_, plan, params, prune) = &levels[li];
-                // No client-side adaptation: a resource dip below the
-                // assigned size fails the round for this client.
-                if env.fleet.device(c).capacity_at(round) < *params {
-                    train_timer.stop(env.tracer());
-                    return LocalOutcome::failure();
-                }
-                let sub = prune.extract(global);
-                let mut net = env.cfg.model.build(plan, rng);
-                net.load_param_map(&sub);
-                let data = env.data.client(c);
-                let loss = env
-                    .cfg
-                    .local
-                    .train_with_scratch(&mut net, data, rng, &env.scratch);
-                let macs = cost_of(&env.cfg.model.full_blueprint(plan), env.cfg.model.input).macs;
-                train_timer.stop(env.tracer());
-                trace_client_train(env, round, c, li, loss, data.len(), macs);
-                LocalOutcome {
-                    upload: Some(Upload {
-                        params: net.param_map(),
-                        weight: data.len() as f32,
-                    }),
-                    loss,
-                    tag: li,
-                    macs_per_sample: macs,
-                    samples: data.len(),
-                    up_params: *params,
-                }
-            });
-            jobs.push(ClientJob {
-                client: c,
-                tag: li,
-                down_params: params,
-                run,
-            });
-        }
-        dispatch_timer.stop(env.tracer());
-
-        let exchange = transport.exchange(env, round, jobs, rng);
-
-        let collect_timer = PhaseTimer::start(env.tracer(), Phase::Collect);
-        let mut uploads = Vec::new();
-        let mut returned = 0u64;
-        let mut loss_acc = 0.0;
-        let mut trained = 0usize;
-        let mut failures = 0usize;
-        for d in exchange.deliveries {
-            trace_collect(env, round, &d);
-            if d.status.is_delivered() {
-                returned += d.up_params;
-                loss_acc += d.loss;
-                trained += 1;
-                uploads.push(d.upload.expect("delivered upload present"));
-            } else {
-                failures += 1;
-            }
-        }
-        collect_timer.stop(env.tracer());
-        let agg_timer = PhaseTimer::start(env.tracer(), Phase::Aggregate);
-        aggregate_with_scratch(
-            &mut self.global,
-            &uploads,
-            env.tracer(),
-            round,
-            &env.scratch,
-        );
-        agg_timer.stop(env.tracer());
-
-        RoundRecord {
-            round,
-            sent_params: sent,
-            returned_params: returned,
-            train_loss: if trained > 0 {
-                loss_acc / trained as f32
-            } else {
-                0.0
-            },
-            sim_secs: exchange.round_secs,
-            failures,
-            comm: exchange.stats,
-        }
+        play_round(self, env, round, transport, rng)
     }
 
     fn evaluate(&mut self, env: &Env, round: usize) -> EvalRecord {
-        let mut levels = Vec::new();
-        for (name, plan, _, prune) in &self.levels {
-            let sub = prune.extract(&self.global);
-            let mut net = env.cfg.model.build(plan, &mut env.eval_rng());
-            net.load_param_map(&sub);
-            levels.push((
-                name.clone(),
-                evaluate(&mut net, env.data.test(), env.cfg.eval_batch),
-            ));
-        }
-        let full = levels.last().map_or(0.0, |(_, a)| *a);
-        EvalRecord {
-            round,
-            full,
-            levels,
-        }
+        evaluate_levels(env, round, self.levels.iter().map(|l| (l, &self.global)))
     }
 }

@@ -1,6 +1,12 @@
-//! The FL methods under study: AdaptiveFL (with its selection-ablation
-//! variants) and the four baselines of the paper's §4.2 — All-Large,
-//! Decoupled, HeteroFL and ScaleFL.
+//! The FL methods under study: AdaptiveFL (with its selection and
+//! reward-cap ablation variants) and the four baselines of the paper's
+//! §4.2 — All-Large, Decoupled, HeteroFL and ScaleFL.
+//!
+//! Every method plays the same round, written once in `play_round`:
+//! pick `(client, submodel)` pairs, dispatch one job per pair through
+//! the transport, let each client fit its submodel to its resources and
+//! train it, then aggregate whatever comes back. A method supplies only
+//! what differs, through the crate-private `RoundHooks` trait.
 
 mod adaptive;
 mod all_large;
@@ -14,16 +20,26 @@ pub use decoupled::Decoupled;
 pub use heterofl::HeteroFl;
 pub use scalefl::ScaleFl;
 
+use adaptivefl_device::DeviceClass;
+use adaptivefl_models::cost::cost_of;
+use adaptivefl_models::{Blueprint, ModelConfig, Network, PruneSpec, WidthPlan};
+use adaptivefl_nn::layer::LayerExt;
+use adaptivefl_nn::ParamMap;
 use rand::seq::SliceRandom;
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
+use crate::aggregate::{aggregate_with_scratch, Upload};
 use crate::checkpoint::Checkpointable;
 use crate::metrics::{EvalRecord, RoundRecord};
+use crate::prune::PrunePlan;
+use crate::rl::PAPER_REWARD_CAP;
 use crate::select::SelectionStrategy;
 use crate::sim::Env;
-use crate::transport::Transport;
+use crate::trace::{status_name, Phase, PhaseTimer, TraceEvent};
+use crate::trainer::evaluate;
+use crate::transport::{ClientJob, Delivery, JobFn, LocalOutcome, Transport};
 
 /// A federated-learning method: owns its global model state and plays
 /// one round at a time against the shared environment.
@@ -32,7 +48,8 @@ use crate::transport::Transport;
 /// be frozen into a
 /// [`MethodState`](crate::checkpoint::MethodState) and restored later,
 /// which is what makes mid-run snapshots and bit-identical resumes
-/// possible (see [`Simulation::resume_from`](crate::sim::Simulation)).
+/// possible (see
+/// [`Simulation::resume_with_transport`](crate::sim::Simulation::resume_with_transport)).
 pub trait FlMethod: Send + Checkpointable {
     /// Display name used in tables and result files.
     fn name(&self) -> String;
@@ -72,20 +89,36 @@ pub enum MethodKind {
     /// Two-dimensional width+depth pruning with early exits and
     /// self-distillation (Ilhan et al.).
     ScaleFl,
+    /// AdaptiveFL (`+CS`) with a non-default resource-reward cap (the
+    /// reward-cap ablation), held as the cap's `f64` bits so the kind
+    /// stays `Eq`; build it with [`MethodKind::adaptive_fl_capped`].
+    /// Its method name is plain `AdaptiveFL`.
+    AdaptiveFlCapped(u64),
 }
 
 impl MethodKind {
+    /// AdaptiveFL (`+CS`) with the resource reward capped at `cap`
+    /// instead of the paper's 0.5.
+    pub fn adaptive_fl_capped(cap: f64) -> Self {
+        MethodKind::AdaptiveFlCapped(cap.to_bits())
+    }
+
     /// Instantiates the method's state against an environment.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a capped kind's cap is outside `(0, 1]`.
     pub fn instantiate(self, env: &Env) -> Box<dyn FlMethod> {
+        use SelectionStrategy::{CuriosityAndResource, Random};
+        let adaptive = |strategy, greedy, cap| -> Box<dyn FlMethod> {
+            Box::new(AdaptiveFl::new(env, strategy, greedy, cap))
+        };
         match self {
-            MethodKind::AdaptiveFl => Box::new(AdaptiveFl::new(
-                env,
-                SelectionStrategy::CuriosityAndResource,
-                false,
-            )),
-            MethodKind::AdaptiveFlVariant(s) => Box::new(AdaptiveFl::new(env, s, false)),
-            MethodKind::AdaptiveFlGreedy => {
-                Box::new(AdaptiveFl::new(env, SelectionStrategy::Random, true))
+            MethodKind::AdaptiveFl => adaptive(CuriosityAndResource, false, PAPER_REWARD_CAP),
+            MethodKind::AdaptiveFlVariant(s) => adaptive(s, false, PAPER_REWARD_CAP),
+            MethodKind::AdaptiveFlGreedy => adaptive(Random, true, PAPER_REWARD_CAP),
+            MethodKind::AdaptiveFlCapped(bits) => {
+                adaptive(CuriosityAndResource, false, f64::from_bits(bits))
             }
             MethodKind::AllLarge => Box::new(AllLarge::new(env)),
             MethodKind::Decoupled => Box::new(Decoupled::new(env)),
@@ -116,7 +149,251 @@ impl std::fmt::Display for MethodKind {
             MethodKind::Decoupled => write!(f, "Decoupled"),
             MethodKind::HeteroFl => write!(f, "HeteroFL"),
             MethodKind::ScaleFl => write!(f, "ScaleFL"),
+            MethodKind::AdaptiveFlCapped(bits) => {
+                write!(f, "AdaptiveFL+Cap{}", f64::from_bits(*bits))
+            }
         }
+    }
+}
+
+/// One submodel a method dispatches: how to build it, how to cut it
+/// out of the server's weights, and what it costs.
+pub(crate) struct Arch {
+    /// Level name in evaluation records (`S_1`, …).
+    pub(crate) name: String,
+    pub(crate) blueprint: Blueprint,
+    /// Extraction table from the server weights; `None` loads them
+    /// whole.
+    pub(crate) prune: Option<PrunePlan>,
+    /// Parameters moved per transfer, down or up.
+    pub(crate) params: u64,
+    /// Training MACs per sample, computed once here rather than per
+    /// job.
+    pub(crate) macs: u64,
+}
+
+impl Arch {
+    pub(crate) fn new(env: &Env, name: String, bp: Blueprint, prune: Option<PrunePlan>) -> Self {
+        let cost = cost_of(&bp, env.cfg.model.input);
+        Arch {
+            name,
+            blueprint: bp,
+            prune,
+            params: cost.params,
+            macs: cost.macs,
+        }
+    }
+
+    /// Builds the network on `rng` and loads it from `weights`.
+    fn load(&self, weights: &ParamMap, rng: &mut ChaCha8Rng) -> Network {
+        let mut net = Network::build(&self.blueprint, rng);
+        match &self.prune {
+            Some(prune) => net.load_param_map(&prune.extract(weights)),
+            None => net.load_param_map(weights),
+        }
+        net
+    }
+}
+
+/// How a client fits the submodel it receives to its currently
+/// available resources.
+pub(crate) enum Fit {
+    /// Train whatever arrives: All-Large ignores resources, Decoupled
+    /// checks them before dispatch.
+    Any,
+    /// No client-side adaptation (HeteroFL, ScaleFL): a model larger
+    /// than the client's capacity fails the round for that client.
+    Exact,
+    /// AdaptiveFL (Algorithm 1, step 5): prune to the largest nested
+    /// pool entry that fits, failing only if none does.
+    LargestFitting,
+}
+
+/// A round's `(client, tag)` dispatches, plus the number of selected
+/// clients dropped before dispatch (each a failure that spends no
+/// downlink).
+pub(crate) type Assignments = (Vec<(usize, usize)>, usize);
+
+/// The parts of a round that differ between methods ([`play_round`]).
+pub(crate) trait RoundHooks {
+    /// How a client fits the submodel it receives.
+    const FIT: Fit;
+    /// ScaleFL's self-distillation `(weight, temperature)`: when set,
+    /// clients train every exit of their submodel.
+    const DISTILL: Option<(f32, f32)> = None;
+
+    /// Picks this round's assignments; `tag` indexes the submodels of
+    /// [`RoundHooks::parts`].
+    fn assign(&mut self, env: &Env, round: usize, rng: &mut ChaCha8Rng) -> Assignments;
+
+    /// The submodels jobs train, indexed by tag, and the server weights
+    /// they start from and are aggregated into: one map shared by
+    /// every submodel, or one per submodel.
+    fn parts(&mut self) -> (&[Arch], &mut [ParamMap]);
+
+    /// Server bookkeeping for one dispatch, after its `Dispatch` event.
+    fn on_dispatch(&mut self, _env: &Env, _round: usize, _client: usize, _tag: usize) {}
+
+    /// Server bookkeeping for one delivery, delivered or lost, after
+    /// its `Collect` event.
+    fn on_delivery(&mut self, _env: &Env, _round: usize, _delivery: &Delivery) {}
+}
+
+/// Plays one round of `method`: assignment, dispatch, the client jobs
+/// (fit → build → load → train), the exchange, collection, and
+/// aggregation.
+///
+/// Ordering is part of the determinism contract: the whole round's
+/// assignment draws from `rng` first; each dispatch then emits its
+/// `Dispatch` event before the method's dispatch hook; jobs draw build
+/// and training randomness from the job RNG the transport hands them;
+/// each delivery emits `Collect` before the method's delivery hook.
+pub(crate) fn play_round<M: RoundHooks>(
+    method: &mut M,
+    env: &Env,
+    round: usize,
+    transport: &mut dyn Transport,
+    rng: &mut ChaCha8Rng,
+) -> RoundRecord {
+    let tracer = env.tracer();
+    let (assignments, mut failures) = method.assign(env, round, rng);
+
+    let dispatch_timer = PhaseTimer::start(tracer, Phase::Dispatch);
+    let mut sent = 0u64;
+    for &(client, tag) in &assignments {
+        let params = method.parts().0[tag].params;
+        sent += params;
+        if tracer.enabled() {
+            tracer.event(TraceEvent::Dispatch {
+                round,
+                client,
+                tag,
+                params,
+            });
+        }
+        method.on_dispatch(env, round, client, tag);
+    }
+    let (archs, weights) = method.parts();
+    let weights: &[ParamMap] = weights;
+    let targets = weights.len();
+    let target = move |tag: usize| if targets == 1 { 0 } else { tag };
+    let jobs: Vec<ClientJob<'_>> = assignments
+        .iter()
+        .map(|&(client, tag)| {
+            let start = &weights[target(tag)];
+            let run: JobFn<'_> = Box::new(move |rng: &mut ChaCha8Rng| {
+                let train_timer = PhaseTimer::start(env.tracer(), Phase::ClientTrain);
+                let capacity = || env.fleet.device(client).capacity_at(round);
+                let fit = match M::FIT {
+                    Fit::Any => Some(tag),
+                    Fit::Exact => (capacity() >= archs[tag].params).then_some(tag),
+                    Fit::LargestFitting => {
+                        env.pool.largest_fitting(tag, capacity()).map(|e| e.index)
+                    }
+                };
+                let Some(fit) = fit else {
+                    // The dispatched model still travelled down the
+                    // link; the transport charges the downlink.
+                    train_timer.stop(env.tracer());
+                    return LocalOutcome::failure();
+                };
+                let arch = &archs[fit];
+                let mut net = arch.load(start, rng);
+                let data = env.data.client(client);
+                let local = &env.cfg.local;
+                let loss = match M::DISTILL {
+                    None => local.train_with_scratch(&mut net, data, rng, &env.scratch),
+                    Some((weight, temperature)) => local.train_multi_exit_with_scratch(
+                        &mut net,
+                        data,
+                        weight,
+                        temperature,
+                        rng,
+                        &env.scratch,
+                    ),
+                };
+                train_timer.stop(env.tracer());
+                if env.tracer().enabled() {
+                    env.tracer().event(TraceEvent::ClientTrain {
+                        round,
+                        client,
+                        tag: fit,
+                        loss,
+                        samples: data.len(),
+                        macs_per_sample: arch.macs,
+                    });
+                }
+                LocalOutcome {
+                    upload: Some(Upload {
+                        params: net.param_map(),
+                        weight: data.len() as f32,
+                    }),
+                    loss,
+                    tag: fit,
+                    macs_per_sample: arch.macs,
+                    samples: data.len(),
+                    up_params: arch.params,
+                }
+            });
+            ClientJob {
+                client,
+                tag,
+                down_params: archs[tag].params,
+                run,
+            }
+        })
+        .collect();
+    dispatch_timer.stop(tracer);
+
+    let exchange = transport.exchange(env, round, jobs, rng);
+
+    let collect_timer = PhaseTimer::start(tracer, Phase::Collect);
+    let mut uploads: Vec<Vec<Upload>> = vec![Vec::new(); targets];
+    let mut returned = 0u64;
+    let mut loss_acc = 0.0f32;
+    let mut trained = 0usize;
+    for mut d in exchange.deliveries {
+        let delivered = d.status.is_delivered();
+        if tracer.enabled() {
+            tracer.event(TraceEvent::Collect {
+                round,
+                client: d.client,
+                status: status_name(d.status),
+                up_params: if delivered { d.up_params } else { 0 },
+            });
+        }
+        method.on_delivery(env, round, &d);
+        if delivered {
+            returned += d.up_params;
+            loss_acc += d.loss;
+            trained += 1;
+            uploads[target(d.tag)].push(d.upload.take().expect("delivered upload present"));
+        } else {
+            // Resource failures and transport losses (drops, late
+            // uploads, crashes) look the same from the server.
+            failures += 1;
+        }
+    }
+    collect_timer.stop(tracer);
+
+    let agg_timer = PhaseTimer::start(tracer, Phase::Aggregate);
+    for (global, uploads) in method.parts().1.iter_mut().zip(&uploads) {
+        aggregate_with_scratch(global, uploads, tracer, round, &env.scratch);
+    }
+    agg_timer.stop(tracer);
+
+    RoundRecord {
+        round,
+        sent_params: sent,
+        returned_params: returned,
+        train_loss: if trained > 0 {
+            loss_acc / trained as f32
+        } else {
+            0.0
+        },
+        sim_secs: exchange.round_secs,
+        failures,
+        comm: exchange.stats,
     }
 }
 
@@ -129,56 +406,55 @@ pub(crate) fn sample_clients(env: &Env, round: usize, k: usize, rng: &mut impl R
     eligible
 }
 
-/// Emits a [`TraceEvent::Dispatch`](crate::trace::TraceEvent) when
-/// tracing is enabled.
-pub(crate) fn trace_dispatch(env: &Env, round: usize, client: usize, tag: usize, params: u64) {
-    if env.tracer().enabled() {
-        env.tracer().event(crate::trace::TraceEvent::Dispatch {
-            round,
-            client,
-            tag,
-            params,
-        });
+/// The static level assignment of HeteroFL and ScaleFL: a uniform
+/// sample of clients, each paired with the level (0 = `S_1`, 1 =
+/// `M_1`, 2 = `L_1`) of its device's capability class.
+pub(crate) fn assign_by_class(env: &Env, round: usize, rng: &mut ChaCha8Rng) -> Assignments {
+    let clients = sample_clients(env, round, env.cfg.clients_per_round, rng);
+    let assignments = clients
+        .into_iter()
+        .map(|c| {
+            let level = match env.fleet.device(c).class() {
+                DeviceClass::Weak => 0,
+                DeviceClass::Medium => 1,
+                DeviceClass::Strong => 2,
+            };
+            (c, level)
+        })
+        .collect();
+    (assignments, 0)
+}
+
+/// The coarse width plan of HeteroFL and ScaleFL: every unit, shallow
+/// ones included (`start_unit = 0`), scaled by the same `ratio`.
+pub(crate) fn uniform_plan(model: &ModelConfig, ratio: f32) -> WidthPlan {
+    if ratio >= 1.0 {
+        model.full_plan()
+    } else {
+        model.plan(&PruneSpec::new(ratio, 0))
     }
 }
 
-/// Emits a [`TraceEvent::ClientTrain`](crate::trace::TraceEvent) when
-/// tracing is enabled (called from inside client jobs, possibly on a
-/// transport worker thread).
-pub(crate) fn trace_client_train(
+/// Test accuracy of `arch` loaded from `weights`.
+pub(crate) fn accuracy(env: &Env, arch: &Arch, weights: &ParamMap) -> f32 {
+    let mut net = arch.load(weights, &mut env.eval_rng());
+    evaluate(&mut net, env.data.test(), env.cfg.eval_batch)
+}
+
+/// Evaluates each `(submodel, weights)` pair as one level, in order;
+/// the full accuracy is the last level's.
+pub(crate) fn evaluate_levels<'a>(
     env: &Env,
     round: usize,
-    client: usize,
-    tag: usize,
-    loss: f32,
-    samples: usize,
-    macs_per_sample: u64,
-) {
-    if env.tracer().enabled() {
-        env.tracer().event(crate::trace::TraceEvent::ClientTrain {
-            round,
-            client,
-            tag,
-            loss,
-            samples,
-            macs_per_sample,
-        });
-    }
-}
-
-/// Emits a [`TraceEvent::Collect`](crate::trace::TraceEvent) for one
-/// delivery when tracing is enabled.
-pub(crate) fn trace_collect(env: &Env, round: usize, d: &crate::transport::Delivery) {
-    if env.tracer().enabled() {
-        env.tracer().event(crate::trace::TraceEvent::Collect {
-            round,
-            client: d.client,
-            status: crate::trace::status_name(d.status),
-            up_params: if d.status.is_delivered() {
-                d.up_params
-            } else {
-                0
-            },
-        });
+    levels: impl IntoIterator<Item = (&'a Arch, &'a ParamMap)>,
+) -> EvalRecord {
+    let levels: Vec<(String, f32)> = levels
+        .into_iter()
+        .map(|(arch, weights)| (arch.name.clone(), accuracy(env, arch, weights)))
+        .collect();
+    EvalRecord {
+        round,
+        full: levels.last().map_or(0.0, |(_, a)| *a),
+        levels,
     }
 }

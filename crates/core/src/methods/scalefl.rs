@@ -8,45 +8,35 @@
 //! level assignment is static per capability class and there is no
 //! client-side adaptation.
 
-use adaptivefl_device::DeviceClass;
-use adaptivefl_models::cost::cost_of;
-use adaptivefl_models::{Network, PruneSpec, WidthPlan};
+use adaptivefl_models::Network;
 use adaptivefl_nn::layer::LayerExt;
 use adaptivefl_nn::ParamMap;
 use rand_chacha::ChaCha8Rng;
 
-use crate::aggregate::{aggregate_with_scratch, Upload};
 use crate::checkpoint::{Checkpointable, MethodState};
 use crate::error::CoreError;
-use crate::methods::{sample_clients, trace_client_train, trace_collect, trace_dispatch, FlMethod};
+use crate::methods::{
+    accuracy, assign_by_class, evaluate_levels, play_round, uniform_plan, Arch, Assignments, Fit,
+    FlMethod, RoundHooks,
+};
 use crate::metrics::{EvalRecord, RoundRecord};
 use crate::prune::PrunePlan;
 use crate::sim::Env;
-use crate::trace::{Phase, PhaseTimer};
-use crate::trainer::evaluate;
-use crate::transport::{ClientJob, JobFn, LocalOutcome, Transport};
+use crate::transport::Transport;
 
 /// Distillation weight of the early exits toward the final exit.
 const KD_WEIGHT: f32 = 0.5;
 /// Distillation temperature.
 const KD_TEMPERATURE: f32 = 2.0;
 
-/// One ScaleFL level: uniform width ratio + kept depth.
-struct LevelCfg {
-    name: String,
-    plan: WidthPlan,
-    depth: usize,
-    params: u64,
-    /// Precomputed extraction table for this level's shape list.
-    prune: PrunePlan,
-    macs: u64,
-}
-
 /// ScaleFL server state.
 pub struct ScaleFl {
     global: ParamMap,
-    levels: Vec<LevelCfg>,
-    max_depth: usize,
+    /// The three level submodels (uniform width ratio × kept depth,
+    /// exit at their last segment), ascending by size.
+    levels: Vec<Arch>,
+    /// The complete multi-exit model, evaluated at its deepest exit.
+    full: Arch,
 }
 
 impl ScaleFl {
@@ -61,45 +51,24 @@ impl ScaleFl {
             ("M_1", 0.80, (3 * d).div_ceil(4)),
             ("L_1", 1.0, d),
         ];
-        let levels: Vec<LevelCfg> = combos
+        let levels = combos
             .iter()
             .map(|&(name, r, depth)| {
-                let plan = if r >= 1.0 {
-                    cfg.full_plan()
-                } else {
-                    cfg.plan(&PruneSpec::new(r, 0))
-                };
-                let bp = cfg.blueprint(&plan, depth, true);
+                let bp = cfg.blueprint(&uniform_plan(cfg, r), depth, true);
                 let prune = PrunePlan::from_shapes(&bp.shapes());
-                let params = bp.num_params() as u64;
-                let macs = cost_of(&bp, cfg.input).macs;
-                LevelCfg {
-                    name: name.to_string(),
-                    plan,
-                    depth,
-                    params,
-                    prune,
-                    macs,
-                }
+                Arch::new(env, name.into(), bp, Some(prune))
             })
             .collect();
 
         // Global = full width, full depth, all exits.
         let bp = cfg.blueprint(&cfg.full_plan(), d, true);
+        let full = Arch::new(env, "full".into(), bp, None);
         let mut rng = adaptivefl_tensor::rng::derived(env.cfg.seed, "scalefl-init");
-        let global = Network::build(&bp, &mut rng).param_map();
+        let global = Network::build(&full.blueprint, &mut rng).param_map();
         ScaleFl {
             global,
             levels,
-            max_depth: d,
-        }
-    }
-
-    fn level_for_class(&self, class: DeviceClass) -> usize {
-        match class {
-            DeviceClass::Weak => 0,
-            DeviceClass::Medium => 1,
-            DeviceClass::Strong => 2,
+            full,
         }
     }
 }
@@ -115,6 +84,19 @@ impl Checkpointable for ScaleFl {
     }
 }
 
+impl RoundHooks for ScaleFl {
+    const FIT: Fit = Fit::Exact;
+    const DISTILL: Option<(f32, f32)> = Some((KD_WEIGHT, KD_TEMPERATURE));
+
+    fn assign(&mut self, env: &Env, round: usize, rng: &mut ChaCha8Rng) -> Assignments {
+        assign_by_class(env, round, rng)
+    }
+
+    fn parts(&mut self) -> (&[Arch], &mut [ParamMap]) {
+        (&self.levels, std::slice::from_mut(&mut self.global))
+    }
+}
+
 impl FlMethod for ScaleFl {
     fn name(&self) -> String {
         "ScaleFL".to_string()
@@ -127,133 +109,17 @@ impl FlMethod for ScaleFl {
         transport: &mut dyn Transport,
         rng: &mut ChaCha8Rng,
     ) -> RoundRecord {
-        let clients = sample_clients(env, round, env.cfg.clients_per_round, rng);
-        let mut sent = 0u64;
-
-        let dispatch_timer = PhaseTimer::start(env.tracer(), Phase::Dispatch);
-        let global = &self.global;
-        let levels = &self.levels;
-        let mut jobs: Vec<ClientJob<'_>> = Vec::with_capacity(clients.len());
-        for &c in &clients {
-            let li = self.level_for_class(env.fleet.device(c).class());
-            let params = levels[li].params;
-            sent += params;
-            trace_dispatch(env, round, c, li, params);
-            let run: JobFn<'_> = Box::new(move |rng: &mut ChaCha8Rng| {
-                let train_timer = PhaseTimer::start(env.tracer(), Phase::ClientTrain);
-                let level = &levels[li];
-                if env.fleet.device(c).capacity_at(round) < level.params {
-                    train_timer.stop(env.tracer());
-                    return LocalOutcome::failure();
-                }
-                let sub = level.prune.extract(global);
-                let bp = env.cfg.model.blueprint(&level.plan, level.depth, true);
-                let mut net = Network::build(&bp, rng);
-                net.load_param_map(&sub);
-                let data = env.data.client(c);
-                let loss = env.cfg.local.train_multi_exit_with_scratch(
-                    &mut net,
-                    data,
-                    KD_WEIGHT,
-                    KD_TEMPERATURE,
-                    rng,
-                    &env.scratch,
-                );
-                train_timer.stop(env.tracer());
-                trace_client_train(env, round, c, li, loss, data.len(), level.macs);
-                LocalOutcome {
-                    upload: Some(Upload {
-                        params: net.param_map(),
-                        weight: data.len() as f32,
-                    }),
-                    loss,
-                    tag: li,
-                    macs_per_sample: level.macs,
-                    samples: data.len(),
-                    up_params: level.params,
-                }
-            });
-            jobs.push(ClientJob {
-                client: c,
-                tag: li,
-                down_params: params,
-                run,
-            });
-        }
-        dispatch_timer.stop(env.tracer());
-
-        let exchange = transport.exchange(env, round, jobs, rng);
-
-        let collect_timer = PhaseTimer::start(env.tracer(), Phase::Collect);
-        let mut uploads = Vec::new();
-        let mut returned = 0u64;
-        let mut loss_acc = 0.0;
-        let mut trained = 0usize;
-        let mut failures = 0usize;
-        for d in exchange.deliveries {
-            trace_collect(env, round, &d);
-            if d.status.is_delivered() {
-                returned += d.up_params;
-                loss_acc += d.loss;
-                trained += 1;
-                uploads.push(d.upload.expect("delivered upload present"));
-            } else {
-                failures += 1;
-            }
-        }
-        collect_timer.stop(env.tracer());
-        let agg_timer = PhaseTimer::start(env.tracer(), Phase::Aggregate);
-        aggregate_with_scratch(
-            &mut self.global,
-            &uploads,
-            env.tracer(),
-            round,
-            &env.scratch,
-        );
-        agg_timer.stop(env.tracer());
-
-        RoundRecord {
-            round,
-            sent_params: sent,
-            returned_params: returned,
-            train_loss: if trained > 0 {
-                loss_acc / trained as f32
-            } else {
-                0.0
-            },
-            sim_secs: exchange.round_secs,
-            failures,
-            comm: exchange.stats,
-        }
+        play_round(self, env, round, transport, rng)
     }
 
     fn evaluate(&mut self, env: &Env, round: usize) -> EvalRecord {
-        let mut levels = Vec::new();
-        for level in &self.levels {
-            // Evaluate each level submodel at its own final exit (no
-            // aux heads needed for inference).
-            let bp = env.cfg.model.blueprint(&level.plan, level.depth, true);
-            let sub = level.prune.extract(&self.global);
-            let mut net = Network::build(&bp, &mut env.eval_rng());
-            net.load_param_map(&sub);
-            levels.push((
-                level.name.clone(),
-                evaluate(&mut net, env.data.test(), env.cfg.eval_batch),
-            ));
-        }
-        // Full accuracy: the complete multi-exit model at the deepest
-        // exit.
-        let bp = env
-            .cfg
-            .model
-            .blueprint(&env.cfg.model.full_plan(), self.max_depth, true);
-        let mut net = Network::build(&bp, &mut env.eval_rng());
-        net.load_param_map(&self.global);
-        let full = evaluate(&mut net, env.data.test(), env.cfg.eval_batch);
+        // Each level submodel is evaluated at its own final exit (no
+        // aux heads needed for inference); the full accuracy is the
+        // complete multi-exit model's at the deepest exit.
+        let levels = evaluate_levels(env, round, self.levels.iter().map(|l| (l, &self.global)));
         EvalRecord {
-            round,
-            full,
-            levels,
+            full: accuracy(env, &self.full, &self.global),
+            ..levels
         }
     }
 }

@@ -9,6 +9,10 @@ use crate::compress::FrameReader;
 use crate::error::CoreError;
 use crate::pool::{Level, ModelPool};
 
+/// The paper's resource-reward cap (§3.3): the "50 % success-rate
+/// cap" that keeps strong clients from starving the rest.
+pub const PAPER_REWARD_CAP: f64 = 0.5;
+
 /// Curiosity table `T_c[type][client]` and resource table
 /// `T_r[pool index][client]`, both initialised to 1 (Algorithm 1,
 /// lines 1–2).
@@ -35,7 +39,7 @@ impl RlState {
             t_c: vec![vec![1.0; num_clients]; 3],
             t_r: vec![vec![1.0; num_clients]; 2 * p + 1],
             p,
-            reward_cap: 0.5,
+            reward_cap: PAPER_REWARD_CAP,
         }
     }
 

@@ -307,37 +307,9 @@ impl Simulation {
         kind: MethodKind,
         transport: &mut dyn Transport,
     ) -> RunResult {
-        let method = kind.instantiate(&self.env);
-        self.run_method_with_transport(method, transport)
-    }
-
-    /// Runs an explicitly constructed method (e.g. an AdaptiveFL
-    /// instance with non-default RL settings for ablations) over the
-    /// default [`PerfectTransport`].
-    pub fn run_method(&mut self, method: Box<dyn crate::methods::FlMethod>) -> RunResult {
-        self.run_method_with_transport(method, &mut PerfectTransport)
-    }
-
-    /// Runs an explicitly constructed method over an explicit
-    /// transport.
-    pub fn run_method_with_transport(
-        &mut self,
-        method: Box<dyn crate::methods::FlMethod>,
-        transport: &mut dyn Transport,
-    ) -> RunResult {
-        let rng = self.run_rng(&*method);
-        self.drive(
-            None,
-            method,
-            transport,
-            rng,
-            0,
-            Vec::new(),
-            Vec::new(),
-            None,
-        )
-        .expect("no sink configured, so no sink error is possible")
-        .expect("no halt configured, so the run completes")
+        self.drive(kind, transport, None, None)
+            .expect("no sink or snapshot, so no error is possible")
+            .expect("no halt configured, so the run completes")
     }
 
     /// Runs a method with checkpoint/halt hooks: every
@@ -351,91 +323,23 @@ impl Simulation {
         transport: &mut dyn Transport,
         hooks: RunHooks<'_>,
     ) -> Result<Option<RunResult>, CoreError> {
-        let method = kind.instantiate(&self.env);
-        let rng = self.run_rng(&*method);
-        self.drive(
-            Some(kind),
-            method,
-            transport,
-            rng,
-            0,
-            Vec::new(),
-            Vec::new(),
-            Some(hooks),
-        )
-    }
-
-    /// Runs an explicitly constructed method with checkpoint/halt
-    /// hooks (the `run_method` counterpart of
-    /// [`Simulation::run_with_hooks`]). Snapshots carry no
-    /// [`MethodKind`], so they resume through
-    /// [`Simulation::resume_method_with_transport`] /
-    /// [`Simulation::resume_method_with_hooks`].
-    pub fn run_method_with_hooks(
-        &mut self,
-        method: Box<dyn crate::methods::FlMethod>,
-        transport: &mut dyn Transport,
-        hooks: RunHooks<'_>,
-    ) -> Result<Option<RunResult>, CoreError> {
-        let rng = self.run_rng(&*method);
-        self.drive(
-            None,
-            method,
-            transport,
-            rng,
-            0,
-            Vec::new(),
-            Vec::new(),
-            Some(hooks),
-        )
-    }
-
-    /// Runs a method, checkpointing every `every` rounds into `sink`.
-    pub fn run_with_checkpoints(
-        &mut self,
-        kind: MethodKind,
-        transport: &mut dyn Transport,
-        every: usize,
-        sink: &mut dyn SnapshotSink,
-    ) -> Result<RunResult, CoreError> {
-        let hooks = RunHooks {
-            checkpoint_every: every,
-            sink,
-            halt_after: None,
-        };
-        Ok(self
-            .run_with_hooks(kind, transport, hooks)?
-            .expect("no halt configured, so the run completes"))
-    }
-
-    /// Resumes a snapshotted run over the default
-    /// [`PerfectTransport`]. The continued run is bit-identical to the
-    /// uninterrupted one: same RNG stream, same server state, same
-    /// history.
-    pub fn resume_from(&mut self, snap: &ServerSnapshot) -> Result<RunResult, CoreError> {
-        self.resume_with_transport(snap, &mut PerfectTransport)
+        self.drive(kind, transport, None, Some(hooks))
     }
 
     /// Resumes a snapshotted run over an explicit transport. The
-    /// transport must be configured identically to the original run's
-    /// (fault plans and deadlines are derived from the seed and round
-    /// index, so a freshly built transport with the same settings
-    /// replays identically at any thread count).
+    /// continued run is bit-identical to the uninterrupted one: same
+    /// RNG stream, same server state, same history. The transport must
+    /// be configured identically to the original run's (fault plans and
+    /// deadlines are derived from the seed and round index, so a
+    /// freshly built transport with the same settings replays
+    /// identically at any thread count).
     pub fn resume_with_transport(
         &mut self,
         snap: &ServerSnapshot,
         transport: &mut dyn Transport,
     ) -> Result<RunResult, CoreError> {
-        let Some(kind) = snap.kind else {
-            return Err(CoreError::Snapshot(
-                "snapshot has no method kind; resume the explicit method via \
-                 resume_method_with_transport"
-                    .into(),
-            ));
-        };
-        let method = kind.instantiate(&self.env);
         Ok(self
-            .resume_inner(Some(kind), method, snap, transport, None)?
+            .drive(snap.kind, transport, Some(snap), None)?
             .expect("no halt configured, so the run completes"))
     }
 
@@ -447,42 +351,7 @@ impl Simulation {
         transport: &mut dyn Transport,
         hooks: RunHooks<'_>,
     ) -> Result<Option<RunResult>, CoreError> {
-        let Some(kind) = snap.kind else {
-            return Err(CoreError::Snapshot(
-                "snapshot has no method kind; resume the explicit method via \
-                 resume_method_with_transport"
-                    .into(),
-            ));
-        };
-        let method = kind.instantiate(&self.env);
-        self.resume_inner(Some(kind), method, snap, transport, Some(hooks))
-    }
-
-    /// Resumes a snapshot into an explicitly constructed method (e.g.
-    /// an AdaptiveFL instance with a non-default reward cap). The
-    /// method must be constructed exactly as the original was; its
-    /// state is then replaced by the snapshot's.
-    pub fn resume_method_with_transport(
-        &mut self,
-        method: Box<dyn crate::methods::FlMethod>,
-        snap: &ServerSnapshot,
-        transport: &mut dyn Transport,
-    ) -> Result<RunResult, CoreError> {
-        Ok(self
-            .resume_inner(snap.kind, method, snap, transport, None)?
-            .expect("no halt configured, so the run completes"))
-    }
-
-    /// Resumes an explicitly constructed method with fresh
-    /// checkpoint/halt hooks.
-    pub fn resume_method_with_hooks(
-        &mut self,
-        method: Box<dyn crate::methods::FlMethod>,
-        snap: &ServerSnapshot,
-        transport: &mut dyn Transport,
-        hooks: RunHooks<'_>,
-    ) -> Result<Option<RunResult>, CoreError> {
-        self.resume_inner(snap.kind, method, snap, transport, Some(hooks))
+        self.drive(snap.kind, transport, Some(snap), Some(hooks))
     }
 
     /// The deterministic environment fingerprint stored in snapshots
@@ -491,37 +360,10 @@ impl Simulation {
         format!("{cfg:?}")
     }
 
-    fn run_rng(&self, method: &dyn FlMethod) -> ChaCha8Rng {
-        adaptivefl_tensor::rng::derived(self.env.cfg.seed, &format!("run-{}", method.name()))
-    }
-
-    fn resume_inner(
-        &mut self,
-        kind: Option<MethodKind>,
-        mut method: Box<dyn crate::methods::FlMethod>,
-        snap: &ServerSnapshot,
-        transport: &mut dyn Transport,
-        hooks: Option<RunHooks<'_>>,
-    ) -> Result<Option<RunResult>, CoreError> {
-        self.validate_snapshot(snap, &*method)?;
-        method.restore(snap.method.clone())?;
-        let rng = snap.rng()?;
-        self.drive(
-            kind,
-            method,
-            transport,
-            rng,
-            snap.completed_rounds,
-            snap.rounds.clone(),
-            snap.evals.clone(),
-            hooks,
-        )
-    }
-
     fn validate_snapshot(
         &self,
         snap: &ServerSnapshot,
-        method: &dyn crate::methods::FlMethod,
+        method: &dyn FlMethod,
     ) -> Result<(), CoreError> {
         if snap.method_name != method.name() {
             return Err(CoreError::Snapshot(format!(
@@ -561,8 +403,8 @@ impl Simulation {
 
     fn snapshot(
         &self,
-        kind: Option<MethodKind>,
-        method: &dyn crate::methods::FlMethod,
+        kind: MethodKind,
+        method: &dyn FlMethod,
         rng: &ChaCha8Rng,
         completed_rounds: usize,
         rounds: &[RoundRecord],
@@ -584,19 +426,33 @@ impl Simulation {
 
     /// The shared round loop: every `run_*`/`resume_*` entry point
     /// funnels through here so the round/eval/checkpoint cadence is
-    /// identical whether a run starts fresh or from a snapshot.
-    #[allow(clippy::too_many_arguments)]
+    /// identical whether a run starts fresh or from a snapshot (`from`).
     fn drive(
         &mut self,
-        kind: Option<MethodKind>,
-        mut method: Box<dyn crate::methods::FlMethod>,
+        kind: MethodKind,
         transport: &mut dyn Transport,
-        mut rng: ChaCha8Rng,
-        start_round: usize,
-        mut rounds: Vec<RoundRecord>,
-        mut evals: Vec<EvalRecord>,
+        from: Option<&ServerSnapshot>,
         mut hooks: Option<RunHooks<'_>>,
     ) -> Result<Option<RunResult>, CoreError> {
+        let mut method = kind.instantiate(&self.env);
+        let (mut rng, start_round, mut rounds, mut evals) = match from {
+            None => {
+                let label = format!("run-{}", method.name());
+                let rng = adaptivefl_tensor::rng::derived(self.env.cfg.seed, &label);
+                (rng, 0, Vec::new(), Vec::new())
+            }
+            Some(snap) => {
+                self.validate_snapshot(snap, &*method)?;
+                method.restore(snap.method.clone())?;
+                let rng = snap.rng()?;
+                (
+                    rng,
+                    snap.completed_rounds,
+                    snap.rounds.clone(),
+                    snap.evals.clone(),
+                )
+            }
+        };
         let tracer = Arc::clone(&self.env.tracer);
         if tracer.enabled() {
             tracer.event(TraceEvent::RunStart {
@@ -743,8 +599,14 @@ mod tests {
             // Checkpoint every round of a second, identical run.
             let mut sink = crate::checkpoint::MemorySink::new();
             let mut sim2 = Simulation::prepare(&cfg, &spec(), Partition::Dirichlet(0.5));
+            let hooks = RunHooks {
+                checkpoint_every: 1,
+                sink: &mut sink,
+                halt_after: None,
+            };
             let checked = sim2
-                .run_with_checkpoints(kind, &mut PerfectTransport, 1, &mut sink)
+                .run_with_hooks(kind, &mut PerfectTransport, hooks)
+                .unwrap()
                 .unwrap();
             assert_eq!(control, checked, "{kind}: checkpointing changed the run");
             // Final round never snapshots; every earlier round does.
@@ -754,7 +616,9 @@ mod tests {
             // simulation; each must reproduce the control exactly.
             for snap in &sink.snapshots {
                 let mut sim3 = Simulation::prepare(&cfg, &spec(), Partition::Dirichlet(0.5));
-                let resumed = sim3.resume_from(snap).unwrap();
+                let resumed = sim3
+                    .resume_with_transport(snap, &mut PerfectTransport)
+                    .unwrap();
                 assert_eq!(
                     control, resumed,
                     "{kind}: resume from round {} diverged",
@@ -788,7 +652,9 @@ mod tests {
         assert_eq!(snap.completed_rounds, 2);
 
         let mut sim3 = Simulation::prepare(&cfg, &spec(), Partition::Iid);
-        let resumed = sim3.resume_from(snap).unwrap();
+        let resumed = sim3
+            .resume_with_transport(snap, &mut PerfectTransport)
+            .unwrap();
         assert_eq!(control, resumed);
     }
 
@@ -797,32 +663,45 @@ mod tests {
         let cfg = SimConfig::quick_test(106);
         let mut sink = crate::checkpoint::MemorySink::new();
         let mut sim = Simulation::prepare(&cfg, &spec(), Partition::Iid);
-        sim.run_with_checkpoints(MethodKind::AdaptiveFl, &mut PerfectTransport, 2, &mut sink)
+        let hooks = RunHooks {
+            checkpoint_every: 2,
+            sink: &mut sink,
+            halt_after: None,
+        };
+        sim.run_with_hooks(MethodKind::AdaptiveFl, &mut PerfectTransport, hooks)
             .unwrap();
         let snap = sink.latest().unwrap();
 
         // Wrong method.
         let mut sim2 = Simulation::prepare(&cfg, &spec(), Partition::Iid);
         let mut wrong = snap.clone();
-        wrong.kind = Some(MethodKind::HeteroFl);
-        assert!(sim2.resume_from(&wrong).is_err());
+        wrong.kind = MethodKind::HeteroFl;
+        assert!(sim2
+            .resume_with_transport(&wrong, &mut PerfectTransport)
+            .is_err());
 
         // Wrong configuration (different seed → different fingerprint).
         let other = SimConfig::quick_test(107);
         let mut sim3 = Simulation::prepare(&other, &spec(), Partition::Iid);
-        assert!(sim3.resume_from(snap).is_err());
+        assert!(sim3
+            .resume_with_transport(snap, &mut PerfectTransport)
+            .is_err());
 
         // Corrupt RNG state.
         let mut bad_rng = snap.clone();
         bad_rng.rng_words.pop();
         let mut sim4 = Simulation::prepare(&cfg, &spec(), Partition::Iid);
-        assert!(sim4.resume_from(&bad_rng).is_err());
+        assert!(sim4
+            .resume_with_transport(&bad_rng, &mut PerfectTransport)
+            .is_err());
 
         // History inconsistent with the declared progress.
         let mut bad_hist = snap.clone();
         bad_hist.rounds.pop();
         let mut sim5 = Simulation::prepare(&cfg, &spec(), Partition::Iid);
-        assert!(sim5.resume_from(&bad_hist).is_err());
+        assert!(sim5
+            .resume_with_transport(&bad_hist, &mut PerfectTransport)
+            .is_err());
     }
 
     #[test]

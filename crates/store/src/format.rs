@@ -257,14 +257,11 @@ fn get_str32(r: &mut FrameReader<'_>) -> Result<String, CoreError> {
     String::from_utf8(bytes.to_vec()).map_err(|_| bad("non-utf8 string"))
 }
 
-/// Encodes an optional [`MethodKind`] as a stable tag pair (flag byte,
-/// then kind tag, then for variants a strategy tag). The numeric tags
-/// are part of the on-disk format: append-only, never reassign.
-fn encode_kind(buf: &mut BytesMut, kind: Option<MethodKind>) {
-    let Some(kind) = kind else {
-        buf.put_u8(0);
-        return;
-    };
+/// Encodes a [`MethodKind`] as a flag byte (always 1), a kind tag, and
+/// the kind's payload: a strategy tag for selection variants, the cap's
+/// `f64` bits for capped AdaptiveFL. The numeric tags are part of the
+/// on-disk format: append-only, never reassign.
+fn encode_kind(buf: &mut BytesMut, kind: MethodKind) {
     buf.put_u8(1);
     match kind {
         MethodKind::AdaptiveFl => buf.put_u8(0),
@@ -282,16 +279,23 @@ fn encode_kind(buf: &mut BytesMut, kind: Option<MethodKind>) {
         MethodKind::Decoupled => buf.put_u8(4),
         MethodKind::HeteroFl => buf.put_u8(5),
         MethodKind::ScaleFl => buf.put_u8(6),
+        MethodKind::AdaptiveFlCapped(bits) => {
+            buf.put_u8(7);
+            buf.put_u64(bits);
+        }
     }
 }
 
-fn decode_kind(r: &mut FrameReader<'_>) -> Result<Option<MethodKind>, CoreError> {
+/// Decodes [`encode_kind`]'s layout. Flag 0 marks a kind-less file;
+/// resume has no method to instantiate for it, so it is rejected like
+/// a corrupt file.
+fn decode_kind(r: &mut FrameReader<'_>) -> Result<MethodKind, CoreError> {
     match r.u8().map_err(|_| bad("truncated kind flag"))? {
-        0 => return Ok(None),
+        0 => return Err(bad("snapshot has no method kind")),
         1 => {}
         f => return Err(bad(format!("bad kind flag {f}"))),
     }
-    let kind = match r.u8().map_err(|_| bad("truncated kind tag"))? {
+    Ok(match r.u8().map_err(|_| bad("truncated kind tag"))? {
         0 => MethodKind::AdaptiveFl,
         1 => {
             let s = match r.u8().map_err(|_| bad("truncated strategy tag"))? {
@@ -308,9 +312,18 @@ fn decode_kind(r: &mut FrameReader<'_>) -> Result<Option<MethodKind>, CoreError>
         4 => MethodKind::Decoupled,
         5 => MethodKind::HeteroFl,
         6 => MethodKind::ScaleFl,
+        7 => {
+            let bits = r.u64().map_err(|_| bad("truncated reward cap"))?;
+            let cap = f64::from_bits(bits);
+            // Instantiating the kind asserts this range; reject here so
+            // a decodable file can never panic the resume.
+            if !(cap > 0.0 && cap <= 1.0) {
+                return Err(bad(format!("reward cap {cap} outside (0, 1]")));
+            }
+            MethodKind::AdaptiveFlCapped(bits)
+        }
         t => return Err(bad(format!("unknown method kind tag {t}"))),
-    };
-    Ok(Some(kind))
+    })
 }
 
 fn encode_method_state(buf: &mut BytesMut, state: &MethodState) {
@@ -379,9 +392,7 @@ mod tests {
         );
         map.insert("b", Tensor::zeros(&[2, 2]));
         ServerSnapshot {
-            kind: Some(MethodKind::AdaptiveFlVariant(
-                SelectionStrategy::CuriosityOnly,
-            )),
+            kind: MethodKind::AdaptiveFlVariant(SelectionStrategy::CuriosityOnly),
             method_name: "AdaptiveFL+C".into(),
             completed_rounds: 7,
             rng_words: (0..33).collect(),
@@ -409,23 +420,18 @@ mod tests {
     #[test]
     fn kind_tags_roundtrip_for_every_variant() {
         let kinds = [
-            None,
-            Some(MethodKind::AdaptiveFl),
-            Some(MethodKind::AdaptiveFlVariant(SelectionStrategy::Random)),
-            Some(MethodKind::AdaptiveFlVariant(
-                SelectionStrategy::CuriosityOnly,
-            )),
-            Some(MethodKind::AdaptiveFlVariant(
-                SelectionStrategy::ResourceOnly,
-            )),
-            Some(MethodKind::AdaptiveFlVariant(
-                SelectionStrategy::CuriosityAndResource,
-            )),
-            Some(MethodKind::AdaptiveFlGreedy),
-            Some(MethodKind::AllLarge),
-            Some(MethodKind::Decoupled),
-            Some(MethodKind::HeteroFl),
-            Some(MethodKind::ScaleFl),
+            MethodKind::AdaptiveFl,
+            MethodKind::AdaptiveFlVariant(SelectionStrategy::Random),
+            MethodKind::AdaptiveFlVariant(SelectionStrategy::CuriosityOnly),
+            MethodKind::AdaptiveFlVariant(SelectionStrategy::ResourceOnly),
+            MethodKind::AdaptiveFlVariant(SelectionStrategy::CuriosityAndResource),
+            MethodKind::AdaptiveFlGreedy,
+            MethodKind::AllLarge,
+            MethodKind::Decoupled,
+            MethodKind::HeteroFl,
+            MethodKind::ScaleFl,
+            MethodKind::adaptive_fl_capped(1.0),
+            MethodKind::adaptive_fl_capped(0.5),
         ];
         for kind in kinds {
             let mut buf = BytesMut::new();
@@ -450,9 +456,23 @@ mod tests {
     }
 
     #[test]
-    fn kindless_v1_fixture_decodes() {
-        let snap = decode_snapshot(V1_KINDLESS).expect("kind-less v1 file decodes");
-        assert_eq!(snap.kind, None);
+    fn kindless_v1_fixture_is_rejected_without_panicking() {
+        match decode_snapshot(V1_KINDLESS) {
+            Err(CoreError::Snapshot(msg)) => assert!(msg.contains("no method kind"), "{msg}"),
+            other => panic!("kind-less file must be a snapshot error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn capped_kind_outside_the_cap_range_is_rejected() {
+        for cap in [0.0, -0.5, 1.5, f64::NAN] {
+            let mut buf = BytesMut::new();
+            encode_kind(&mut buf, MethodKind::AdaptiveFlCapped(cap.to_bits()));
+            assert!(
+                decode_kind(&mut FrameReader::new(&buf)).is_err(),
+                "cap {cap}"
+            );
+        }
     }
 
     #[test]

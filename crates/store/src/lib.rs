@@ -57,6 +57,15 @@ pub fn run_or_resume(
     let resume_point = store.latest_valid()?;
     load_timer.stop(sim.env().tracer());
     if let Some((_, snap)) = &resume_point {
+        // Resume instantiates the snapshot's kind, and kinds may share
+        // a method name (AdaptiveFL and its capped ablation), so check
+        // the kind itself.
+        if snap.kind != kind {
+            return Err(CoreError::Snapshot(format!(
+                "store holds a {} run, asked to run {kind}",
+                snap.kind
+            )));
+        }
         if sim.env().tracer().enabled() {
             sim.env().tracer().event(TraceEvent::CheckpointLoad {
                 round: snap.completed_rounds,

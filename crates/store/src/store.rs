@@ -162,10 +162,11 @@ impl SnapshotSink for SnapshotStore {
 mod tests {
     use super::*;
     use adaptivefl_core::checkpoint::MethodState;
+    use adaptivefl_core::methods::MethodKind;
 
     fn snap(completed_rounds: usize) -> ServerSnapshot {
         ServerSnapshot {
-            kind: None,
+            kind: MethodKind::AdaptiveFl,
             method_name: "x".into(),
             completed_rounds,
             rng_words: vec![7; 33],

@@ -12,7 +12,7 @@ use std::path::PathBuf;
 use adaptivefl_comm::{FaultPlan, SimTransport};
 use adaptivefl_core::methods::MethodKind;
 use adaptivefl_core::select::SelectionStrategy;
-use adaptivefl_core::sim::{SimConfig, Simulation};
+use adaptivefl_core::sim::{RunHooks, SimConfig, Simulation};
 use adaptivefl_core::transport::{PerfectTransport, Transport};
 use adaptivefl_data::{Partition, SynthSpec};
 use adaptivefl_store::{run_or_resume, SnapshotStore};
@@ -47,7 +47,7 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn all_kinds() -> [MethodKind; 7] {
+fn all_kinds() -> [MethodKind; 8] {
     [
         MethodKind::AdaptiveFl,
         MethodKind::AdaptiveFlGreedy,
@@ -56,6 +56,7 @@ fn all_kinds() -> [MethodKind; 7] {
         MethodKind::Decoupled,
         MethodKind::HeteroFl,
         MethodKind::ScaleFl,
+        MethodKind::adaptive_fl_capped(1.0),
     ]
 }
 
@@ -182,7 +183,12 @@ fn corrupt_newest_snapshot_falls_back_and_still_matches() {
     let mut store = SnapshotStore::open(&dir).unwrap();
     let mut sim = prepare(703);
     // Full run, checkpointing every round (snapshots after rounds 1-4).
-    sim.run_with_checkpoints(kind, &mut PerfectTransport, 1, &mut store)
+    let hooks = RunHooks {
+        checkpoint_every: 1,
+        sink: &mut store,
+        halt_after: None,
+    };
+    sim.run_with_hooks(kind, &mut PerfectTransport, hooks)
         .unwrap();
     let paths = store.snapshots().unwrap();
     assert_eq!(paths.len(), 3, "retention keeps the last 3");
@@ -198,7 +204,9 @@ fn corrupt_newest_snapshot_falls_back_and_still_matches() {
     // re-running one extra round, landing on the identical result.
     let (path, snap) = store.latest_valid().unwrap().expect("fallback found");
     assert_ne!(&path, newest, "corrupt newest must be skipped");
-    let resumed = prepare(703).resume_from(&snap).unwrap();
+    let resumed = prepare(703)
+        .resume_with_transport(&snap, &mut PerfectTransport)
+        .unwrap();
     assert_eq!(control, resumed);
     fs::remove_dir_all(&dir).unwrap();
 }
@@ -207,8 +215,13 @@ fn corrupt_newest_snapshot_falls_back_and_still_matches() {
 fn resume_rejects_snapshot_from_other_run() {
     let dir = temp_dir("mismatch");
     let mut store = SnapshotStore::open(&dir).unwrap();
+    let hooks = RunHooks {
+        checkpoint_every: 2,
+        sink: &mut store,
+        halt_after: None,
+    };
     prepare(704)
-        .run_with_checkpoints(MethodKind::AdaptiveFl, &mut PerfectTransport, 2, &mut store)
+        .run_with_hooks(MethodKind::AdaptiveFl, &mut PerfectTransport, hooks)
         .unwrap();
     let (_, snap) = store.latest_valid().unwrap().expect("snapshot saved");
 
@@ -217,10 +230,26 @@ fn resume_rejects_snapshot_from_other_run() {
         .resume_with_transport(&snap, &mut PerfectTransport)
         .is_ok());
     let mut wrong = snap.clone();
-    wrong.kind = Some(MethodKind::ScaleFl);
-    assert!(prepare(704).resume_from(&wrong).is_err());
+    wrong.kind = MethodKind::ScaleFl;
+    assert!(prepare(704)
+        .resume_with_transport(&wrong, &mut PerfectTransport)
+        .is_err());
 
     // Different configuration entirely.
-    assert!(prepare(705).resume_from(&snap).is_err());
+    assert!(prepare(705)
+        .resume_with_transport(&snap, &mut PerfectTransport)
+        .is_err());
+
+    // A store of one kind never resumes another, even one that shares
+    // its method name.
+    let capped = MethodKind::adaptive_fl_capped(1.0);
+    assert!(run_or_resume(
+        &mut prepare(704),
+        capped,
+        &mut PerfectTransport,
+        &mut store,
+        2
+    )
+    .is_err());
     fs::remove_dir_all(&dir).unwrap();
 }

@@ -109,14 +109,14 @@ fn build_snapshot(
 ) -> ServerSnapshot {
     let pool = ModelPool::split(&ModelConfig::tiny(10), 2, DEFAULT_RATIOS);
     let kinds = [
-        None,
-        Some(MethodKind::AdaptiveFl),
-        Some(MethodKind::AdaptiveFlVariant(SelectionStrategy::Random)),
-        Some(MethodKind::AdaptiveFlGreedy),
-        Some(MethodKind::AllLarge),
-        Some(MethodKind::Decoupled),
-        Some(MethodKind::HeteroFl),
-        Some(MethodKind::ScaleFl),
+        MethodKind::AdaptiveFl,
+        MethodKind::AdaptiveFlVariant(SelectionStrategy::Random),
+        MethodKind::AdaptiveFlGreedy,
+        MethodKind::AllLarge,
+        MethodKind::Decoupled,
+        MethodKind::HeteroFl,
+        MethodKind::ScaleFl,
+        MethodKind::adaptive_fl_capped(1.0),
     ];
     let mut state = seed ^ 0xD1F7;
     ServerSnapshot {

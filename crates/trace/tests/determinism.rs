@@ -12,7 +12,7 @@ use adaptivefl_core::sim::{SimConfig, Simulation};
 use adaptivefl_core::trace::{Phase, Tracer};
 use adaptivefl_trace::{read_trace, JsonlTracer, RecordingTracer, TraceLine, TraceReport};
 
-fn all_kinds() -> [MethodKind; 7] {
+fn all_kinds() -> [MethodKind; 8] {
     [
         MethodKind::AdaptiveFl,
         MethodKind::AdaptiveFlGreedy,
@@ -21,6 +21,7 @@ fn all_kinds() -> [MethodKind; 7] {
         MethodKind::Decoupled,
         MethodKind::HeteroFl,
         MethodKind::ScaleFl,
+        MethodKind::adaptive_fl_capped(1.0),
     ]
 }
 

@@ -13,7 +13,7 @@
 use std::path::PathBuf;
 
 use adaptivefl::comm::{FaultPlan, SimTransport};
-use adaptivefl::core::methods::{AdaptiveFl, MethodKind};
+use adaptivefl::core::methods::MethodKind;
 use adaptivefl::core::select::SelectionStrategy;
 use adaptivefl::core::sim::{SimConfig, Simulation};
 use adaptivefl::data::{Partition, SynthSpec};
@@ -69,11 +69,7 @@ fn goldens_dir() -> PathBuf {
 }
 
 fn check_golden(kind: MethodKind, transport: &str, fingerprint: &str) {
-    check_golden_slug(&slug(kind), transport, fingerprint);
-}
-
-fn check_golden_slug(slug: &str, transport: &str, fingerprint: &str) {
-    let path = goldens_dir().join(format!("{slug}-{transport}.txt"));
+    let path = goldens_dir().join(format!("{}-{transport}.txt", slug(kind)));
     if std::env::var_os("UPDATE_GOLDENS").is_some() {
         std::fs::create_dir_all(goldens_dir()).expect("create goldens dir");
         std::fs::write(&path, fingerprint).expect("write golden");
@@ -89,7 +85,7 @@ fn check_golden_slug(slug: &str, transport: &str, fingerprint: &str) {
     assert_eq!(
         fingerprint,
         want,
-        "fingerprint of {slug} over {transport} transport drifted from {}\n\
+        "fingerprint of {kind} over {transport} transport drifted from {}\n\
          (if the numerical change is intentional, regenerate with UPDATE_GOLDENS=1)",
         path.display()
     );
@@ -114,21 +110,14 @@ fn goldens_match_faulty_transport() {
 }
 
 /// AdaptiveFL with the resource-reward cap lifted to 1.0 (the
-/// reward-cap ablation), built explicitly.
-fn capped_fingerprint(transport: &mut dyn adaptivefl::core::transport::Transport) -> String {
-    let mut sim = prepare();
-    let method = AdaptiveFl::new(sim.env(), SelectionStrategy::CuriosityAndResource, false)
-        .with_reward_cap(1.0);
-    sim.run_method_with_transport(Box::new(method), transport)
-        .fingerprint()
-}
-
+/// reward-cap ablation), over both transports.
 #[test]
 fn reward_cap_goldens_match_both_transports() {
-    let perfect = capped_fingerprint(&mut adaptivefl::core::transport::PerfectTransport);
-    check_golden_slug("adaptivefl-cap1", "perfect", &perfect);
-    let faulty = capped_fingerprint(&mut faulty_transport());
-    check_golden_slug("adaptivefl-cap1", "faulty", &faulty);
+    let kind = MethodKind::adaptive_fl_capped(1.0);
+    assert_eq!(slug(kind), "adaptivefl-cap1");
+    check_golden(kind, "perfect", &prepare().run(kind).fingerprint());
+    let faulty = prepare().run_with_transport(kind, &mut faulty_transport());
+    check_golden(kind, "faulty", &faulty.fingerprint());
 }
 
 #[test]
