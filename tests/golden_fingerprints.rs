@@ -17,6 +17,7 @@ use adaptivefl::core::methods::MethodKind;
 use adaptivefl::core::select::SelectionStrategy;
 use adaptivefl::core::sim::{SimConfig, Simulation};
 use adaptivefl::data::{Partition, SynthSpec};
+use adaptivefl::models::ModelConfig;
 
 /// All seven method kinds of the comparison, in a fixed order.
 fn all_kinds() -> [MethodKind; 7] {
@@ -69,7 +70,16 @@ fn goldens_dir() -> PathBuf {
 }
 
 fn check_golden(kind: MethodKind, transport: &str, fingerprint: &str) {
-    let path = goldens_dir().join(format!("{}-{transport}.txt", slug(kind)));
+    let file = format!("{}-{transport}.txt", slug(kind));
+    check_golden_file(
+        &file,
+        &format!("{kind} over {transport} transport"),
+        fingerprint,
+    );
+}
+
+fn check_golden_file(file: &str, what: &str, fingerprint: &str) {
+    let path = goldens_dir().join(file);
     if std::env::var_os("UPDATE_GOLDENS").is_some() {
         std::fs::create_dir_all(goldens_dir()).expect("create goldens dir");
         std::fs::write(&path, fingerprint).expect("write golden");
@@ -85,7 +95,7 @@ fn check_golden(kind: MethodKind, transport: &str, fingerprint: &str) {
     assert_eq!(
         fingerprint,
         want,
-        "fingerprint of {kind} over {transport} transport drifted from {}\n\
+        "fingerprint of {what} drifted from {}\n\
          (if the numerical change is intentional, regenerate with UPDATE_GOLDENS=1)",
         path.display()
     );
@@ -118,6 +128,29 @@ fn reward_cap_goldens_match_both_transports() {
     check_golden(kind, "perfect", &prepare().run(kind).fingerprint());
     let faulty = prepare().run_with_transport(kind, &mut faulty_transport());
     check_golden(kind, "faulty", &faulty.fingerprint());
+}
+
+/// MobileNetV2-fast on a 1×16×16 Widar-like task over the faulty
+/// transport: the only golden whose model has depthwise convs and
+/// BatchNorm, so it pins their numerics bit for bit.
+#[test]
+fn mobilenetv2_golden_matches_faulty_transport() {
+    let spec = SynthSpec::widar_like();
+    let mut cfg = SimConfig::quick_test(900);
+    cfg.model = ModelConfig {
+        input: spec.input,
+        classes: spec.classes,
+        ..ModelConfig::mobilenet_v2_fast(spec.classes)
+    };
+    cfg.rounds = 3;
+    let fp = Simulation::prepare(&cfg, &spec, Partition::Dirichlet(0.5))
+        .run_with_transport(MethodKind::AdaptiveFl, &mut faulty_transport())
+        .fingerprint();
+    check_golden_file(
+        "mobilenetv2-adaptivefl-faulty.txt",
+        "MobileNetV2 AdaptiveFL over faulty transport",
+        &fp,
+    );
 }
 
 #[test]
