@@ -12,6 +12,11 @@ use crate::layer::{join_name, Layer, ParamKind, ParamVisitor, ParamVisitorMut};
 ///
 /// Training mode normalises with batch statistics and updates the
 /// running estimates; evaluation mode uses the running estimates.
+///
+/// The forward pass writes `x̂` over the input it owns (in evaluation
+/// mode, `y` itself), and the backward pass writes `dX` over `dY`; the
+/// per-channel sums run in `(n, hw)` order (DESIGN.md §10,
+/// "Per-channel layers").
 #[derive(Debug)]
 pub struct BatchNorm2d {
     gamma: Tensor,
@@ -20,6 +25,10 @@ pub struct BatchNorm2d {
     dbeta: Tensor,
     running_mean: Tensor,
     running_var: Tensor,
+    /// Gradient slots handed out with the running statistics; the
+    /// optimizer skips non-trainable kinds, so they stay zero.
+    dummy_mean: Tensor,
+    dummy_var: Tensor,
     /// Exponential-moving-average momentum of the running statistics.
     momentum: f32,
     eps: f32,
@@ -30,7 +39,6 @@ pub struct BatchNorm2d {
 struct BnCache {
     x_hat: Tensor,
     inv_std: Vec<f32>,
-    in_shape: Vec<usize>,
 }
 
 impl BatchNorm2d {
@@ -43,6 +51,8 @@ impl BatchNorm2d {
             dbeta: Tensor::zeros(&[c]),
             running_mean: Tensor::zeros(&[c]),
             running_var: Tensor::ones(&[c]),
+            dummy_mean: Tensor::zeros(&[c]),
+            dummy_var: Tensor::zeros(&[c]),
             momentum: 0.1,
             eps: 1e-5,
             cache: None,
@@ -55,121 +65,138 @@ impl BatchNorm2d {
     }
 }
 
+/// Per-channel sums over an NCHW batch of `(n, c, hw)`: `out[ci][m]`
+/// is `Σ term(ci, i)[m]` over the element indices `i` of channel `ci`,
+/// in `(n, hw)` order from `+0.0`. Blocks of channels run together so
+/// their chains overlap.
+fn channel_sums<const M: usize>(
+    dims: (usize, usize, usize),
+    term: impl Fn(usize, usize) -> [f32; M],
+) -> Vec<[f32; M]> {
+    const LANES: usize = 4;
+    let c = dims.1;
+    let mut out = vec![[0.0f32; M]; c];
+    let full = c - c % LANES;
+    for c0 in (0..full).step_by(LANES) {
+        sum_block::<LANES, M>(dims, c0, &term, &mut out[c0..c0 + LANES]);
+    }
+    for c0 in full..c {
+        sum_block::<1, M>(dims, c0, &term, &mut out[c0..=c0]);
+    }
+    out
+}
+
+/// [`channel_sums`] of the `L` channels from `c0`, one chain each.
+fn sum_block<const L: usize, const M: usize>(
+    (n, c, hw): (usize, usize, usize),
+    c0: usize,
+    term: &impl Fn(usize, usize) -> [f32; M],
+    out: &mut [[f32; M]],
+) {
+    let mut acc = [[0.0f32; M]; L];
+    for ni in 0..n {
+        for j in 0..hw {
+            for (l, a) in acc.iter_mut().enumerate() {
+                let t = term(c0 + l, (ni * c + c0 + l) * hw + j);
+                for (s, v) in a.iter_mut().zip(t) {
+                    *s += v;
+                }
+            }
+        }
+    }
+    out.copy_from_slice(&acc);
+}
+
 impl Layer for BatchNorm2d {
-    #[allow(clippy::needless_range_loop)] // per-channel loops index several buffers at once
-    fn forward(&mut self, x: Tensor, train: bool) -> Tensor {
+    fn forward(&mut self, mut x: Tensor, train: bool) -> Tensor {
         let s = x.shape().to_vec();
         assert_eq!(s.len(), 4, "BatchNorm2d expects NCHW");
         let (n, c, h, w) = (s[0], s[1], s[2], s[3]);
         assert_eq!(c, self.channels(), "BatchNorm2d channel mismatch");
-        let cnt = (n * h * w) as f32;
-        let xv = x.as_slice();
+        let hw = h * w;
+        let cnt = (n * hw) as f32;
 
-        let (mean, var): (Vec<f32>, Vec<f32>) = if train {
-            let mut mean = vec![0.0f32; c];
-            let mut var = vec![0.0f32; c];
-            for ni in 0..n {
-                for ci in 0..c {
-                    let base = (ni * c + ci) * h * w;
-                    for &v in &xv[base..base + h * w] {
-                        mean[ci] += v;
-                    }
-                }
+        let mut mean = self.running_mean.as_slice().to_vec();
+        let mut var = self.running_var.as_slice().to_vec();
+        if train {
+            let xv = x.as_slice();
+            let sums = channel_sums((n, c, hw), |_, i| [xv[i]]);
+            for (m, [s]) in mean.iter_mut().zip(sums) {
+                *m = s / cnt;
             }
-            for m in &mut mean {
-                *m /= cnt;
-            }
-            for ni in 0..n {
-                for ci in 0..c {
-                    let base = (ni * c + ci) * h * w;
-                    for &v in &xv[base..base + h * w] {
-                        let d = v - mean[ci];
-                        var[ci] += d * d;
-                    }
-                }
-            }
-            for v in &mut var {
-                *v /= cnt;
-            }
-            // Update running stats.
-            for ci in 0..c {
+            let sq = channel_sums((n, c, hw), |ci, i| {
+                let d = xv[i] - mean[ci];
+                [d * d]
+            });
+            for (ci, [s]) in sq.into_iter().enumerate() {
+                var[ci] = s / cnt;
+                // Update running stats.
                 let rm = &mut self.running_mean.as_mut_slice()[ci];
                 *rm = (1.0 - self.momentum) * *rm + self.momentum * mean[ci];
                 let rv = &mut self.running_var.as_mut_slice()[ci];
                 *rv = (1.0 - self.momentum) * *rv + self.momentum * var[ci];
             }
-            (mean, var)
-        } else {
-            (
-                self.running_mean.as_slice().to_vec(),
-                self.running_var.as_slice().to_vec(),
-            )
-        };
+        }
 
         let inv_std: Vec<f32> = var.iter().map(|&v| 1.0 / (v + self.eps).sqrt()).collect();
-        let mut x_hat = vec![0.0f32; xv.len()];
-        let mut y = vec![0.0f32; xv.len()];
         let g = self.gamma.as_slice();
         let b = self.beta.as_slice();
-        for ni in 0..n {
-            for ci in 0..c {
-                let base = (ni * c + ci) * h * w;
-                for i in base..base + h * w {
-                    let xh = (xv[i] - mean[ci]) * inv_std[ci];
-                    x_hat[i] = xh;
-                    y[i] = g[ci] * xh + b[ci];
+        if !train {
+            for (i, plane) in x.as_mut_slice().chunks_exact_mut(hw).enumerate() {
+                let ci = i % c;
+                let (m, is, g, b) = (mean[ci], inv_std[ci], g[ci], b[ci]);
+                for v in plane {
+                    *v = g * ((*v - m) * is) + b;
                 }
             }
+            return x;
         }
-        if train {
-            self.cache = Some(BnCache {
-                x_hat: Tensor::from_vec(x_hat, &s),
-                inv_std,
-                in_shape: s.clone(),
-            });
+        let mut y = Vec::with_capacity(x.numel());
+        for (i, plane) in x.as_mut_slice().chunks_exact_mut(hw).enumerate() {
+            let ci = i % c;
+            let (m, is, g, b) = (mean[ci], inv_std[ci], g[ci], b[ci]);
+            for v in plane.iter_mut() {
+                *v = (*v - m) * is;
+            }
+            y.extend(plane.iter().map(|&xh| g * xh + b));
         }
+        self.cache = Some(BnCache { x_hat: x, inv_std });
         Tensor::from_vec(y, &s)
     }
 
-    fn backward(&mut self, dy: Tensor) -> Tensor {
+    fn backward(&mut self, mut dy: Tensor) -> Tensor {
         let cache = self
             .cache
             .take()
             .expect("batchnorm backward without forward");
-        let s = cache.in_shape.clone();
+        let s = cache.x_hat.shape();
+        assert_eq!(
+            dy.shape(),
+            s,
+            "batchnorm backward: dy must match the cached input shape"
+        );
         let (n, c, h, w) = (s[0], s[1], s[2], s[3]);
-        let cnt = (n * h * w) as f32;
-        let dyv = dy.as_slice();
+        let hw = h * w;
+        let cnt = (n * hw) as f32;
         let xh = cache.x_hat.as_slice();
-
-        let mut sum_dy = vec![0.0f32; c];
-        let mut sum_dy_xh = vec![0.0f32; c];
-        for ni in 0..n {
-            for ci in 0..c {
-                let base = (ni * c + ci) * h * w;
-                for i in base..base + h * w {
-                    sum_dy[ci] += dyv[i];
-                    sum_dy_xh[ci] += dyv[i] * xh[i];
-                }
-            }
-        }
-        for ci in 0..c {
-            self.dbeta.as_mut_slice()[ci] += sum_dy[ci];
-            self.dgamma.as_mut_slice()[ci] += sum_dy_xh[ci];
-        }
-
         let g = self.gamma.as_slice();
-        let mut dx = vec![0.0f32; dyv.len()];
-        for ni in 0..n {
-            for ci in 0..c {
-                let base = (ni * c + ci) * h * w;
-                let k = g[ci] * cache.inv_std[ci] / cnt;
-                for i in base..base + h * w {
-                    dx[i] = k * (cnt * dyv[i] - sum_dy[ci] - xh[i] * sum_dy_xh[ci]);
-                }
+        let sums = channel_sums((n, c, hw), |_, i| {
+            let d = dy.as_slice()[i];
+            [d, d * xh[i]]
+        });
+        for (ci, &[sum_dy, sum_dy_xh]) in sums.iter().enumerate() {
+            self.dbeta.as_mut_slice()[ci] += sum_dy;
+            self.dgamma.as_mut_slice()[ci] += sum_dy_xh;
+        }
+        for (i, plane) in dy.as_mut_slice().chunks_exact_mut(hw).enumerate() {
+            let ci = i % c;
+            let [sum_dy, sum_dy_xh] = sums[ci];
+            let k = g[ci] * cache.inv_std[ci] / cnt;
+            for (d, &xv) in plane.iter_mut().zip(&xh[i * hw..]) {
+                *d = k * (cnt * *d - sum_dy - xv * sum_dy_xh);
             }
         }
-        Tensor::from_vec(dx, &s)
+        dy
     }
 
     fn visit_params(&self, prefix: &str, v: &mut dyn ParamVisitor) {
@@ -214,19 +241,17 @@ impl Layer for BatchNorm2d {
         );
         // Running statistics get dummy grad slots; the optimizer skips
         // non-trainable kinds.
-        let mut dummy_m = Tensor::zeros(&[self.running_mean.numel()]);
-        let mut dummy_v = Tensor::zeros(&[self.running_var.numel()]);
         v.visit(
             &join_name(prefix, "running_mean"),
             ParamKind::RunningMean,
             &mut self.running_mean,
-            &mut dummy_m,
+            &mut self.dummy_mean,
         );
         v.visit(
             &join_name(prefix, "running_var"),
             ParamKind::RunningVar,
             &mut self.running_var,
-            &mut dummy_v,
+            &mut self.dummy_var,
         );
     }
 

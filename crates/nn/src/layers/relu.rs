@@ -6,6 +6,9 @@ use crate::layer::{Layer, ParamVisitor, ParamVisitorMut};
 
 /// Elementwise rectified linear unit.
 ///
+/// The activation is applied in place on the input the layer owns; the
+/// training-mode mask buffer is kept between calls.
+///
 /// # Example
 ///
 /// ```
@@ -19,34 +22,41 @@ use crate::layer::{Layer, ParamVisitor, ParamVisitorMut};
 /// ```
 #[derive(Debug, Default)]
 pub struct Relu {
-    mask: Option<Vec<bool>>,
+    /// `x > 0` per element of the last training forward pass.
+    mask: Vec<bool>,
+    /// Whether `mask` belongs to a forward pass not yet consumed by
+    /// `backward`.
+    armed: bool,
 }
 
 impl Relu {
     /// Creates a ReLU activation.
     pub fn new() -> Self {
-        Relu { mask: None }
+        Relu::default()
     }
 }
 
 impl Layer for Relu {
-    fn forward(&mut self, x: Tensor, train: bool) -> Tensor {
+    fn forward(&mut self, mut x: Tensor, train: bool) -> Tensor {
         if train {
-            self.mask = Some(x.as_slice().iter().map(|&v| v > 0.0).collect());
+            self.mask.clear();
+            self.mask.extend(x.as_slice().iter().map(|&v| v > 0.0));
+            self.armed = true;
         }
-        x.map(|v| v.max(0.0))
+        x.map_inplace(|v| v.max(0.0));
+        x
     }
 
-    fn backward(&mut self, dy: Tensor) -> Tensor {
-        let mask = self.mask.take().expect("relu backward without forward");
-        assert_eq!(mask.len(), dy.numel(), "relu mask size mismatch");
-        let mut dx = dy;
-        for (v, &m) in dx.as_mut_slice().iter_mut().zip(mask.iter()) {
-            if !m {
-                *v = 0.0;
-            }
+    fn backward(&mut self, mut dy: Tensor) -> Tensor {
+        assert!(
+            std::mem::take(&mut self.armed),
+            "relu backward without forward"
+        );
+        assert_eq!(self.mask.len(), dy.numel(), "relu mask size mismatch");
+        for (v, &m) in dy.as_mut_slice().iter_mut().zip(&self.mask) {
+            *v = if m { *v } else { 0.0 };
         }
-        dx
+        dy
     }
 
     fn visit_params(&self, _prefix: &str, _v: &mut dyn ParamVisitor) {}

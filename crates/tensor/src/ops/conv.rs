@@ -64,6 +64,12 @@ pub struct Conv2dGrads {
     pub db: Tensor,
 }
 
+/// A 1×1 kernel at stride 1 without padding: each (sample, channel)
+/// plane is one contiguous run of a column-matrix row.
+fn is_pointwise(geo: ConvGeometry) -> bool {
+    (geo.kh, geo.kw, geo.stride, geo.pad) == (1, 1, 1, 0)
+}
+
 /// Unfolds one sample `[c, h, w]` into columns `col0..col0 + oh·ow` of
 /// the row-major column matrix `out` (row stride `ld`). Padding cells
 /// are left as they are, so `out` must start zeroed.
@@ -79,6 +85,13 @@ fn im2col_into(
     col0: usize,
 ) {
     let (oh, ow) = geo.out_hw(h, w);
+    if is_pointwise(geo) {
+        // Row `ci` of this sample's columns is channel `ci`'s plane.
+        for (ci, plane) in x[..c * h * w].chunks_exact(h * w).enumerate() {
+            out[ci * ld + col0..][..h * w].copy_from_slice(plane);
+        }
+        return;
+    }
     for ci in 0..c {
         for ki in 0..geo.kh {
             for kj in 0..geo.kw {
@@ -119,6 +132,15 @@ fn col2im_from(
     out: &mut [f32],
 ) {
     let (oh, ow) = geo.out_hw(h, w);
+    if is_pointwise(geo) {
+        // Still an add onto the zeroed `out`: `+0.0 + -0.0` is `+0.0`.
+        for (ci, plane) in out[..c * h * w].chunks_exact_mut(h * w).enumerate() {
+            for (o, &v) in plane.iter_mut().zip(&src[ci * ld + col0..][..h * w]) {
+                *o += v;
+            }
+        }
+        return;
+    }
     for ci in 0..c {
         for ki in 0..geo.kh {
             for kj in 0..geo.kw {
@@ -493,6 +515,29 @@ mod tests {
         }
         let rhs: f32 = x.iter().zip(&folded).map(|(a, b)| a * b).sum();
         assert!((lhs - rhs).abs() < 1e-3, "{lhs} vs {rhs}");
+    }
+
+    #[test]
+    fn pointwise_col2im_adds_onto_zero() {
+        // A 1×1 fold is a block add, not a copy: `+0.0 + -0.0` is `+0.0`.
+        let geo = ConvGeometry {
+            kh: 1,
+            kw: 1,
+            stride: 1,
+            pad: 0,
+        };
+        // Two channels of one 1×2 sample, in columns 0..2 of a
+        // [2, 4] column matrix.
+        let src = [-0.0f32, 1.5, 9.0, 9.0, -0.0, 2.0, 9.0, 9.0];
+        let mut out = [0.0f32; 4];
+        col2im_from(&src, 4, 0, 2, 1, 2, geo, &mut out);
+        assert_eq!(
+            out.map(f32::to_bits),
+            [0.0f32, 1.5, 0.0, 2.0].map(f32::to_bits)
+        );
+        let mut cols = [7.0f32; 8];
+        im2col_into(&[1.0, 2.0, 3.0, 4.0], 2, 1, 2, geo, &mut cols, 4, 2);
+        assert_eq!(cols, [7.0, 7.0, 1.0, 2.0, 7.0, 7.0, 3.0, 4.0]);
     }
 
     fn backward_fixture() -> (Tensor, Tensor, Tensor) {

@@ -286,6 +286,37 @@ fn deep_single_pixel_layers_are_bit_equal() {
     }
 }
 
+/// 1×1 layers (the MobileNetV2 expand/project convs, whose im2col and
+/// col2im are block copies and adds) with weights and gradients full of
+/// exact `±0.0`, so `dcols` is built from `-0.0` products: its sums start
+/// at `+0.0`, and the fold must add them onto the zeroed `dx`.
+#[test]
+fn pointwise_layers_with_signed_zeros_are_bit_equal() {
+    let geo = GEOMETRIES[2];
+    for &n in &BATCHES {
+        for side in [1, 2, 5, 16] {
+            for (i, salt) in [Salt::Zeros, Salt::NonFinite].into_iter().enumerate() {
+                let seed = 40 + side as u64 + i as u64;
+                let what = format!("1x1 n={n} side={side} {salt:?}");
+                let (c_in, c_out) = (6, 3);
+                let x = fill(&[n, c_in, side, side], seed, Salt::Zeros);
+                let weight = fill(&[c_out, c_in, 1, 1], seed ^ 0x5a5a, salt);
+                let bias = fill(&[c_out], seed ^ 0x3c3c, Salt::Zeros);
+                let (y, cols) = conv2d_forward(&x, &weight, &bias, geo);
+                let (y_ref, caches) = oracle_forward(&x, &weight, &bias, geo);
+                assert_bits_equal(&y, &y_ref, &format!("y: {what}"));
+                let dy = fill(y.shape(), seed ^ 0xa5a5, Salt::Zeros).map(|v| -v);
+                let grads = conv2d_backward(&dy, &weight, &cols, x.shape(), geo);
+                let (dx_ref, dw_ref, db_ref) =
+                    oracle_backward(&dy, &weight, &caches, x.shape(), geo);
+                assert_bits_equal(&grads.dx, &dx_ref, &format!("dx: {what}"));
+                assert_bits_equal(&grads.dw, &dw_ref, &format!("dw: {what}"));
+                assert_bits_equal(&grads.db, &db_ref, &format!("db: {what}"));
+            }
+        }
+    }
+}
+
 /// A VGG16-fast first-block layer at training batch 16: many output
 /// pixels, full SIMD tiles.
 #[test]
