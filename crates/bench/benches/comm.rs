@@ -1,5 +1,5 @@
 //! Benchmarks of the simulated transport: wire encode/decode of
-//! realistic uplink frames (both codecs) and a full faulty exchange —
+//! realistic uplink frames and a full faulty exchange —
 //! the per-round link cost added by `adaptivefl-comm`.
 
 use adaptivefl_comm::wire::{decode_update_up, encode_update_up, UpdateUp, WireCodec};
@@ -30,15 +30,13 @@ fn bench_wire(c: &mut Criterion) {
         ("resnet18_fast", ModelConfig::resnet18_fast(10)),
     ] {
         let msg = sample_update(&cfg);
-        for (codec_label, codec) in [("dense", WireCodec::Dense), ("quant", WireCodec::Quantized)] {
-            c.bench_function(&format!("wire_encode_{codec_label}_{label}"), |b| {
-                b.iter(|| encode_update_up(black_box(&msg), codec))
-            });
-            let frame = encode_update_up(&msg, codec);
-            c.bench_function(&format!("wire_decode_{codec_label}_{label}"), |b| {
-                b.iter(|| decode_update_up(black_box(&frame)).expect("intact frame"))
-            });
-        }
+        c.bench_function(&format!("wire_encode_dense_{label}"), |b| {
+            b.iter(|| encode_update_up(black_box(&msg), WireCodec::Dense))
+        });
+        let frame = encode_update_up(&msg, WireCodec::Dense);
+        c.bench_function(&format!("wire_decode_dense_{label}"), |b| {
+            b.iter(|| decode_update_up(black_box(&frame)).expect("intact frame"))
+        });
     }
 }
 

@@ -85,11 +85,6 @@ impl SampleStats {
     pub fn pct_pm(&self) -> String {
         format!("{:.1}\u{b1}{:.1}", 100.0 * self.mean, 100.0 * self.ci95)
     }
-
-    /// `"mean±ci"` in raw units with three decimals.
-    pub fn raw_pm(&self) -> String {
-        format!("{:.3}\u{b1}{:.3}", self.mean, self.ci95)
-    }
 }
 
 /// Cross-seed summary of one cell — the row unit of the sweep tables

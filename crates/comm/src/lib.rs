@@ -4,8 +4,8 @@
 //! abstracts the client↔server exchange; this crate supplies the
 //! realistic implementation:
 //!
-//! - [`wire`] — typed binary messages ([`ModelDown`], [`UpdateUp`])
-//!   with dense and quantized payload codecs and panic-free decoding.
+//! - [`wire`] — the binary [`UpdateUp`] uplink frame: lossless dense
+//!   `f32` payloads and panic-free decoding.
 //! - [`faults`] — a seeded [`FaultPlan`] injecting upload drops,
 //!   stragglers, client crashes and payload truncation per link.
 //! - [`executor`] — parallel client execution on crossbeam scoped
@@ -28,4 +28,4 @@ pub mod wire;
 
 pub use faults::{FaultDraw, FaultPlan};
 pub use transport::SimTransport;
-pub use wire::{DownConfig, ModelDown, UpdateUp, WireCodec};
+pub use wire::{UpdateUp, WireCodec};

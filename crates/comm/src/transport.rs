@@ -26,6 +26,34 @@ use crate::executor::run_jobs;
 use crate::faults::FaultPlan;
 use crate::wire::{self, UpdateUp, WireCodec};
 
+/// How one client's round ended on the link: everything a [`Delivery`]
+/// and its [`TraceEvent::Comm`] need beyond the job's own ids.
+struct Link {
+    status: DeliveryStatus,
+    loss: f32,
+    upload: Option<Upload>,
+    up_params: u64,
+    secs: f64,
+    bytes_up: u64,
+    straggled: bool,
+}
+
+impl Link {
+    /// A client that returned nothing: no loss, no upload, no uplink
+    /// bytes.
+    fn failed(status: DeliveryStatus, up_params: u64, secs: f64) -> Self {
+        Link {
+            status,
+            loss: 0.0,
+            upload: None,
+            up_params,
+            secs,
+            bytes_up: 0,
+            straggled: false,
+        }
+    }
+}
+
 /// Simulated transport with fault injection, round deadlines and a
 /// parallel client executor. Construct with [`SimTransport::new`] and
 /// chain `with_*` builders.
@@ -34,7 +62,6 @@ pub struct SimTransport {
     threads: usize,
     faults: FaultPlan,
     deadline_secs: Option<f64>,
-    codec: WireCodec,
 }
 
 impl Default for SimTransport {
@@ -44,14 +71,12 @@ impl Default for SimTransport {
 }
 
 impl SimTransport {
-    /// A fault-free, deadline-free, single-threaded transport with the
-    /// lossless dense codec.
+    /// A fault-free, deadline-free, single-threaded transport.
     pub fn new() -> Self {
         SimTransport {
             threads: 1,
             faults: FaultPlan::none(),
             deadline_secs: None,
-            codec: WireCodec::Dense,
         }
     }
 
@@ -79,13 +104,6 @@ impl SimTransport {
     pub fn with_deadline(mut self, secs: f64) -> Self {
         assert!(secs > 0.0, "deadline must be positive");
         self.deadline_secs = Some(secs);
-        self
-    }
-
-    /// Selects the uplink payload codec (dense by default; the
-    /// quantized codec is lossy but ~4× smaller).
-    pub fn with_codec(mut self, codec: WireCodec) -> Self {
-        self.codec = codec;
         self
     }
 
@@ -117,141 +135,105 @@ impl Transport for SimTransport {
             stats.bytes_down += bytes_down;
             let draw = self.faults.draw(env.cfg.seed, round, r.client);
 
-            // A crashed client spends the downlink and then vanishes.
-            if draw.crash {
+            let idle_secs = || client_secs(env, r.client, 0, 0, r.down_params, 0);
+            let link = if draw.crash {
+                // A crashed client spends the downlink and then vanishes.
                 stats.crashes += 1;
-                let secs = client_secs(env, r.client, 0, 0, r.down_params, 0);
-                slowest = slowest.max(secs);
-                if env.tracer().enabled() {
-                    env.tracer().event(TraceEvent::Comm {
-                        round,
-                        client: r.client,
-                        bytes_down,
-                        bytes_up: 0,
-                        status: status_name(DeliveryStatus::Crashed),
-                        straggled: false,
-                    });
+                Link::failed(DeliveryStatus::Crashed, 0, idle_secs())
+            } else if let Some(upload) = r.outcome.upload {
+                let mut secs = client_secs(
+                    env,
+                    r.client,
+                    r.outcome.macs_per_sample,
+                    r.outcome.samples,
+                    r.down_params,
+                    r.outcome.up_params,
+                );
+                if draw.straggle {
+                    stats.stragglers += 1;
+                    secs *= self.faults.straggler_factor;
                 }
-                deliveries.push(Delivery {
-                    client: r.client,
-                    tag: r.tag,
-                    client_tag: r.outcome.tag,
-                    status: DeliveryStatus::Crashed,
-                    loss: 0.0,
-                    upload: None,
-                    down_params: r.down_params,
-                    up_params: 0,
-                    secs,
-                });
-                continue;
-            }
 
-            // A resource failure: the client could not train anything.
-            let Some(upload) = r.outcome.upload else {
-                let secs = client_secs(env, r.client, 0, 0, r.down_params, 0);
-                slowest = slowest.max(secs);
-                if env.tracer().enabled() {
-                    env.tracer().event(TraceEvent::Comm {
-                        round,
-                        client: r.client,
-                        bytes_down,
-                        bytes_up: 0,
-                        status: status_name(DeliveryStatus::TrainingFailed),
-                        straggled: false,
-                    });
-                }
-                deliveries.push(Delivery {
-                    client: r.client,
-                    tag: r.tag,
-                    client_tag: r.outcome.tag,
-                    status: DeliveryStatus::TrainingFailed,
-                    loss: 0.0,
-                    upload: None,
-                    down_params: r.down_params,
+                // The uplink is a real wire frame; faults act on it.
+                let weight = upload.weight;
+                let msg = UpdateUp {
+                    round: round as u32,
+                    client: r.client as u32,
+                    data_size: r.outcome.samples as u32,
+                    params: upload.params,
+                };
+                let frame = wire::encode_update_up(&msg, WireCodec::Dense);
+
+                let (status, delivered_params) = if draw.drop {
+                    stats.drops += 1;
+                    (DeliveryStatus::Dropped, None)
+                } else if let Some(frac) = draw.truncate_at {
+                    // Truncation strictly shortens the frame, so the
+                    // server-side decode must fail; count it as a drop.
+                    let cut = ((frame.len() as f64) * frac) as usize;
+                    match wire::decode_update_up(&frame[..cut.min(frame.len() - 1)]) {
+                        Ok(m) => (DeliveryStatus::Delivered, Some(m.params)),
+                        Err(_) => {
+                            stats.drops += 1;
+                            (DeliveryStatus::Dropped, None)
+                        }
+                    }
+                } else if self.deadline_secs.is_some_and(|d| secs > d) {
+                    stats.deadline_misses += 1;
+                    (DeliveryStatus::Late, None)
+                } else {
+                    match wire::decode_update_up(&frame) {
+                        Ok(m) => (DeliveryStatus::Delivered, Some(m.params)),
+                        Err(_) => {
+                            stats.drops += 1;
+                            (DeliveryStatus::Dropped, None)
+                        }
+                    }
+                };
+                Link {
+                    status,
+                    loss: r.outcome.loss,
+                    upload: delivered_params.map(|params| Upload { params, weight }),
                     up_params: r.outcome.up_params,
                     secs,
-                });
-                continue;
-            };
-
-            let mut secs = client_secs(
-                env,
-                r.client,
-                r.outcome.macs_per_sample,
-                r.outcome.samples,
-                r.down_params,
-                r.outcome.up_params,
-            );
-            if draw.straggle {
-                stats.stragglers += 1;
-                secs *= self.faults.straggler_factor;
-            }
-            slowest = slowest.max(secs);
-
-            // The uplink is a real wire frame; faults act on it.
-            let weight = upload.weight;
-            let msg = UpdateUp {
-                round: round as u32,
-                client: r.client as u32,
-                data_size: r.outcome.samples as u32,
-                params: upload.params,
-            };
-            let frame = wire::encode_update_up(&msg, self.codec);
-
-            let (status, delivered_params) = if draw.drop {
-                stats.drops += 1;
-                (DeliveryStatus::Dropped, None)
-            } else if let Some(frac) = draw.truncate_at {
-                // Truncation strictly shortens the frame, so the
-                // server-side decode must fail; count it as a drop.
-                let cut = ((frame.len() as f64) * frac) as usize;
-                match wire::decode_update_up(&frame[..cut.min(frame.len() - 1)]) {
-                    Ok(m) => (DeliveryStatus::Delivered, Some(m.params)),
-                    Err(_) => {
-                        stats.drops += 1;
-                        (DeliveryStatus::Dropped, None)
-                    }
-                }
-            } else if self.deadline_secs.is_some_and(|d| secs > d) {
-                stats.deadline_misses += 1;
-                (DeliveryStatus::Late, None)
-            } else {
-                match wire::decode_update_up(&frame) {
-                    Ok(m) => (DeliveryStatus::Delivered, Some(m.params)),
-                    Err(_) => {
-                        stats.drops += 1;
-                        (DeliveryStatus::Dropped, None)
-                    }
-                }
-            };
-
-            if status.is_delivered() {
-                stats.bytes_up += frame.len() as u64;
-            }
-            if env.tracer().enabled() {
-                env.tracer().event(TraceEvent::Comm {
-                    round,
-                    client: r.client,
-                    bytes_down,
                     bytes_up: if status.is_delivered() {
                         frame.len() as u64
                     } else {
                         0
                     },
-                    status: status_name(status),
                     straggled: draw.straggle,
+                }
+            } else {
+                // A resource failure: the client could not train anything.
+                Link::failed(
+                    DeliveryStatus::TrainingFailed,
+                    r.outcome.up_params,
+                    idle_secs(),
+                )
+            };
+
+            slowest = slowest.max(link.secs);
+            stats.bytes_up += link.bytes_up;
+            if env.tracer().enabled() {
+                env.tracer().event(TraceEvent::Comm {
+                    round,
+                    client: r.client,
+                    bytes_down,
+                    bytes_up: link.bytes_up,
+                    status: status_name(link.status),
+                    straggled: link.straggled,
                 });
             }
             deliveries.push(Delivery {
                 client: r.client,
                 tag: r.tag,
                 client_tag: r.outcome.tag,
-                status,
-                loss: r.outcome.loss,
-                upload: delivered_params.map(|params| Upload { params, weight }),
+                status: link.status,
+                loss: link.loss,
+                upload: link.upload,
                 down_params: r.down_params,
-                up_params: r.outcome.up_params,
-                secs,
+                up_params: link.up_params,
+                secs: link.secs,
             });
         }
 

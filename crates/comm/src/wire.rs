@@ -1,20 +1,17 @@
 //! Binary wire encoding for the federated exchange.
 //!
-//! Two typed messages travel the simulated link: [`ModelDown`]
-//! (server → client: the dispatched submodel plus its dispatch
-//! configuration) and [`UpdateUp`] (client → server: the trained
-//! submodel with the client's data size). Frames are big-endian,
-//! magic-prefixed, and versioned; dense payloads carry raw `f32` bit
-//! patterns (lossless, NaN-preserving), while the
-//! [`WireCodec::Quantized`] variant rides on the int8 frame format of
-//! [`adaptivefl_core::compress`] for ~4× smaller uplinks at bounded
-//! error.
+//! One typed message travels the simulated link as a frame:
+//! [`UpdateUp`] (client → server: the trained submodel with the
+//! client's data size). The downlink is charged by size alone
+//! ([`dense_payload_bytes`]). Frames are big-endian, magic-prefixed and
+//! versioned, and payloads carry raw `f32` bit patterns (lossless,
+//! NaN-preserving).
 //!
 //! Decoding never panics: truncated or corrupt frames return
 //! [`CoreError::MalformedFrame`], which the transport treats as a lost
 //! upload.
 
-use adaptivefl_core::compress::{FrameReader, QuantizedMap};
+use adaptivefl_core::compress::FrameReader;
 use adaptivefl_core::CoreError;
 use adaptivefl_nn::ParamMap;
 use adaptivefl_tensor::Tensor;
@@ -25,40 +22,14 @@ pub const MAGIC: u32 = 0x4146_4C31;
 /// Wire format version.
 pub const VERSION: u8 = 1;
 
-const MSG_MODEL_DOWN: u8 = 1;
 const MSG_UPDATE_UP: u8 = 2;
-const CODEC_DENSE: u8 = 0;
-const CODEC_QUANTIZED: u8 = 1;
 
-/// Parameter payload encoding for the uplink.
+/// Parameter payload encoding for the uplink. Its discriminant is the
+/// codec byte of an [`UpdateUp`] frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WireCodec {
     /// Raw `f32` bit patterns — lossless, 4 bytes per element.
-    Dense,
-    /// Int8 affine quantisation via
-    /// [`QuantizedMap`] — ~4× smaller, lossy within
-    /// [`QuantizedMap::max_error_bound`].
-    Quantized,
-}
-
-/// Dispatch configuration riding on the downlink.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DownConfig {
-    /// Pool index (or method-specific tag) of the dispatched model.
-    pub pool_index: u32,
-    /// Round deadline in milliseconds (0 = no deadline).
-    pub deadline_ms: u64,
-}
-
-/// Server → client: the dispatched submodel for one round.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ModelDown {
-    /// Round index.
-    pub round: u32,
-    /// Dispatch configuration.
-    pub config: DownConfig,
-    /// The dispatched parameters.
-    pub params: ParamMap,
+    Dense = 0,
 }
 
 /// Client → server: the trained submodel.
@@ -140,14 +111,17 @@ pub fn decode_param_map(r: &mut FrameReader<'_>) -> Result<ParamMap, CoreError> 
         for _ in 0..ndim {
             shape.push(r.u32()? as usize);
         }
-        let numel: usize = shape.iter().product();
         // Bound the allocation by what the frame can actually hold so a
-        // corrupt shape cannot become an allocation bomb.
-        if r.remaining() < numel * 4 {
-            return Err(CoreError::MalformedFrame(format!(
-                "{name}: {numel} elements exceed remaining frame"
-            )));
-        }
+        // corrupt shape cannot overflow or become an allocation bomb.
+        let numel = shape
+            .iter()
+            .try_fold(1usize, |n, &d| n.checked_mul(d))
+            .filter(|n| n.checked_mul(4).is_some_and(|b| b <= r.remaining()))
+            .ok_or_else(|| {
+                CoreError::MalformedFrame(format!(
+                    "{name}: shape {shape:?} exceeds remaining frame"
+                ))
+            })?;
         let mut data = Vec::with_capacity(numel);
         for _ in 0..numel {
             data.push(f32::from_bits(r.u32()?));
@@ -164,40 +138,6 @@ pub fn decode_param_map(r: &mut FrameReader<'_>) -> Result<ParamMap, CoreError> 
     Ok(map)
 }
 
-/// Encodes a [`ModelDown`] frame (dense payload).
-pub fn encode_model_down(msg: &ModelDown) -> Bytes {
-    let mut buf = BytesMut::with_capacity(16 + msg.params.byte_size());
-    put_header(&mut buf, MSG_MODEL_DOWN);
-    buf.put_u32(msg.round);
-    buf.put_u32(msg.config.pool_index);
-    buf.put_u64(msg.config.deadline_ms);
-    encode_param_map(&mut buf, &msg.params);
-    buf.freeze()
-}
-
-/// Decodes a [`ModelDown`] frame.
-pub fn decode_model_down(frame: &[u8]) -> Result<ModelDown, CoreError> {
-    let mut r = FrameReader::new(frame);
-    read_header(&mut r, MSG_MODEL_DOWN)?;
-    let round = r.u32()?;
-    let pool_index = r.u32()?;
-    let deadline_ms = r.u64()?;
-    let params = decode_param_map(&mut r)?;
-    if !r.is_empty() {
-        return Err(CoreError::MalformedFrame(
-            "trailing bytes after frame".into(),
-        ));
-    }
-    Ok(ModelDown {
-        round,
-        config: DownConfig {
-            pool_index,
-            deadline_ms,
-        },
-        params,
-    })
-}
-
 /// Encodes an [`UpdateUp`] frame with the chosen payload codec.
 pub fn encode_update_up(msg: &UpdateUp, codec: WireCodec) -> Bytes {
     let mut buf = BytesMut::with_capacity(20 + msg.params.byte_size());
@@ -205,23 +145,12 @@ pub fn encode_update_up(msg: &UpdateUp, codec: WireCodec) -> Bytes {
     buf.put_u32(msg.round);
     buf.put_u32(msg.client);
     buf.put_u32(msg.data_size);
-    match codec {
-        WireCodec::Dense => {
-            buf.put_u8(CODEC_DENSE);
-            encode_param_map(&mut buf, &msg.params);
-        }
-        WireCodec::Quantized => {
-            buf.put_u8(CODEC_QUANTIZED);
-            let inner = QuantizedMap::quantize(&msg.params).to_frame();
-            buf.put_u32(inner.len() as u32);
-            buf.put_slice(&inner);
-        }
-    }
+    buf.put_u8(codec as u8);
+    encode_param_map(&mut buf, &msg.params);
     buf.freeze()
 }
 
-/// Decodes an [`UpdateUp`] frame (either codec). Quantized payloads
-/// are dequantised back to a dense [`ParamMap`].
+/// Decodes an [`UpdateUp`] frame.
 pub fn decode_update_up(frame: &[u8]) -> Result<UpdateUp, CoreError> {
     let mut r = FrameReader::new(frame);
     read_header(&mut r, MSG_UPDATE_UP)?;
@@ -229,17 +158,10 @@ pub fn decode_update_up(frame: &[u8]) -> Result<UpdateUp, CoreError> {
     let client = r.u32()?;
     let data_size = r.u32()?;
     let codec = r.u8()?;
-    let params = match codec {
-        CODEC_DENSE => decode_param_map(&mut r)?,
-        CODEC_QUANTIZED => {
-            let len = r.u32()? as usize;
-            let inner = r.bytes(len)?;
-            QuantizedMap::from_frame(inner)?.dequantize()
-        }
-        other => {
-            return Err(CoreError::MalformedFrame(format!("unknown codec {other}")));
-        }
-    };
+    if codec != WireCodec::Dense as u8 {
+        return Err(CoreError::MalformedFrame(format!("unknown codec {codec}")));
+    }
+    let params = decode_param_map(&mut r)?;
     if !r.is_empty() {
         return Err(CoreError::MalformedFrame(
             "trailing bytes after frame".into(),
@@ -281,21 +203,6 @@ mod tests {
     }
 
     #[test]
-    fn model_down_roundtrips_exactly() {
-        let msg = ModelDown {
-            round: 9,
-            config: DownConfig {
-                pool_index: 4,
-                deadline_ms: 30_000,
-            },
-            params: sample_map(),
-        };
-        let frame = encode_model_down(&msg);
-        let back = decode_model_down(&frame).expect("intact frame");
-        assert_eq!(msg, back);
-    }
-
-    #[test]
     fn non_finite_values_survive_dense() {
         let mut params = ParamMap::new();
         params.insert(
@@ -317,32 +224,6 @@ mod tests {
     }
 
     #[test]
-    fn quantized_codec_is_smaller_and_bounded() {
-        let msg = UpdateUp {
-            round: 1,
-            client: 2,
-            data_size: 8,
-            params: sample_map(),
-        };
-        let dense = encode_update_up(&msg, WireCodec::Dense);
-        let packed = encode_update_up(&msg, WireCodec::Quantized);
-        assert!(
-            packed.len() * 2 < dense.len(),
-            "{} vs {}",
-            packed.len(),
-            dense.len()
-        );
-        let back = decode_update_up(&packed).expect("quantized frame decodes");
-        let bound = QuantizedMap::max_error_bound(&msg.params);
-        for (name, t) in msg.params.iter() {
-            let r = back.params.get(name).expect("name preserved");
-            for (a, b) in t.as_slice().iter().zip(r.as_slice()) {
-                assert!((a - b).abs() <= bound * 0.51 + 1e-6, "{name}");
-            }
-        }
-    }
-
-    #[test]
     fn every_strict_prefix_errors() {
         let msg = UpdateUp {
             round: 3,
@@ -359,17 +240,62 @@ mod tests {
         }
     }
 
+    fn sample_frame() -> Vec<u8> {
+        let msg = UpdateUp {
+            round: 0,
+            client: 0,
+            data_size: 1,
+            params: sample_map(),
+        };
+        encode_update_up(&msg, WireCodec::Dense).to_vec()
+    }
+
     #[test]
     fn wrong_message_type_is_rejected() {
-        let msg = ModelDown {
-            round: 0,
-            config: DownConfig {
-                pool_index: 0,
-                deadline_ms: 0,
-            },
-            params: ParamMap::new(),
-        };
-        let frame = encode_model_down(&msg);
-        assert!(decode_update_up(&frame).is_err());
+        let mut frame = sample_frame();
+        assert!(decode_update_up(&frame).is_ok());
+        for msg in [0, 1, 3, 0xff] {
+            frame[5] = msg;
+            assert!(
+                matches!(decode_update_up(&frame), Err(CoreError::MalformedFrame(_))),
+                "message type {msg} decoded"
+            );
+        }
+    }
+
+    #[test]
+    fn unknown_codec_is_rejected() {
+        let mut frame = sample_frame();
+        for codec in [1, 2, 0xff] {
+            frame[18] = codec;
+            assert!(
+                matches!(decode_update_up(&frame), Err(CoreError::MalformedFrame(_))),
+                "codec {codec} decoded"
+            );
+        }
+    }
+
+    /// A shape whose element count overflows `usize` (`65536⁴ = 2⁶⁴`)
+    /// must be refused, not wrapped to an empty tensor or a panic.
+    #[test]
+    fn overflowing_shape_is_rejected() {
+        let mut frame = BytesMut::new();
+        put_header(&mut frame, MSG_UPDATE_UP);
+        frame.put_u32(0); // round
+        frame.put_u32(0); // client
+        frame.put_u32(1); // data size
+        frame.put_u8(WireCodec::Dense as u8);
+        frame.put_u32(1); // one tensor
+        frame.put_u16(1);
+        frame.put_slice(b"w");
+        frame.put_u8(4);
+        for _ in 0..4 {
+            frame.put_u32(65536);
+        }
+        assert_eq!(frame.len(), 43);
+        assert!(matches!(
+            decode_update_up(&frame),
+            Err(CoreError::MalformedFrame(_))
+        ));
     }
 }

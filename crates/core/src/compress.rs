@@ -1,183 +1,11 @@
-//! Uplink/downlink model compression for communication accounting.
+//! Bounds-checked reading of binary frames.
 //!
-//! The paper measures communication in dispatched/returned model sizes;
-//! real AIoT deployments additionally quantise the transmitted weights.
-//! This module provides a linear int8 quantiser over [`ParamMap`]s with
-//! exact byte accounting, so the communication-waste experiments can be
-//! re-run under compressed transport (the rates scale uniformly, which
-//! is why the paper's rate metric is unaffected by the choice).
-
-use adaptivefl_nn::ParamMap;
-use adaptivefl_tensor::Tensor;
-use bytes::{BufMut, Bytes, BytesMut};
-use serde::{Deserialize, Serialize};
+//! [`FrameReader`] is the one primitive under every decoder of
+//! untrusted bytes: the comm crate's wire frames and the store crate's
+//! snapshot files both read through it, so a truncated or corrupt
+//! input surfaces as [`CoreError::MalformedFrame`], never a panic.
 
 use crate::error::CoreError;
-
-/// A per-tensor linearly quantised (int8) parameter map.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct QuantizedMap {
-    entries: Vec<QuantizedTensor>,
-}
-
-/// One tensor stored as int8 codes with a per-tensor scale/offset.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct QuantizedTensor {
-    name: String,
-    shape: Vec<usize>,
-    /// Dequantised value = `offset + scale · code`.
-    scale: f32,
-    offset: f32,
-    codes: Vec<i8>,
-}
-
-impl QuantizedMap {
-    /// Quantises every tensor of `map` to int8 with a per-tensor affine
-    /// range fit (min–max).
-    pub fn quantize(map: &ParamMap) -> Self {
-        let entries = map
-            .iter()
-            .map(|(name, t)| {
-                let (lo, hi) = t
-                    .as_slice()
-                    .iter()
-                    .fold((f32::INFINITY, f32::NEG_INFINITY), |(lo, hi), &v| {
-                        (lo.min(v), hi.max(v))
-                    });
-                let (lo, hi) = if lo.is_finite() && hi.is_finite() && hi > lo {
-                    (lo, hi)
-                } else {
-                    (0.0, 1.0)
-                };
-                let scale = (hi - lo) / 254.0;
-                let offset = (hi + lo) / 2.0;
-                let codes = t
-                    .as_slice()
-                    .iter()
-                    .map(|&v| (((v - offset) / scale).round().clamp(-127.0, 127.0)) as i8)
-                    .collect();
-                QuantizedTensor {
-                    name: name.to_string(),
-                    shape: t.shape().to_vec(),
-                    scale,
-                    offset,
-                    codes,
-                }
-            })
-            .collect();
-        QuantizedMap { entries }
-    }
-
-    /// Reconstructs the (lossy) parameter map.
-    pub fn dequantize(&self) -> ParamMap {
-        self.entries
-            .iter()
-            .map(|e| {
-                let data = e
-                    .codes
-                    .iter()
-                    .map(|&c| e.offset + e.scale * c as f32)
-                    .collect();
-                (e.name.clone(), Tensor::from_vec(data, &e.shape))
-            })
-            .collect()
-    }
-
-    /// Transport size in bytes: one code per element plus the per-tensor
-    /// header (name, shape, scale, offset).
-    pub fn byte_size(&self) -> usize {
-        self.entries
-            .iter()
-            .map(|e| e.codes.len() + e.name.len() + e.shape.len() * 8 + 8)
-            .sum()
-    }
-
-    /// Serialises to a length-prefixed binary frame (the shape an
-    /// uplink packet would take).
-    pub fn to_frame(&self) -> Bytes {
-        let mut buf = BytesMut::new();
-        buf.put_u32(self.entries.len() as u32);
-        for e in &self.entries {
-            buf.put_u16(e.name.len() as u16);
-            buf.put_slice(e.name.as_bytes());
-            buf.put_u8(e.shape.len() as u8);
-            for &d in &e.shape {
-                buf.put_u32(d as u32);
-            }
-            buf.put_f32(e.scale);
-            buf.put_f32(e.offset);
-            buf.put_u32(e.codes.len() as u32);
-            for &c in &e.codes {
-                buf.put_i8(c);
-            }
-        }
-        buf.freeze()
-    }
-
-    /// Parses a frame produced by [`QuantizedMap::to_frame`].
-    ///
-    /// Never panics: truncated or corrupt frames return
-    /// [`CoreError::MalformedFrame`], which transports treat as a lost
-    /// upload.
-    pub fn from_frame(frame: &[u8]) -> Result<Self, CoreError> {
-        let mut r = FrameReader::new(frame);
-        let count = r.u32()? as usize;
-        let mut entries = Vec::new();
-        for _ in 0..count {
-            let name_len = r.u16()? as usize;
-            let name = String::from_utf8(r.bytes(name_len)?.to_vec())
-                .map_err(|_| CoreError::MalformedFrame("non-utf8 tensor name".into()))?;
-            let ndim = r.u8()? as usize;
-            let mut shape = Vec::with_capacity(ndim);
-            for _ in 0..ndim {
-                shape.push(r.u32()? as usize);
-            }
-            let scale = f32::from_bits(r.u32()?);
-            let offset = f32::from_bits(r.u32()?);
-            let n_codes = r.u32()? as usize;
-            let numel: usize = shape.iter().product();
-            if numel != n_codes {
-                return Err(CoreError::MalformedFrame(format!(
-                    "{name}: {n_codes} codes for shape {shape:?}"
-                )));
-            }
-            let codes = r.bytes(n_codes)?.iter().map(|&b| b as i8).collect();
-            entries.push(QuantizedTensor {
-                name,
-                shape,
-                scale,
-                offset,
-                codes,
-            });
-        }
-        if !r.is_empty() {
-            return Err(CoreError::MalformedFrame(
-                "trailing bytes after frame".into(),
-            ));
-        }
-        Ok(QuantizedMap { entries })
-    }
-
-    /// Worst-case absolute reconstruction error of the quantiser for a
-    /// given map (half a quantisation step per tensor, maximised).
-    pub fn max_error_bound(map: &ParamMap) -> f32 {
-        map.iter()
-            .map(|(_, t)| {
-                let (lo, hi) = t
-                    .as_slice()
-                    .iter()
-                    .fold((f32::INFINITY, f32::NEG_INFINITY), |(lo, hi), &v| {
-                        (lo.min(v), hi.max(v))
-                    });
-                if hi > lo {
-                    (hi - lo) / 254.0
-                } else {
-                    0.0
-                }
-            })
-            .fold(0.0, f32::max)
-    }
-}
 
 /// A bounds-checked big-endian frame reader: every read returns
 /// [`CoreError::MalformedFrame`] on underflow instead of panicking,
@@ -239,105 +67,5 @@ impl<'a> FrameReader<'a> {
         let mut a = [0u8; 8];
         a.copy_from_slice(b);
         Ok(u64::from_be_bytes(a))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use adaptivefl_tensor::{init, rng};
-
-    fn sample_map() -> ParamMap {
-        let mut r = rng::seeded(80);
-        let mut m = ParamMap::new();
-        m.insert("conv.weight", init::normal(&[8, 4, 3, 3], 0.2, &mut r));
-        m.insert("conv.bias", Tensor::zeros(&[8]));
-        m
-    }
-
-    #[test]
-    fn roundtrip_error_is_bounded() {
-        let m = sample_map();
-        let q = QuantizedMap::quantize(&m);
-        let back = q.dequantize();
-        let bound = QuantizedMap::max_error_bound(&m);
-        for (name, t) in m.iter() {
-            let r = back.get(name).expect("name preserved");
-            for (a, b) in t.as_slice().iter().zip(r.as_slice()) {
-                assert!((a - b).abs() <= bound * 0.51 + 1e-6, "{name}: {a} vs {b}");
-            }
-        }
-    }
-
-    #[test]
-    fn compression_is_near_4x() {
-        let m = sample_map();
-        let q = QuantizedMap::quantize(&m);
-        let dense = m.byte_size();
-        let packed = q.byte_size();
-        assert!(packed * 3 < dense, "only {dense}→{packed} bytes");
-    }
-
-    #[test]
-    fn constant_tensor_quantizes_exactly() {
-        let mut m = ParamMap::new();
-        m.insert("b", Tensor::full(&[16], 0.25));
-        let back = QuantizedMap::quantize(&m).dequantize();
-        // A constant tensor has zero range; the fallback range must
-        // still reconstruct within the error bound of the unit range.
-        let v = back.get("b").unwrap().as_slice()[0];
-        assert!((v - 0.25).abs() < 1.0 / 254.0 + 1e-6, "{v}");
-    }
-
-    #[test]
-    fn frame_contains_all_codes() {
-        let m = sample_map();
-        let q = QuantizedMap::quantize(&m);
-        let frame = q.to_frame();
-        assert!(frame.len() >= m.numel());
-        assert!(frame.len() < m.byte_size());
-    }
-
-    #[test]
-    fn frame_roundtrips() {
-        let q = QuantizedMap::quantize(&sample_map());
-        let frame = q.to_frame();
-        let back = QuantizedMap::from_frame(&frame).expect("intact frame decodes");
-        assert_eq!(q, back);
-    }
-
-    #[test]
-    fn truncated_frames_error_not_panic() {
-        let q = QuantizedMap::quantize(&sample_map());
-        let frame = q.to_frame();
-        for cut in [0, 1, 3, 7, frame.len() / 2, frame.len() - 1] {
-            let r = QuantizedMap::from_frame(&frame[..cut]);
-            assert!(r.is_err(), "prefix of {cut} bytes decoded");
-        }
-        // Trailing garbage is rejected too.
-        let mut long = frame.to_vec();
-        long.push(0);
-        assert!(QuantizedMap::from_frame(&long).is_err());
-    }
-
-    #[test]
-    fn quantized_upload_still_aggregates() {
-        // End-to-end: quantise an upload, dequantise, aggregate — the
-        // global model moves toward the upload within quantiser error.
-        use crate::aggregate::{aggregate, Upload};
-        let mut global = ParamMap::new();
-        global.insert("w", Tensor::zeros(&[4]));
-        let mut upload = ParamMap::new();
-        upload.insert("w", Tensor::from_vec(vec![0.1, -0.2, 0.3, 0.4], &[4]));
-        let q = QuantizedMap::quantize(&upload).dequantize();
-        aggregate(
-            &mut global,
-            &[Upload {
-                params: q,
-                weight: 1.0,
-            }],
-        );
-        let g = global.get("w").unwrap();
-        assert!((g.as_slice()[3] - 0.4).abs() < 0.01);
     }
 }

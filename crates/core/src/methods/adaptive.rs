@@ -97,10 +97,10 @@ impl RoundHooks for AdaptiveFl {
 
     /// Steps 2+3: pick (model, client) pairs; clients are distinct
     /// within a round.
-    fn assign(&mut self, env: &Env, round: usize, rng: &mut ChaCha8Rng) -> Assignments {
+    fn assign(&mut self, env: &Env, _round: usize, rng: &mut ChaCha8Rng) -> Assignments {
         let pool = &env.pool;
         let k = env.cfg.clients_per_round;
-        let mut eligible = env.eligible_clients(round);
+        let mut eligible = env.eligible_clients();
         let mut assignments = Vec::with_capacity(k);
         for _ in 0..k {
             if eligible.is_empty() {

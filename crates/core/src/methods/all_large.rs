@@ -50,8 +50,8 @@ impl Checkpointable for AllLarge {
 impl RoundHooks for AllLarge {
     const FIT: Fit = Fit::Any;
 
-    fn assign(&mut self, env: &Env, round: usize, rng: &mut ChaCha8Rng) -> Assignments {
-        let clients = sample_clients(env, round, env.cfg.clients_per_round, rng);
+    fn assign(&mut self, env: &Env, _round: usize, rng: &mut ChaCha8Rng) -> Assignments {
+        let clients = sample_clients(env, env.cfg.clients_per_round, rng);
         (clients.into_iter().map(|c| (c, 0)).collect(), 0)
     }
 

@@ -79,7 +79,7 @@ impl RoundHooks for Decoupled {
     /// now. A client with no affordable level is never dispatched to at
     /// all — no downlink is spent, unlike the other baselines.
     fn assign(&mut self, env: &Env, round: usize, rng: &mut ChaCha8Rng) -> Assignments {
-        let clients = sample_clients(env, round, env.cfg.clients_per_round, rng);
+        let clients = sample_clients(env, env.cfg.clients_per_round, rng);
         let mut skipped = 0;
         let assignments = clients
             .into_iter()

@@ -69,8 +69,8 @@ impl RoundHooks for HeteroFl {
     // size fails the round for this client.
     const FIT: Fit = Fit::Exact;
 
-    fn assign(&mut self, env: &Env, round: usize, rng: &mut ChaCha8Rng) -> Assignments {
-        assign_by_class(env, round, rng)
+    fn assign(&mut self, env: &Env, _round: usize, rng: &mut ChaCha8Rng) -> Assignments {
+        assign_by_class(env, rng)
     }
 
     fn parts(&mut self) -> (&[Arch], &mut [ParamMap]) {

@@ -397,10 +397,9 @@ pub(crate) fn play_round<M: RoundHooks>(
     }
 }
 
-/// Samples `k` distinct clients uniformly among those holding data and
-/// currently online.
-pub(crate) fn sample_clients(env: &Env, round: usize, k: usize, rng: &mut impl Rng) -> Vec<usize> {
-    let mut eligible = env.eligible_clients(round);
+/// Samples `k` distinct clients uniformly among those holding data.
+pub(crate) fn sample_clients(env: &Env, k: usize, rng: &mut impl Rng) -> Vec<usize> {
+    let mut eligible = env.eligible_clients();
     eligible.shuffle(rng);
     eligible.truncate(k);
     eligible
@@ -409,8 +408,8 @@ pub(crate) fn sample_clients(env: &Env, round: usize, k: usize, rng: &mut impl R
 /// The static level assignment of HeteroFL and ScaleFL: a uniform
 /// sample of clients, each paired with the level (0 = `S_1`, 1 =
 /// `M_1`, 2 = `L_1`) of its device's capability class.
-pub(crate) fn assign_by_class(env: &Env, round: usize, rng: &mut ChaCha8Rng) -> Assignments {
-    let clients = sample_clients(env, round, env.cfg.clients_per_round, rng);
+pub(crate) fn assign_by_class(env: &Env, rng: &mut ChaCha8Rng) -> Assignments {
+    let clients = sample_clients(env, env.cfg.clients_per_round, rng);
     let assignments = clients
         .into_iter()
         .map(|c| {

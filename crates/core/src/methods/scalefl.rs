@@ -88,8 +88,8 @@ impl RoundHooks for ScaleFl {
     const FIT: Fit = Fit::Exact;
     const DISTILL: Option<(f32, f32)> = Some((KD_WEIGHT, KD_TEMPERATURE));
 
-    fn assign(&mut self, env: &Env, round: usize, rng: &mut ChaCha8Rng) -> Assignments {
-        assign_by_class(env, round, rng)
+    fn assign(&mut self, env: &Env, _round: usize, rng: &mut ChaCha8Rng) -> Assignments {
+        assign_by_class(env, rng)
     }
 
     fn parts(&mut self) -> (&[Arch], &mut [ParamMap]) {

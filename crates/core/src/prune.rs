@@ -89,19 +89,6 @@ pub fn extract_submodel(global: &ParamMap, cfg: &ModelConfig, plan: &WidthPlan) 
     PrunePlan::new(cfg, plan).extract(global)
 }
 
-/// Extracts parameters by an explicit shape table (used for ScaleFL's
-/// depth-scaled multi-exit submodels).
-///
-/// # Panics
-///
-/// See [`extract_submodel`].
-pub fn extract_by_shapes(
-    global: &ParamMap,
-    shapes: &[(String, Vec<usize>, ParamKind)],
-) -> ParamMap {
-    PrunePlan::from_shapes(shapes).extract(global)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -107,7 +107,6 @@ impl SimConfig {
                 momentum: 0.5,
                 epochs: 1,
                 batch_size: 8,
-                prox_mu: 0.0,
             },
             eval_every: 2,
             eval_batch: 32,
@@ -169,13 +168,10 @@ impl Env {
         adaptivefl_tensor::rng::derived(self.cfg.seed, "eval-scaffold")
     }
 
-    /// Clients that can participate in `round`: they hold data and
-    /// their device is currently reachable.
-    pub fn eligible_clients(&self, round: usize) -> Vec<usize> {
+    /// Clients that can participate in a round: those holding data.
+    pub fn eligible_clients(&self) -> Vec<usize> {
         (0..self.data.num_clients())
-            .filter(|&c| {
-                !self.data.client(c).is_empty() && self.fleet.device(c).available_at(round)
-            })
+            .filter(|&c| !self.data.client(c).is_empty())
             .collect()
     }
 }
@@ -267,28 +263,16 @@ impl Simulation {
         self
     }
 
-    /// Installs a tracer for subsequent runs (builder form). Tracers
-    /// observe but never influence a run: a traced run's result is
-    /// bit-identical to an untraced one.
-    pub fn with_tracer(mut self, tracer: Arc<dyn Tracer>) -> Self {
-        self.env.tracer = tracer;
-        self
-    }
-
-    /// Installs a tracer for subsequent runs.
+    /// Installs a tracer for subsequent runs. Tracers observe but never
+    /// influence a run: a traced run's result is bit-identical to an
+    /// untraced one.
     pub fn set_tracer(&mut self, tracer: Arc<dyn Tracer>) {
         self.env.tracer = tracer;
     }
 
-    /// Installs a shared scratch arena for subsequent runs (builder
-    /// form). Sharing an arena across simulations reuses its buffers;
-    /// results are bit-identical to a private arena.
-    pub fn with_scratch(mut self, scratch: Scratch) -> Self {
-        self.env.scratch = scratch;
-        self
-    }
-
-    /// Installs a shared scratch arena for subsequent runs.
+    /// Installs a shared scratch arena for subsequent runs. Sharing an
+    /// arena across simulations reuses its buffers; results are
+    /// bit-identical to a private arena.
     pub fn set_scratch(&mut self, scratch: Scratch) {
         self.env.scratch = scratch;
     }

@@ -3,7 +3,7 @@
 
 use adaptivefl_data::InMemoryDataset;
 use adaptivefl_models::Network;
-use adaptivefl_nn::layer::{Layer, LayerExt};
+use adaptivefl_nn::layer::Layer;
 use adaptivefl_nn::loss::{distillation_loss, softmax_cross_entropy};
 use adaptivefl_nn::metrics::{accuracy, RunningMean};
 use adaptivefl_nn::optim::Sgd;
@@ -23,12 +23,6 @@ pub struct LocalTrainer {
     pub epochs: usize,
     /// Mini-batch size.
     pub batch_size: usize,
-    /// FedProx proximal coefficient µ: adds `µ(w − w_global)` to every
-    /// trainable gradient, anchoring local training to the received
-    /// model (0 disables; an extension beyond the paper, useful under
-    /// strong non-IID skew).
-    #[serde(default)]
-    pub prox_mu: f32,
 }
 
 impl LocalTrainer {
@@ -40,7 +34,6 @@ impl LocalTrainer {
             momentum: 0.5,
             epochs: 5,
             batch_size: 50,
-            prox_mu: 0.0,
         }
     }
 
@@ -51,44 +44,7 @@ impl LocalTrainer {
             momentum: 0.5,
             epochs: 2,
             batch_size: 16,
-            prox_mu: 0.0,
         }
-    }
-
-    /// Builder-style FedProx coefficient.
-    pub fn with_prox(mut self, mu: f32) -> Self {
-        self.prox_mu = mu;
-        self
-    }
-
-    /// Adds the proximal gradient `µ(w − anchor)` to every trainable
-    /// parameter's gradient.
-    fn apply_prox(&self, net: &mut Network, anchor: &adaptivefl_nn::ParamMap) {
-        if self.prox_mu == 0.0 {
-            return;
-        }
-        let mu = self.prox_mu;
-        net.visit_params_mut(
-            "",
-            &mut |name: &str,
-                  kind: adaptivefl_nn::ParamKind,
-                  value: &mut adaptivefl_tensor::Tensor,
-                  grad: &mut adaptivefl_tensor::Tensor| {
-                if !kind.is_trainable() {
-                    return;
-                }
-                if let Some(a) = anchor.get(name) {
-                    for ((g, &w), &w0) in grad
-                        .as_mut_slice()
-                        .iter_mut()
-                        .zip(value.as_slice())
-                        .zip(a.as_slice())
-                    {
-                        *g += mu * (w - w0);
-                    }
-                }
-            },
-        );
     }
 
     /// Trains the network on a client shard with plain cross-entropy
@@ -102,9 +58,8 @@ impl LocalTrainer {
     }
 
     /// [`LocalTrainer::train`] with an explicit scratch arena for the
-    /// optimizer's momentum and weight-decay buffers, so repeated
-    /// training sessions reuse them instead of reallocating per
-    /// parameter per session.
+    /// optimizer's momentum buffers, so repeated training sessions
+    /// reuse them instead of reallocating per parameter per session.
     pub fn train_with_scratch(
         &self,
         net: &mut Network,
@@ -114,16 +69,12 @@ impl LocalTrainer {
     ) -> f32 {
         let mut opt = Sgd::new(self.lr, self.momentum).with_scratch(scratch.clone());
         let mut loss = RunningMean::new();
-        let anchor = (self.prox_mu > 0.0).then(|| net.param_map());
         for _ in 0..self.epochs {
             for batch in data.shuffled_batches(self.batch_size, rng) {
                 net.zero_grads();
                 let logits = net.forward(batch.x, true);
                 let out = softmax_cross_entropy(&logits, &batch.y);
                 let _ = net.backward(out.dlogits);
-                if let Some(a) = &anchor {
-                    self.apply_prox(net, a);
-                }
                 opt.step(net);
                 loss.add(out.loss, batch.y.len() as f32);
             }
@@ -245,7 +196,6 @@ mod tests {
             momentum: 0.9,
             epochs: 8,
             batch_size: 16,
-            prox_mu: 0.0,
         };
         let before = evaluate(&mut net, fed.test(), 32);
         let loss1 = trainer.train(&mut net, fed.client(0), &mut r);
@@ -275,7 +225,6 @@ mod tests {
             momentum: 0.5,
             epochs: 12,
             batch_size: 16,
-            prox_mu: 0.0,
         };
         let loss = trainer.train_multi_exit(&mut net, fed.client(0), 0.5, 2.0, &mut r);
         assert!(loss.is_finite());
@@ -302,75 +251,5 @@ mod tests {
         let a = evaluate(&mut net, fed.test(), 7);
         let b = evaluate(&mut net, fed.test(), 25);
         assert!((a - b).abs() < 1e-6);
-    }
-}
-
-#[cfg(test)]
-mod prox_tests {
-    use super::*;
-    use adaptivefl_data::{FederatedDataset, Partition, SynthSpec};
-    use adaptivefl_models::ModelConfig;
-    use adaptivefl_nn::layer::LayerExt;
-    use adaptivefl_tensor::rng;
-
-    /// FedProx with a huge µ must keep the trained weights near the
-    /// anchor; µ = 0 lets them drift further.
-    #[test]
-    fn prox_term_anchors_weights() {
-        let fed =
-            FederatedDataset::synthesize(&SynthSpec::test_spec(4), 1, 40, 20, Partition::Iid, 76);
-        let cfg = ModelConfig {
-            kind: adaptivefl_models::ModelKind::TinyCnn,
-            input: (3, 8, 8),
-            classes: 4,
-            width_mult: 1.0,
-        };
-        let drift = |mu: f32| {
-            let mut r = rng::seeded(77);
-            let mut net = cfg.build(&cfg.full_plan(), &mut r);
-            let start = net.param_map();
-            let trainer = LocalTrainer {
-                lr: 0.05,
-                momentum: 0.5,
-                epochs: 4,
-                batch_size: 16,
-                prox_mu: mu,
-            };
-            trainer.train(&mut net, fed.client(0), &mut r);
-            net.param_map().sq_distance(&start)
-        };
-        let free = drift(0.0);
-        let anchored = drift(5.0);
-        assert!(
-            anchored < free * 0.5,
-            "prox drift {anchored} should be well below free drift {free}"
-        );
-    }
-
-    /// µ = 0 must be bit-identical to the pre-FedProx behaviour.
-    #[test]
-    fn zero_mu_is_plain_sgd() {
-        let fed =
-            FederatedDataset::synthesize(&SynthSpec::test_spec(3), 1, 20, 10, Partition::Iid, 78);
-        let cfg = ModelConfig {
-            kind: adaptivefl_models::ModelKind::TinyCnn,
-            input: (3, 8, 8),
-            classes: 3,
-            width_mult: 1.0,
-        };
-        let run = |mu: f32| {
-            let mut r = rng::seeded(79);
-            let mut net = cfg.build(&cfg.full_plan(), &mut r);
-            let trainer = LocalTrainer {
-                lr: 0.03,
-                momentum: 0.5,
-                epochs: 2,
-                batch_size: 8,
-                prox_mu: mu,
-            };
-            trainer.train(&mut net, fed.client(0), &mut r);
-            net.param_map()
-        };
-        assert_eq!(run(0.0), run(0.0));
     }
 }

@@ -82,20 +82,6 @@ impl DeviceFleet {
         self.devices.iter()
     }
 
-    /// Applies an online probability to every device.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `availability` is in `(0, 1]`.
-    pub fn with_availability(mut self, availability: f64) -> Self {
-        self.devices = self
-            .devices
-            .into_iter()
-            .map(|d| d.with_availability(availability))
-            .collect();
-        self
-    }
-
     /// Count of devices per class `(weak, medium, strong)`.
     pub fn class_counts(&self) -> (usize, usize, usize) {
         let mut c = (0, 0, 0);

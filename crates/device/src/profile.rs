@@ -67,14 +67,6 @@ pub struct DeviceSim {
     dynamics: ResourceDynamics,
     latency: LatencyModel,
     seed: u64,
-    /// Per-round probability that the device is reachable (1.0 =
-    /// always online).
-    #[serde(default = "default_availability")]
-    availability: f64,
-}
-
-fn default_availability() -> f64 {
-    1.0
 }
 
 impl DeviceSim {
@@ -94,7 +86,6 @@ impl DeviceSim {
             dynamics,
             latency: class.default_latency(),
             seed,
-            availability: 1.0,
         }
     }
 
@@ -115,35 +106,6 @@ impl DeviceSim {
     pub fn with_latency(mut self, latency: LatencyModel) -> Self {
         self.latency = latency;
         self
-    }
-
-    /// Sets the per-round online probability.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `availability` is in `(0, 1]`.
-    pub fn with_availability(mut self, availability: f64) -> Self {
-        assert!(
-            availability > 0.0 && availability <= 1.0,
-            "availability must be in (0, 1]"
-        );
-        self.availability = availability;
-        self
-    }
-
-    /// Whether the device is reachable in `round` (deterministic per
-    /// seed/id/round; independent of the capacity stream).
-    pub fn available_at(&self, round: usize) -> bool {
-        if self.availability >= 1.0 {
-            return true;
-        }
-        use rand::{Rng, SeedableRng};
-        let mut r = rand_chacha::ChaCha8Rng::seed_from_u64(
-            self.seed.wrapping_mul(0xA076_1D64_78BD_642F)
-                ^ (self.id as u64).wrapping_mul(0xE703_7ED1_A0B4_28DB)
-                ^ (round as u64).rotate_left(17),
-        );
-        r.gen::<f64>() < self.availability
     }
 
     /// Device identifier.
@@ -222,46 +184,5 @@ mod tests {
         let d = DeviceSim::from_class(0, DeviceClass::Weak, 1000, ResourceDynamics::Static, 1);
         assert!(d.round_time(2_000_000, 1000, 1000) > d.round_time(1_000_000, 1000, 1000));
         assert!(d.round_time(1_000_000, 2000, 2000) > d.round_time(1_000_000, 1000, 1000));
-    }
-}
-
-#[cfg(test)]
-mod availability_tests {
-    use super::*;
-
-    #[test]
-    fn full_availability_is_always_online() {
-        let d = DeviceSim::from_class(0, DeviceClass::Weak, 1000, ResourceDynamics::Static, 1);
-        assert!((0..100).all(|t| d.available_at(t)));
-    }
-
-    #[test]
-    fn partial_availability_drops_roughly_proportionally() {
-        let d = DeviceSim::from_class(1, DeviceClass::Medium, 1000, ResourceDynamics::Static, 2)
-            .with_availability(0.7);
-        let online = (0..1000).filter(|&t| d.available_at(t)).count();
-        assert!((600..800).contains(&online), "online {online}/1000");
-    }
-
-    #[test]
-    fn availability_is_deterministic_and_device_specific() {
-        let mk = |id| {
-            DeviceSim::from_class(id, DeviceClass::Weak, 1000, ResourceDynamics::Static, 3)
-                .with_availability(0.5)
-        };
-        let a = mk(0);
-        let b = mk(1);
-        let pat_a: Vec<bool> = (0..64).map(|t| a.available_at(t)).collect();
-        let pat_a2: Vec<bool> = (0..64).map(|t| a.available_at(t)).collect();
-        let pat_b: Vec<bool> = (0..64).map(|t| b.available_at(t)).collect();
-        assert_eq!(pat_a, pat_a2);
-        assert_ne!(pat_a, pat_b);
-    }
-
-    #[test]
-    #[should_panic(expected = "availability must be in")]
-    fn rejects_zero_availability() {
-        let _ = DeviceSim::from_class(0, DeviceClass::Weak, 1000, ResourceDynamics::Static, 4)
-            .with_availability(0.0);
     }
 }

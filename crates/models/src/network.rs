@@ -343,11 +343,6 @@ impl Network {
         Network { segments, exits }
     }
 
-    /// Number of trunk segments.
-    pub fn num_segments(&self) -> usize {
-        self.segments.len()
-    }
-
     /// Segment indices of the active exits, ascending.
     pub fn exit_points(&self) -> Vec<usize> {
         self.exits.iter().map(|(e, _)| *e).collect()

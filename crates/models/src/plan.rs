@@ -91,11 +91,6 @@ impl WidthPlan {
         }
     }
 
-    /// Builds a plan from explicit channel counts.
-    pub fn from_channels(channels: Vec<usize>) -> Self {
-        WidthPlan { channels }
-    }
-
     /// Channel count of the 0-based unit `i`.
     ///
     /// # Panics

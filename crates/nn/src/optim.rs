@@ -7,27 +7,24 @@ use adaptivefl_tensor::{Scratch, Tensor};
 
 use crate::layer::{Layer, ParamKind};
 
-/// Stochastic gradient descent with classical momentum and optional
-/// weight decay.
+/// Stochastic gradient descent with classical momentum.
 ///
 /// Momentum buffers are keyed by parameter name, so the same optimizer
 /// can be reused across submodels of different widths — buffers are
 /// (re)created lazily when a parameter's shape changes, which is exactly
 /// what happens when a client receives a differently pruned model.
 ///
-/// All temporaries (momentum buffers, decayed-gradient staging) come
-/// from a [`Scratch`] arena — pass a shared one via [`Sgd::with_scratch`]
-/// to amortise the allocations across training sessions. The update
-/// arithmetic is independent of the arena: a step with a shared arena is
-/// bit-identical to one with a private arena.
+/// Momentum buffers come from a [`Scratch`] arena — pass a shared one
+/// via [`Sgd::with_scratch`] to amortise the allocations across
+/// training sessions. The update arithmetic is independent of the
+/// arena: a step with a shared arena is bit-identical to one with a
+/// private arena.
 #[derive(Debug, Clone)]
 pub struct Sgd {
     /// Learning rate.
     pub lr: f32,
     /// Momentum coefficient (0 disables momentum).
     pub momentum: f32,
-    /// L2 weight-decay coefficient (0 disables).
-    pub weight_decay: f32,
     velocity: BTreeMap<String, Tensor>,
     scratch: Scratch,
 }
@@ -44,16 +41,9 @@ impl Sgd {
         Sgd {
             lr,
             momentum,
-            weight_decay: 0.0,
             velocity: BTreeMap::new(),
             scratch: Scratch::new(),
         }
-    }
-
-    /// Builder-style weight decay.
-    pub fn with_weight_decay(mut self, wd: f32) -> Self {
-        self.weight_decay = wd;
-        self
     }
 
     /// Builder-style shared scratch arena for all optimizer buffers.
@@ -67,24 +57,14 @@ impl Sgd {
     pub fn step(&mut self, model: &mut dyn Layer) {
         let lr = self.lr;
         let mu = self.momentum;
-        let wd = self.weight_decay;
         let velocity = &mut self.velocity;
         let scratch = &self.scratch;
         model.visit_params_mut(
             "",
-            &mut |name: &str, kind: ParamKind, value: &mut Tensor, grad: &mut Tensor| {
+            &mut |name: &str, kind: ParamKind, value: &mut Tensor, g: &mut Tensor| {
                 if !kind.is_trainable() {
                     return;
                 }
-                // The decayed gradient is staged in the arena only when
-                // weight decay is active; the common `wd == 0` path
-                // uses `grad` in place and allocates nothing.
-                let decayed = (wd != 0.0).then(|| {
-                    let mut g = scratch.take_tensor_copy(grad);
-                    g.axpy(wd, value);
-                    g
-                });
-                let g: &Tensor = decayed.as_ref().unwrap_or(grad);
                 if mu != 0.0 {
                     if !velocity.contains_key(name) {
                         velocity.insert(name.to_string(), scratch.take_tensor(g.shape()));
@@ -99,9 +79,6 @@ impl Sgd {
                     value.axpy(-lr, v);
                 } else {
                     value.axpy(-lr, g);
-                }
-                if let Some(g) = decayed {
-                    scratch.recycle_tensor(g);
                 }
             },
         );
@@ -195,7 +172,7 @@ mod tests {
             let mut r = rng::seeded(24);
             let mut fc = Linear::new(4, 3, &mut r);
             let x = init::normal(&[6, 4], 1.0, &mut r);
-            let mut opt = Sgd::new(0.1, 0.7).with_weight_decay(0.01);
+            let mut opt = Sgd::new(0.1, 0.7);
             if let Some(s) = scratch {
                 opt = opt.with_scratch(s);
             }
@@ -232,17 +209,5 @@ mod tests {
         }
         // weight + bias velocity buffers returned on drop.
         assert_eq!(shared.free_buffers(), 2);
-    }
-
-    #[test]
-    fn weight_decay_shrinks_weights() {
-        let mut r = rng::seeded(23);
-        let mut fc = Linear::new(3, 3, &mut r);
-        let before = fc.param_map().get("weight").unwrap().sq_norm();
-        let mut opt = Sgd::new(0.1, 0.0).with_weight_decay(0.1);
-        fc.zero_grads(); // zero grads: only decay acts
-        opt.step(&mut fc);
-        let after = fc.param_map().get("weight").unwrap().sq_norm();
-        assert!(after < before);
     }
 }

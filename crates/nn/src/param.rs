@@ -92,25 +92,6 @@ impl ParamMap {
     pub fn names(&self) -> impl Iterator<Item = &str> {
         self.entries.keys().map(String::as_str)
     }
-
-    /// Squared L2 distance to another map over the shared names
-    /// (useful in tests for convergence/aggregation checks).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a shared name has mismatched shapes.
-    pub fn sq_distance(&self, other: &ParamMap) -> f32 {
-        let mut acc = 0.0f32;
-        for (name, a) in self.iter() {
-            if let Some(b) = other.get(name) {
-                assert_eq!(a.shape(), b.shape(), "shape mismatch at {name}");
-                for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
-                    acc += (x - y) * (x - y);
-                }
-            }
-        }
-        acc
-    }
 }
 
 impl FromIterator<(String, Tensor)> for ParamMap {
@@ -170,15 +151,6 @@ mod tests {
         let m = sample();
         assert_eq!(m.numel(), 5);
         assert_eq!(m.byte_size(), 20);
-    }
-
-    #[test]
-    fn sq_distance_over_shared_names() {
-        let m = sample();
-        let mut other = ParamMap::new();
-        other.insert("b", Tensor::zeros(&[2]));
-        other.insert("c", Tensor::ones(&[100])); // not shared with m
-        assert_eq!(m.sq_distance(&other), 2.0);
     }
 
     #[test]

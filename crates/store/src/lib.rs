@@ -10,9 +10,9 @@
 //!   sections, raw float bits (lossless), CRC-32 over the payload.
 //! * [`crc`] — the CRC-32 (IEEE) implementation guarding each file.
 //! * [`store`] — [`SnapshotStore`]: a snapshot directory with atomic
-//!   temp-file + rename writes, a keep-last-N-plus-every-K-th
-//!   retention policy, and corruption-tolerant fallback to the newest
-//!   snapshot that still decodes.
+//!   temp-file + rename writes, keep-last-3 retention, and
+//!   corruption-tolerant fallback to the newest snapshot that still
+//!   decodes.
 //!
 //! The determinism contract is inherited from core: resuming from any
 //! snapshot replays the remaining rounds with the exact RNG stream and

@@ -1,5 +1,6 @@
 //! The on-disk snapshot store: a directory of `.afs` files with
-//! atomic writes, a retention policy, and corruption-tolerant loading.
+//! atomic writes, keep-last-3 retention, and corruption-tolerant
+//! loading.
 //!
 //! Each snapshot is written as `snap-r{round:06}.afs` via a temp file
 //! and a rename, so a crash mid-write can never clobber an existing good
@@ -20,15 +21,14 @@ use crate::format::{decode_snapshot, encode_snapshot};
 /// Snapshot file extension.
 pub const EXTENSION: &str = "afs";
 
+/// How many of the newest snapshots a store keeps; older ones are
+/// deleted after each save.
+const KEEP_LAST: usize = 3;
+
 /// A directory of snapshots for one run.
 #[derive(Debug, Clone)]
 pub struct SnapshotStore {
     dir: PathBuf,
-    /// Always keep the newest `keep_last` snapshots.
-    keep_last: usize,
-    /// Additionally keep every snapshot whose round is a multiple of
-    /// this (0 = no periodic keeps).
-    keep_every: usize,
 }
 
 fn io_err(what: &str, path: &Path, e: std::io::Error) -> CoreError {
@@ -36,31 +36,12 @@ fn io_err(what: &str, path: &Path, e: std::io::Error) -> CoreError {
 }
 
 impl SnapshotStore {
-    /// Opens (creating if needed) a snapshot directory with the
-    /// default retention: keep the last 3 snapshots.
+    /// Opens (creating if needed) a snapshot directory. The store keeps
+    /// the newest 3 snapshots.
     pub fn open(dir: impl Into<PathBuf>) -> Result<Self, CoreError> {
         let dir = dir.into();
         fs::create_dir_all(&dir).map_err(|e| io_err("creating", &dir, e))?;
-        Ok(SnapshotStore {
-            dir,
-            keep_last: 3,
-            keep_every: 0,
-        })
-    }
-
-    /// Sets the retention policy: always keep the newest `keep_last`
-    /// snapshots, plus every snapshot whose completed-round count is a
-    /// multiple of `keep_every` (0 disables the periodic keeps).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `keep_last` is 0 — a store that deletes everything it
-    /// writes cannot support resume.
-    pub fn with_retention(mut self, keep_last: usize, keep_every: usize) -> Self {
-        assert!(keep_last > 0, "retention must keep at least one snapshot");
-        self.keep_last = keep_last;
-        self.keep_every = keep_every;
-        self
+        Ok(SnapshotStore { dir })
     }
 
     /// The directory this store writes into.
@@ -73,8 +54,8 @@ impl SnapshotStore {
             .join(format!("snap-r{completed_rounds:06}.{EXTENSION}"))
     }
 
-    /// Writes one snapshot atomically (temp file + rename) and applies
-    /// the retention policy. Returns the final path.
+    /// Writes one snapshot atomically (temp file + rename) and deletes
+    /// all but the newest 3. Returns the final path.
     pub fn save_snapshot(&self, snap: &ServerSnapshot) -> Result<PathBuf, CoreError> {
         let bytes = encode_snapshot(snap);
         let path = self.path_for(snap.completed_rounds);
@@ -127,26 +108,11 @@ impl SnapshotStore {
         Ok(None)
     }
 
-    fn round_of(path: &Path) -> Option<usize> {
-        path.file_stem()?
-            .to_str()?
-            .strip_prefix("snap-r")?
-            .parse()
-            .ok()
-    }
-
     fn prune(&self) -> Result<(), CoreError> {
         let paths = self.snapshots()?;
-        if paths.len() <= self.keep_last {
-            return Ok(());
-        }
-        let cutoff = paths.len() - self.keep_last;
+        let cutoff = paths.len().saturating_sub(KEEP_LAST);
         for path in &paths[..cutoff] {
-            let keep_periodic = self.keep_every > 0
-                && Self::round_of(path).is_some_and(|r| r % self.keep_every == 0);
-            if !keep_periodic {
-                fs::remove_file(path).map_err(|e| io_err("pruning", path, e))?;
-            }
+            fs::remove_file(path).map_err(|e| io_err("pruning", path, e))?;
         }
         Ok(())
     }
@@ -196,20 +162,14 @@ mod tests {
     }
 
     #[test]
-    fn retention_keeps_last_n_plus_periodic() {
+    fn retention_keeps_newest_three() {
         let dir = temp_dir("retention");
-        let store = SnapshotStore::open(&dir).unwrap().with_retention(2, 5);
+        let store = SnapshotStore::open(&dir).unwrap();
         for r in 1..=12 {
             store.save_snapshot(&snap(r)).unwrap();
         }
-        let rounds: Vec<usize> = store
-            .snapshots()
-            .unwrap()
-            .iter()
-            .map(|p| SnapshotStore::round_of(p).unwrap())
-            .collect();
-        // Last 2 (11, 12) plus multiples of 5 (5, 10).
-        assert_eq!(rounds, vec![5, 10, 11, 12]);
+        let newest: Vec<PathBuf> = [10, 11, 12].map(|r| store.path_for(r)).into();
+        assert_eq!(store.snapshots().unwrap(), newest);
         fs::remove_dir_all(&dir).unwrap();
     }
 

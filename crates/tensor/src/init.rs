@@ -1,4 +1,4 @@
-//! Weight initialisers (Kaiming / Xavier / normal / uniform).
+//! Weight initialisers (Kaiming / normal / uniform).
 //!
 //! All initialisers take an explicit RNG so every experiment in the
 //! workspace is exactly reproducible from its seed.
@@ -14,18 +14,6 @@ use crate::Tensor;
 /// `fan_in` for a conv weight `[out, in, kh, kw]` is `in·kh·kw`.
 pub fn kaiming_uniform(shape: &[usize], fan_in: usize, rng: &mut impl Rng) -> Tensor {
     let bound = (6.0 / fan_in.max(1) as f32).sqrt();
-    uniform(shape, -bound, bound, rng)
-}
-
-/// Xavier/Glorot uniform initialisation:
-/// `U(−√(6/(fan_in+fan_out)), +…)`.
-pub fn xavier_uniform(
-    shape: &[usize],
-    fan_in: usize,
-    fan_out: usize,
-    rng: &mut impl Rng,
-) -> Tensor {
-    let bound = (6.0 / (fan_in + fan_out).max(1) as f32).sqrt();
     uniform(shape, -bound, bound, rng)
 }
 

@@ -157,3 +157,36 @@ proptest! {
         prop_assert_eq!(back, lines);
     }
 }
+
+/// `7.038531e-26` is the one positive finite `f32` whose shortest `{}`
+/// text, parsed as `f64` and then cast to `f32`, lands on a different
+/// `f32`: the two roundings disagree. A reader that takes every float
+/// through `f64` (as `serde_json` does) would corrupt it, so the trace
+/// lexer must parse `f32` fields from their text directly.
+#[test]
+fn f32_broken_by_an_f64_detour_roundtrips() {
+    let x = f32::from_bits(0x15ae_43fd);
+    assert_ne!(
+        x.to_string().parse::<f64>().unwrap() as f32,
+        x,
+        "the f64 detour no longer changes this value"
+    );
+    for v in [x, -x] {
+        let events = [
+            TraceEvent::ClientTrain {
+                round: 1,
+                client: 2,
+                tag: 0,
+                loss: v,
+                samples: 10,
+                macs_per_sample: 100,
+            },
+            TraceEvent::Eval { round: 1, full: v },
+        ];
+        for event in events {
+            let line = TraceLine::Event(event);
+            let text = encode_line(&line);
+            assert_eq!(parse_line(&text).unwrap(), line, "{text}");
+        }
+    }
+}

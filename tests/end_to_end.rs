@@ -135,48 +135,3 @@ fn eval_levels_match_method_structure() {
     let all = sim.run(MethodKind::AllLarge);
     assert!(all.evals[0].levels.is_empty());
 }
-
-/// Client dropout: with partial availability, fewer clients
-/// participate but the run still completes and learns.
-#[test]
-fn partial_availability_still_trains() {
-    let mut cfg = SimConfig::quick_test(908);
-    cfg.rounds = 6;
-    cfg.eval_every = 6;
-    let spec = spec4();
-    let full_params = cfg.model.num_params(&cfg.model.full_plan());
-    let fleet = adaptivefl::device::DeviceFleet::with_proportions(
-        cfg.num_clients,
-        cfg.proportions,
-        full_params,
-        cfg.dynamics,
-        cfg.seed,
-    )
-    .with_availability(0.6);
-    let mut sim = Simulation::prepare(&cfg, &spec, Partition::Iid).with_fleet(fleet);
-    let r = sim.run(MethodKind::AdaptiveFl);
-    // Some rounds must have fewer than K participants.
-    let short_rounds = r
-        .rounds
-        .iter()
-        .filter(|x| x.sent_params < cfg.clients_per_round as u64 * 1000)
-        .count();
-    let _ = short_rounds; // sent size varies by model; just check learning:
-    assert!(r.final_full_accuracy() > 0.3);
-}
-
-/// FedProx local training plugs into a full federated run.
-#[test]
-fn fedprox_variant_runs() {
-    let mut cfg = SimConfig::quick_test(909);
-    cfg.rounds = 5;
-    cfg.eval_every = 5;
-    cfg.local = cfg.local.with_prox(0.1);
-    let mut sim = Simulation::prepare(&cfg, &spec4(), Partition::Dirichlet(0.3));
-    let r = sim.run(MethodKind::AdaptiveFl);
-    assert!(
-        r.final_full_accuracy() > 0.25,
-        "{}",
-        r.final_full_accuracy()
-    );
-}
