@@ -1,11 +1,11 @@
-//! Renders every record under `results/` into one markdown report
-//! (`results/SUMMARY.md`) — handy after `./run_experiments.sh`. With
+//! Renders the sweep records into one markdown report,
+//! `results/SUMMARY.md`: cross-seed mean±95 % CI tables per experiment
+//! and the statistical verdict for every paper claim
+//! ([`adaptivefl_bench::sweep::report`]). `--sweep <dir>` renders the
+//! records under `<dir>` into `<dir>/SUMMARY.md` instead. With
 //! `--resume <dir>` it also reads the newest valid checkpoint of every
 //! run under `<dir>` and reports the persisted histories (method,
-//! completed rounds, best accuracy, communication waste). With
-//! `--sweep <dir>` (default `results/sweep` when it exists) it adds
-//! cross-seed mean±95 % CI tables and the statistical verdict for
-//! every paper claim the sweep covered.
+//! completed rounds, best accuracy, communication waste).
 //!
 //! ```text
 //! cargo run --release -p adaptivefl-bench --bin summarize \
@@ -15,72 +15,12 @@
 use std::fmt::Write as _;
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::process::ExitCode;
 
-use adaptivefl_bench::sweep::{evaluate_claims, read_records, summarize_cells};
+use adaptivefl_bench::sweep::{read_records, report};
 use adaptivefl_bench::{results_dir, Args};
 use adaptivefl_core::metrics::RunResult;
 use adaptivefl_store::SnapshotStore;
-use serde_json::Value;
-
-/// Cross-seed section: one mean±CI table per experiment plus the
-/// claim verdicts, all recomputed from the record files so the
-/// section never disagrees with what is on disk.
-fn sweep_section(out: &mut String, dir: &Path, label: &str) {
-    let records = match read_records(dir) {
-        Ok(r) => r,
-        Err(e) => {
-            let _ = writeln!(out, "\n## sweep ({label})\n\n*(unreadable: {e})*");
-            return;
-        }
-    };
-    let _ = writeln!(out, "\n## sweep ({label})\n");
-    if records.is_empty() {
-        let _ = writeln!(out, "*(no sweep records — run the `sweep` binary first)*");
-        return;
-    }
-
-    let summaries = summarize_cells(&records);
-    let mut current = "";
-    for s in &summaries {
-        if s.experiment != current {
-            current = &s.experiment;
-            let _ = writeln!(out, "\n### {current} (mean±95 % CI)\n");
-            let _ = writeln!(out, "| cell | seeds | full % | avg % | waste % |");
-            let _ = writeln!(out, "|---|---|---|---|---|");
-        }
-        let _ = writeln!(
-            out,
-            "| {} | {} | {} | {} | {} |",
-            s.slug,
-            s.seeds.len(),
-            s.best_full.pct_pm(),
-            s.best_avg.pct_pm(),
-            s.comm_waste.pct_pm(),
-        );
-    }
-
-    let verdicts = evaluate_claims(&records);
-    let _ = writeln!(out, "\n### verdicts\n");
-    let _ = writeln!(
-        out,
-        "| claim | status | n | wins/losses/ties | p | mean diff |"
-    );
-    let _ = writeln!(out, "|---|---|---|---|---|---|");
-    for c in &verdicts.claims {
-        let _ = writeln!(
-            out,
-            "| {} | **{}** | {} | {}/{}/{} | {:.4} | {:+.4} |",
-            c.id, c.status, c.n, c.wins, c.losses, c.ties, c.p, c.mean_diff,
-        );
-    }
-    let (reproduced, partial, not, no_data) = verdicts.tally();
-    let _ = writeln!(
-        out,
-        "\n*({} claims: {reproduced} reproduced, {partial} partial, {not} not, {no_data} no-data; seeds {:?})*",
-        verdicts.claims.len(),
-        verdicts.seeds,
-    );
-}
 
 /// One markdown table row per run directory under `dir`, built from
 /// each run's newest valid snapshot. Histories round-trip through the
@@ -132,7 +72,7 @@ fn checkpoint_section(out: &mut String, dir: &Path) {
     let _ = writeln!(out, "\n*({shown} checkpointed runs)*");
 }
 
-fn main() {
+fn main() -> ExitCode {
     let (args, rest) = Args::parse_from(std::env::args().skip(1));
     let mut sweep_dir: Option<PathBuf> = None;
     let mut it = rest.into_iter();
@@ -144,97 +84,34 @@ fn main() {
             other => eprintln!("ignoring unknown argument {other}"),
         }
     }
-    let dir = results_dir();
-    // Default to results/sweep when it exists, so a plain `summarize`
-    // after a sweep picks the statistics up without extra flags. The
-    // label keeps the committed report free of absolute paths.
-    let mut sweep_label = String::from("results/sweep");
-    match &sweep_dir {
-        Some(d) => sweep_label = d.display().to_string(),
-        None if dir.join("sweep").is_dir() => sweep_dir = Some(dir.join("sweep")),
-        None => {}
-    }
-    let mut out = String::from("# AdaptiveFL reproduction — results summary\n");
-    let mut entries: Vec<_> = fs::read_dir(&dir)
-        .expect("results dir readable")
-        .filter_map(Result::ok)
-        .map(|e| e.path())
-        .filter(|p| p.extension().is_some_and(|e| e == "json"))
-        .collect();
-    entries.sort();
-
-    for path in entries {
-        let name = path.file_stem().and_then(|s| s.to_str()).unwrap_or("?");
-        let Ok(body) = fs::read_to_string(&path) else {
-            continue;
-        };
-        let Ok(value) = serde_json::from_str::<Value>(&body) else {
-            continue;
-        };
-        let _ = writeln!(out, "\n## {name}\n");
-        match &value {
-            Value::Array(rows) if !rows.is_empty() => {
-                // Render an array of flat objects as a table.
-                if let Some(Value::Object(first)) = rows.first() {
-                    let cols: Vec<&String> = first.keys().collect();
-                    let _ = writeln!(
-                        out,
-                        "| {} |",
-                        cols.iter()
-                            .map(|c| c.as_str())
-                            .collect::<Vec<_>>()
-                            .join(" | ")
-                    );
-                    let _ = writeln!(
-                        out,
-                        "|{}|",
-                        cols.iter().map(|_| "---").collect::<Vec<_>>().join("|")
-                    );
-                    for row in rows {
-                        if let Value::Object(obj) = row {
-                            let cells: Vec<String> = cols
-                                .iter()
-                                .map(|c| match obj.get(c) {
-                                    Some(Value::Number(n)) => {
-                                        let f = n.as_f64().unwrap_or(0.0);
-                                        if f.fract() == 0.0 && f.abs() < 1e15 {
-                                            format!("{f:.0}")
-                                        } else {
-                                            format!("{f:.4}")
-                                        }
-                                    }
-                                    Some(Value::String(s)) => s.clone(),
-                                    Some(v) => v.to_string(),
-                                    None => String::new(),
-                                })
-                                .collect();
-                            let _ = writeln!(out, "| {} |", cells.join(" | "));
-                        }
-                    }
-                } else {
-                    let _ = writeln!(out, "```json\n{body}\n```");
-                }
-            }
-            _ => {
-                let _ = writeln!(out, "```json\n{body}\n```");
-            }
+    // The committed report renders results/sweep into results/. Any
+    // other record directory gets its report next to its records, so
+    // it never overwrites the committed one. The label keeps the
+    // committed report free of absolute paths.
+    let (sweep_dir, label, target) = match sweep_dir {
+        Some(d) => (d.clone(), d.display().to_string(), d.join("SUMMARY.md")),
+        None => {
+            let dir = results_dir();
+            (
+                dir.join("sweep"),
+                "results/sweep".into(),
+                dir.join("SUMMARY.md"),
+            )
         }
-        let _ = writeln!(
-            out,
-            "\n*({} entries)*",
-            value.as_array().map_or(1, Vec::len)
-        );
-    }
-
-    if let Some(sweep) = &sweep_dir {
-        sweep_section(&mut out, sweep, &sweep_label);
-    }
-
+    };
+    let records = match read_records(&sweep_dir) {
+        Ok(r) => r,
+        Err(e) => {
+            eprintln!("cannot read sweep records under {label}: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let mut out = report::summary(&records, &label);
     if let Some(ckpt_dir) = &args.resume {
         checkpoint_section(&mut out, ckpt_dir);
     }
 
-    let target = dir.join("SUMMARY.md");
     fs::write(&target, out).expect("write summary");
     println!("wrote {}", target.display());
+    ExitCode::SUCCESS
 }

@@ -11,23 +11,30 @@
 //!
 //! Runs `cells × seeds` fully isolated jobs across `--jobs` worker
 //! threads (hardware default), writing one record per job under
-//! `<out>/<slug>/<seed>.json` (default `results/sweep/`), then
-//! aggregates mean ± 95 % CI per cell into `<out>/stats.json` and
-//! re-evaluates every paper claim as a sign-test verdict in
-//! `<out>/verdicts.json`. Jobs already recorded are skipped, so an
-//! interrupted sweep resumes where it stopped; `--check FILE`
-//! schema-validates an existing verdicts file and exits.
+//! `<out>/<slug>/<seed>.json` (default `results/sweep/`, which holds
+//! fast-mode records only: `--tiny` and `--full` need another
+//! `--out`), then aggregates mean ± 95 % CI per cell into
+//! `<out>/stats.json`, re-evaluates every paper claim as a sign-test
+//! verdict in `<out>/verdicts.json` and prints both as markdown. Jobs
+//! already recorded are skipped, so an interrupted sweep resumes where
+//! it stopped; `--check FILE` schema-validates an existing verdicts
+//! file and exits.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use adaptivefl_bench::sweep::io::{read_records, record_path, write_record};
 use adaptivefl_bench::sweep::{
-    evaluate_claims, grids, run_parallel, summarize_cells, Cell, CellRecord, JobOpts, VerdictsFile,
+    evaluate_claims, grids, report, run_parallel, summarize_cells, Cell, CellRecord, JobOpts,
+    VerdictsFile,
 };
-use adaptivefl_bench::{print_table, Args};
+use adaptivefl_bench::Args;
 
+/// The committed record store: fast-mode records only.
+const DEFAULT_OUT: &str = "results/sweep";
+
+#[derive(Debug)]
 struct SweepFlags {
     tiny: bool,
     experiments: Option<Vec<String>>,
@@ -35,21 +42,26 @@ struct SweepFlags {
     check: Option<PathBuf>,
 }
 
-fn parse_sweep_flags(leftovers: Vec<String>) -> SweepFlags {
+/// Parses the sweep-specific flags left over by [`Args::parse_from`].
+///
+/// `--tiny` and `--full` cells keep the fast cells' slugs, so their
+/// records would land in the committed store as if they were fast
+/// ones, and later sweeps would skip and aggregate them. Both
+/// therefore need an explicit `--out` other than [`DEFAULT_OUT`].
+fn parse_sweep_flags(args: &Args, leftovers: Vec<String>) -> Result<SweepFlags, String> {
     let mut flags = SweepFlags {
         tiny: false,
         experiments: None,
-        out: PathBuf::from("results/sweep"),
+        out: PathBuf::from(DEFAULT_OUT),
         check: None,
     };
     let mut it = leftovers.into_iter();
     while let Some(a) = it.next() {
+        let mut value = |what: &str| it.next().ok_or(format!("{a} needs {what}"));
         match a.as_str() {
             "--tiny" => flags.tiny = true,
             "--experiments" => {
-                let list = it
-                    .next()
-                    .expect("--experiments needs a comma-separated list");
+                let list = value("a comma-separated list")?;
                 flags.experiments = Some(
                     list.split(',')
                         .map(|s| s.trim().to_string())
@@ -57,17 +69,18 @@ fn parse_sweep_flags(leftovers: Vec<String>) -> SweepFlags {
                         .collect(),
                 );
             }
-            "--out" => flags.out = PathBuf::from(it.next().expect("--out needs a directory")),
-            "--check" => {
-                flags.check = Some(PathBuf::from(it.next().expect("--check needs a file")))
-            }
-            other => {
-                eprintln!("unknown sweep argument {other}");
-                std::process::exit(2);
-            }
+            "--out" => flags.out = PathBuf::from(value("a directory")?),
+            "--check" => flags.check = Some(PathBuf::from(value("a file")?)),
+            other => return Err(format!("unknown sweep argument {other}")),
         }
     }
-    flags
+    if (flags.tiny || args.full) && flags.out == Path::new(DEFAULT_OUT) {
+        return Err(format!(
+            "--tiny and --full records must not mix with the fast records in {DEFAULT_OUT}; \
+             pass --out DIR"
+        ));
+    }
+    Ok(flags)
 }
 
 fn check_verdicts(path: &PathBuf) -> ExitCode {
@@ -105,7 +118,13 @@ fn check_verdicts(path: &PathBuf) -> ExitCode {
 
 fn main() -> ExitCode {
     let (args, leftovers) = Args::parse_from(std::env::args().skip(1));
-    let flags = parse_sweep_flags(leftovers);
+    let flags = match parse_sweep_flags(&args, leftovers) {
+        Ok(f) => f,
+        Err(e) => {
+            eprintln!("sweep: {e}");
+            return ExitCode::from(2);
+        }
+    };
     if let Some(path) = &flags.check {
         return check_verdicts(path);
     }
@@ -182,34 +201,6 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     let summaries = summarize_cells(&records);
-    let mut current = "";
-    let mut rows: Vec<Vec<String>> = Vec::new();
-    for s in &summaries {
-        if s.experiment != current && !rows.is_empty() {
-            print_table(
-                &format!("sweep: {current} (mean\u{b1}95% CI)"),
-                &["cell", "n", "full %", "avg %", "waste %"],
-                &rows,
-            );
-            rows.clear();
-        }
-        current = &s.experiment;
-        rows.push(vec![
-            s.slug.clone(),
-            s.best_full.n.to_string(),
-            s.best_full.pct_pm(),
-            s.best_avg.pct_pm(),
-            s.comm_waste.pct_pm(),
-        ]);
-    }
-    if !rows.is_empty() {
-        print_table(
-            &format!("sweep: {current} (mean\u{b1}95% CI)"),
-            &["cell", "n", "full %", "avg %", "waste %"],
-            &rows,
-        );
-    }
-
     let stats_path = flags.out.join("stats.json");
     std::fs::write(
         &stats_path,
@@ -227,14 +218,42 @@ fn main() -> ExitCode {
     .expect("write verdicts.json");
     println!("[wrote {}]", verdicts_path.display());
 
-    println!("\n== verdicts ==");
-    for c in &verdicts.claims {
-        println!(
-            "  {:<11} {:<32} wins {:>2} losses {:>2} ties {:>2}  p={:.4}  {}",
-            c.status, c.id, c.wins, c.losses, c.ties, c.p, c.description
-        );
-    }
-    let (r, p, n, nd) = verdicts.tally();
-    println!("\n{r} reproduced, {p} partial, {n} not reproduced, {nd} without data");
+    print!("{}", report::tables(&summaries, &verdicts));
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(words: &[&str]) -> Result<SweepFlags, String> {
+        let (args, rest) = Args::parse_from(words.iter().map(|s| s.to_string()));
+        parse_sweep_flags(&args, rest)
+    }
+
+    #[test]
+    fn fast_sweeps_default_to_the_committed_store() {
+        let f = parse(&["--experiments", "fig3, fig6", "--seeds", "2024,"]).unwrap();
+        assert_eq!(f.out, PathBuf::from(DEFAULT_OUT));
+        assert_eq!(f.experiments, Some(vec!["fig3".into(), "fig6".into()]));
+        assert!(!f.tiny);
+    }
+
+    #[test]
+    fn tiny_and_full_need_their_own_out_dir() {
+        for flag in ["--tiny", "--full"] {
+            assert!(parse(&[flag]).is_err(), "{flag}");
+            assert!(parse(&[flag, "--out", DEFAULT_OUT]).is_err(), "{flag}");
+            let f = parse(&[flag, "--out", "/tmp/sweep"]).unwrap();
+            assert_eq!(f.out, PathBuf::from("/tmp/sweep"));
+        }
+        assert!(parse(&["--tiny", "--out", "/tmp/sweep"]).unwrap().tiny);
+    }
+
+    #[test]
+    fn bad_arguments_are_errors() {
+        assert!(parse(&["--bogus"]).is_err());
+        assert!(parse(&["--out"]).is_err());
+        assert!(parse(&["--check"]).is_err());
+    }
 }

@@ -1,25 +1,27 @@
 //! Table 1: split settings of VGG16 — level, pruning configuration
 //! `(r_w, I)`, #PARAMS, #FLOPS and size ratio, computed analytically on
-//! the full-size architecture (3×32×32 input, 10 classes).
+//! the full-size architecture (3×32×32 input, 10 classes). It only
+//! prints: `tests/paper_invariants.rs` and the pool tests pin the
+//! numbers.
 //!
 //! ```text
 //! cargo run --release -p adaptivefl-bench --bin table1
 //! ```
 
-use adaptivefl_bench::{print_table, write_json};
 use adaptivefl_core::pool::{ModelPool, DEFAULT_RATIOS};
 use adaptivefl_models::cost::cost_of;
 use adaptivefl_models::ModelConfig;
-use serde::Serialize;
 
-#[derive(Serialize)]
-struct Row {
-    level: String,
-    r_w: f32,
-    start_unit: usize,
-    params: u64,
-    macs: u64,
-    ratio: f64,
+/// Prints a fixed-width table.
+fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
+    println!("\n== {title} ==");
+    let width = 12usize;
+    let head: Vec<String> = headers.iter().map(|h| format!("{h:>width$}")).collect();
+    println!("{}", head.join(" "));
+    for row in rows {
+        let cells: Vec<String> = row.iter().map(|c| format!("{c:>width$}")).collect();
+        println!("{}", cells.join(" "));
+    }
 }
 
 fn main() {
@@ -27,7 +29,6 @@ fn main() {
     let pool = ModelPool::split(&cfg, 3, DEFAULT_RATIOS);
     let full = pool.largest().params as f64;
 
-    let mut records = Vec::new();
     let mut rows = Vec::new();
     // Paper order: L_1, M_1..M_3, S_1..S_3.
     let mut entries: Vec<_> = pool.entries().iter().collect();
@@ -53,14 +54,6 @@ fn main() {
             format!("{:.2}M", c.macs as f64 / 1e6),
             format!("{:.2}", c.params as f64 / full),
         ]);
-        records.push(Row {
-            level: e.name(),
-            r_w: e.spec.r_w,
-            start_unit: e.spec.start_unit,
-            params: c.params,
-            macs: c.macs,
-            ratio: c.params as f64 / full,
-        });
     }
 
     print_table(
@@ -68,5 +61,4 @@ fn main() {
         &["Level", "r_w", "I", "#PARAMS", "#FLOPS", "ratio"],
         &rows,
     );
-    write_json("table1", &records);
 }

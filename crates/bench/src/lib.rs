@@ -1,40 +1,35 @@
-//! Shared experiment harness for the table/figure reproduction
-//! binaries.
+//! Experiment harness for the paper's tables and figures.
 //!
-//! Each binary in `src/bin/` regenerates one table or figure of the
-//! paper: it prints the paper-shaped rows to stdout and writes
-//! machine-readable JSON/CSV records under `results/`.
+//! Every experiment's grid of runs is data in [`sweep::grids`]. The
+//! `sweep` binary runs any subset of the grids as `cells × seeds`
+//! isolated jobs and writes one record per job under
+//! `results/sweep/<slug>/<seed>.json`; those records are the only run
+//! output. `summarize` renders them into `results/SUMMARY.md` through
+//! [`sweep::report`], and `table1` prints the analytic Table 1.
 //!
-//! All binaries accept `--full` for a larger (slower) configuration,
-//! `--seed <n>` to change the master seed, `--resume <dir>` to
-//! checkpoint every run into per-run subdirectories of `<dir>` and
-//! continue interrupted runs from their newest valid snapshot, and
+//! `sweep` and `summarize` share one flag parser, [`Args`]: `--full`
+//! for a larger (slower) configuration, `--seed`/`--seeds` for the
+//! seeds, `--jobs` for worker threads, `--resume <dir>` to checkpoint
+//! every run into its own subdirectory of `<dir>` and continue
+//! interrupted runs from their newest valid snapshot, and
 //! `--trace <dir>` to stream one `.jsonl` trace per run into `<dir>`
-//! (render them with the `trace_report` bin); the default fast mode is
+//! (render them with the `trace_report` bin). The default fast mode is
 //! calibrated for a single CPU core.
-//!
-//! Each experiment's grid of runs is exposed as data by
-//! [`sweep::grids`], and the `sweep` binary runs any subset of the
-//! grids as `cells × seeds` parallel jobs with statistical aggregation
-//! (see the [`sweep`] module).
 
 pub mod sweep;
 
 use std::fs;
 use std::path::PathBuf;
-use std::sync::Arc;
 
 use adaptivefl_core::sim::SimConfig;
 use adaptivefl_data::SynthSpec;
 use adaptivefl_models::ModelConfig;
-use adaptivefl_trace::JsonlTracer;
-use serde::Serialize;
 
 /// Rounds between checkpoints when `--resume` is active.
 pub const CHECKPOINT_EVERY: usize = 5;
 
-/// Command-line options shared by every experiment binary — one
-/// parser for the whole suite, so no bin hand-rolls its own flag loop.
+/// Command-line options shared by the `sweep` and `summarize`
+/// binaries — one parser, so no bin hand-rolls the common flags.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Args {
     /// Larger, slower configuration (more rounds/samples).
@@ -45,7 +40,7 @@ pub struct Args {
     /// `--seeds a,b,c` is an explicit list). Defaults to `[seed]`.
     pub seeds: Vec<u64>,
     /// Parallel sweep jobs (`--jobs <n>`); `None` lets the sweep
-    /// engine pick the hardware default. Single-run bins ignore it.
+    /// engine pick the hardware default.
     pub jobs: Option<usize>,
     /// Checkpoint directory: every run checkpoints into its own
     /// subdirectory and resumes from it after an interruption.
@@ -70,19 +65,9 @@ impl Default for Args {
 
 impl Args {
     /// Parses the shared flags (`--full`, `--seed <n>`, `--seeds
-    /// <n|a,b,c>`, `--jobs <n>`, `--resume <dir>`, `--trace <dir>`)
-    /// from `std::env::args`, warning about anything unrecognised.
-    pub fn parse() -> Self {
-        let (args, rest) = Self::parse_from(std::env::args().skip(1));
-        for a in rest {
-            eprintln!("ignoring unknown argument {a}");
-        }
-        args
-    }
-
-    /// The testable core of [`Args::parse`]: consumes the shared flags
-    /// and returns everything it did not recognise (binary-specific
-    /// flags like the sweep's `--out`) in input order.
+    /// <n|a,b,c>`, `--jobs <n>`, `--resume <dir>`, `--trace <dir>`) and
+    /// returns everything it did not recognise (binary-specific flags
+    /// like the sweep's `--out`) in input order.
     ///
     /// `--seeds` accepts either a count (`--seeds 3` sweeps `seed`,
     /// `seed+1`, `seed+2`, regardless of flag order relative to
@@ -167,60 +152,11 @@ pub fn sanitize_slug(slug: &str) -> String {
         .collect()
 }
 
-pub(crate) fn finish_trace(tracer: Option<Arc<JsonlTracer>>) {
-    if let Some(t) = tracer {
-        t.flush().expect("flushing trace file");
-        if t.had_errors() {
-            eprintln!("warning: trace writes to {} failed", t.path().display());
-        } else {
-            println!("[traced {}]", t.path().display());
-        }
-    }
-}
-
 /// The `results/` directory at the workspace root (created on demand).
 pub fn results_dir() -> PathBuf {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results");
     fs::create_dir_all(&dir).expect("create results dir");
     dir
-}
-
-/// Writes a serialisable record as pretty JSON under `results/`.
-pub fn write_json<T: Serialize>(name: &str, value: &T) {
-    let path = results_dir().join(format!("{name}.json"));
-    let body = serde_json::to_string_pretty(value).expect("serialise results");
-    fs::write(&path, body).expect("write results file");
-    println!("[wrote {}]", path.display());
-}
-
-/// Writes CSV rows under `results/`.
-pub fn write_csv(name: &str, header: &str, rows: &[String]) {
-    let path = results_dir().join(format!("{name}.csv"));
-    let mut body = String::from(header);
-    body.push('\n');
-    for r in rows {
-        body.push_str(r);
-        body.push('\n');
-    }
-    fs::write(&path, body).expect("write csv file");
-    println!("[wrote {}]", path.display());
-}
-
-/// Prints a fixed-width table.
-pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
-    println!("\n== {title} ==");
-    let width = 12usize;
-    let head: Vec<String> = headers.iter().map(|h| format!("{h:>width$}")).collect();
-    println!("{}", head.join(" "));
-    for row in rows {
-        let cells: Vec<String> = row.iter().map(|c| format!("{c:>width$}")).collect();
-        println!("{}", cells.join(" "));
-    }
-}
-
-/// Formats a fraction as a percentage with one decimal.
-pub fn pct(x: f32) -> String {
-    format!("{:.1}", 100.0 * x)
 }
 
 /// The reduced-scale input used by all training experiments.
@@ -295,15 +231,9 @@ pub fn paper_models(
 
 /// The standard experiment configuration: the paper's protocol (100
 /// clients, 10 % participation, 4:3:3 fleet, uncertain resources) at
-/// reduced scale; `--full` raises rounds and data volume. `hard`
+/// reduced scale; `full` raises rounds and data volume. `hard`
 /// doubles the round budget for the many-class tasks (SynCIFAR-100,
 /// SynFEMNIST), which need longer to separate methods.
-pub fn experiment_cfg(model: ModelConfig, args: &Args, hard: bool) -> SimConfig {
-    experiment_cfg_for(model, args.full, args.seed, hard)
-}
-
-/// [`experiment_cfg`] with the knobs spelled out — the form the sweep
-/// grids use (they have no [`Args`]).
 pub fn experiment_cfg_for(model: ModelConfig, full: bool, seed: u64, hard: bool) -> SimConfig {
     let mut cfg = SimConfig::fast(model, seed);
     if full {
@@ -335,23 +265,8 @@ mod tests {
     fn experiment_cfg_scales_with_full() {
         let spec = syn_cifar10();
         let [(_, m), _] = paper_models(spec.classes, spec.input);
-        let fast = experiment_cfg(
-            m,
-            &Args {
-                seed: 1,
-                ..Args::default()
-            },
-            false,
-        );
-        let full = experiment_cfg(
-            m,
-            &Args {
-                full: true,
-                seed: 1,
-                ..Args::default()
-            },
-            true,
-        );
+        let fast = experiment_cfg_for(m, false, 1, false);
+        let full = experiment_cfg_for(m, true, 1, true);
         assert!(full.rounds > fast.rounds);
         assert!(full.samples_per_client > fast.samples_per_client);
     }
@@ -419,11 +334,6 @@ mod tests {
     #[should_panic(expected = "--jobs")]
     fn args_rejects_zero_jobs() {
         parse(&["--jobs", "0"]);
-    }
-
-    #[test]
-    fn pct_formats() {
-        assert_eq!(pct(0.8314), "83.1");
     }
 
     #[test]

@@ -14,7 +14,7 @@ use adaptivefl_models::{ModelConfig, ModelKind};
 use adaptivefl_store::{run_or_resume, SnapshotStore};
 use adaptivefl_trace::JsonlTracer;
 
-use crate::{finish_trace, sanitize_slug, Args, CHECKPOINT_EVERY};
+use crate::{sanitize_slug, CHECKPOINT_EVERY};
 
 /// How a cell instantiates its method.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -190,7 +190,31 @@ impl Cell {
     /// `<slug>-s<seed>`.
     pub fn execute(&self, seed: u64, opts: &JobOpts) -> RunResult {
         let store_slug = format!("{}-s{seed}", self.slug);
-        run_prepared(self, seed, &store_slug, opts)
+        let mut sim = self.prepare(seed);
+        let tracer = opts.trace.as_ref().map(|dir| {
+            let path = dir.join(format!("{store_slug}.jsonl"));
+            let t = Arc::new(JsonlTracer::create(&path).expect("creating trace file"));
+            sim.set_tracer(Arc::clone(&t) as Arc<dyn adaptivefl_core::trace::Tracer>);
+            t
+        });
+        let kind = self.run.kind();
+        let result = match &opts.resume {
+            None => sim.run(kind),
+            Some(dir) => {
+                let mut store =
+                    SnapshotStore::open(dir.join(&store_slug)).expect("opening checkpoint store");
+                run_or_resume(
+                    &mut sim,
+                    kind,
+                    &mut PerfectTransport,
+                    &mut store,
+                    CHECKPOINT_EVERY,
+                )
+                .expect("checkpointed run")
+            }
+        };
+        finish_trace(tracer);
+        result
     }
 
     /// A miniature copy for smoke tests and CI: TinyCnn at the cell's
@@ -224,43 +248,16 @@ impl Cell {
     }
 }
 
-/// Runs a cell the way the original single-seed bins do: at the
-/// grid's base seed, with `--resume`/`--trace` artifacts named by the
-/// cell slug alone (no seed suffix), matching the pre-sweep layout.
-pub fn run_cell_inline(cell: &Cell, args: &Args) -> RunResult {
-    let opts = JobOpts {
-        resume: args.resume.clone(),
-        trace: args.trace.clone(),
-    };
-    run_prepared(cell, cell.cfg.seed, &cell.slug, &opts)
-}
-
-fn run_prepared(cell: &Cell, seed: u64, store_slug: &str, opts: &JobOpts) -> RunResult {
-    let mut sim = cell.prepare(seed);
-    let tracer = opts.trace.as_ref().map(|dir| {
-        let path = dir.join(format!("{store_slug}.jsonl"));
-        let t = Arc::new(JsonlTracer::create(&path).expect("creating trace file"));
-        sim.set_tracer(Arc::clone(&t) as Arc<dyn adaptivefl_core::trace::Tracer>);
-        t
-    });
-    let kind = cell.run.kind();
-    let result = match &opts.resume {
-        None => sim.run(kind),
-        Some(dir) => {
-            let mut store =
-                SnapshotStore::open(dir.join(store_slug)).expect("opening checkpoint store");
-            run_or_resume(
-                &mut sim,
-                kind,
-                &mut PerfectTransport,
-                &mut store,
-                CHECKPOINT_EVERY,
-            )
-            .expect("checkpointed run")
+/// Flushes a job's trace file and reports where it went.
+fn finish_trace(tracer: Option<Arc<JsonlTracer>>) {
+    if let Some(t) = tracer {
+        t.flush().expect("flushing trace file");
+        if t.had_errors() {
+            eprintln!("warning: trace writes to {} failed", t.path().display());
+        } else {
+            println!("[traced {}]", t.path().display());
         }
-    };
-    finish_trace(tracer);
-    result
+    }
 }
 
 #[cfg(test)]

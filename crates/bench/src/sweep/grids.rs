@@ -1,10 +1,11 @@
 //! Every experiment's run grid as data.
 //!
-//! Each function mirrors its binary in `src/bin/` cell for cell —
-//! same models, datasets, partitions, configuration overrides and
-//! slugs — so the bins themselves iterate these grids and the sweep
-//! engine reruns the exact same cells at other seeds. Table 1 is
-//! purely analytic (no simulation, no randomness) and has no grid.
+//! Each function lists one table or figure of the paper cell for cell:
+//! models, datasets, partitions, configuration overrides and slugs.
+//! The sweep engine runs these cells at any seed, and a cell's slug
+//! names its records under `results/sweep/`. Table 1 is purely
+//! analytic (no simulation, no randomness) and has no grid; the
+//! `table1` binary prints it.
 
 use adaptivefl_core::methods::MethodKind;
 use adaptivefl_core::select::SelectionStrategy;
@@ -476,7 +477,7 @@ mod tests {
     use std::collections::BTreeSet;
 
     #[test]
-    fn grid_sizes_match_the_bins() {
+    fn grid_sizes_match_the_paper() {
         // table2: 7 dataset/partition columns × 2 models × 5 methods.
         assert_eq!(table2(false, 1).len(), 70);
         assert_eq!(table3(false, 1).len(), 16);

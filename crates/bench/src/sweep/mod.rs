@@ -1,12 +1,10 @@
-//! The parallel multi-seed sweep engine.
+//! The parallel multi-seed sweep engine — the only way experiments
+//! run.
 //!
-//! The single-seed experiment bins check the paper's claims against
-//! one sample per cell; at this scale run-to-run noise on a single
-//! cell is several accuracy points. This module turns the same grids
-//! into `cells × seeds` jobs:
+//! At this scale run-to-run noise on a single cell is several accuracy
+//! points, so every experiment is measured as `cells × seeds` jobs:
 //!
-//! * [`grids`] exposes every bin's cell grid as data — the bins and
-//!   the sweep iterate the exact same [`Cell`]s;
+//! * [`grids`] exposes every experiment's cell grid as data;
 //! * [`scheduler`] fans the jobs out over worker threads that pull
 //!   from a shared atomic queue; every job is fully isolated (own
 //!   environment, own RNG streams derived from its seed, own scratch
@@ -18,7 +16,9 @@
 //! * [`stats`] aggregates mean / std / 95 % CI per cell and provides
 //!   the paired sign test;
 //! * [`verdicts`] re-evaluates every EXPERIMENTS.md claim as a
-//!   machine-checkable statistical verdict (`verdicts.json`).
+//!   machine-checkable statistical verdict (`verdicts.json`);
+//! * [`report`] renders the statistics and verdicts as markdown
+//!   (`results/SUMMARY.md`).
 //!
 //! Run it with the `sweep` binary:
 //!
@@ -30,11 +30,12 @@ pub mod cell;
 pub mod grids;
 pub mod io;
 pub mod record;
+pub mod report;
 pub mod scheduler;
 pub mod stats;
 pub mod verdicts;
 
-pub use cell::{run_cell_inline, Cell, CellRun, FleetSpec, JobOpts};
+pub use cell::{Cell, CellRun, FleetSpec, JobOpts};
 pub use io::{read_records, write_record};
 pub use record::{CellRecord, CurvePoint};
 pub use scheduler::run_parallel;

@@ -1,52 +1,49 @@
 #!/bin/bash
-# Regenerates every table and figure of the paper; logs under results/.
+# Regenerates every table and figure of the paper; logs under results/logs/.
 #
-# Flags are forwarded to every binary: --full (larger configuration),
-# --seed <n>, --resume <dir>, and --trace <dir>. With --resume each run
-# checkpoints into its own subdirectory of <dir> every few rounds, so
-# rerunning this script after a crash or interruption continues every
-# run from its newest valid snapshot instead of starting over. With
-# --trace each run streams a .jsonl trace into <dir>, and the script
-# renders a combined trace_report at the end.
-#
-# For multi-seed statistics with confidence intervals and verdicts,
-# run the sweep engine instead:
-#   ./target/release/sweep --seeds 3 --jobs "$(nproc)"
+# Steps: table1 (analytic, printed only), then the sweep over every
+# experiment grid, then summarize, which renders results/SUMMARY.md
+# from the sweep records. Flags are forwarded to the sweep: --seeds
+# <n|a,b,c>, --jobs <n>, --experiments <list>, --out <dir>, --full
+# (needs --out), --resume <dir> and --trace <dir>. Records already on
+# disk are skipped, so rerunning after an interruption continues where
+# it stopped. With --out the summary goes to <dir>/SUMMARY.md instead
+# of results/SUMMARY.md; with --trace the script renders a combined
+# trace_report at the end. Build first: cargo build --release
 #
 # pipefail matters: every run is piped through tee, and without it a
-# crashed experiment would vanish into tee's exit status 0.
+# crashed step would vanish into tee's exit status 0.
 set -uo pipefail
-cd /root/repo
+cd "$(dirname "$0")"
 mkdir -p results/logs
 
-# Detect --trace <dir> among the forwarded flags so we can render the
-# report afterwards; the flag itself still reaches every binary.
+# Pick --out <dir> and --trace <dir> out of the forwarded flags for
+# the summary and the trace report; the flags still reach the sweep.
+out_dir=""
 trace_dir=""
 prev=""
 for a in "$@"; do
-    if [ "$prev" = "--trace" ]; then
-        trace_dir="$a"
-    fi
+    case "$prev" in
+        --out) out_dir="$a" ;;
+        --trace) trace_dir="$a" ;;
+    esac
     prev="$a"
 done
 
-for exp in table1 table2 table3 table4 fig2 fig3 fig4 fig5 fig6 ablation; do
-    echo "=== running $exp ($(date +%H:%M:%S)) ==="
-    if ! ./target/release/$exp "$@" 2>&1 | tee results/logs/$exp.log; then
-        echo "=== FAILED: $exp — see results/logs/$exp.log ===" >&2
+step() {
+    local name="$1"
+    shift
+    echo "=== running $name ($(date +%H:%M:%S)) ==="
+    if ! ./target/release/"$name" "$@" 2>&1 | tee "results/logs/$name.log"; then
+        echo "=== FAILED: $name — see results/logs/$name.log ===" >&2
         exit 1
     fi
-done
-echo "=== rendering summary ==="
-if ! ./target/release/summarize "$@" 2>&1 | tee results/logs/summarize.log; then
-    echo "=== FAILED: summarize — see results/logs/summarize.log ===" >&2
-    exit 1
-fi
+}
+
+step table1
+step sweep "$@"
+step summarize ${out_dir:+--sweep "$out_dir"}
 if [ -n "$trace_dir" ]; then
-    echo "=== rendering trace report ==="
-    if ! ./target/release/trace_report "$trace_dir" 2>&1 | tee results/logs/trace_report.log; then
-        echo "=== FAILED: trace_report — see results/logs/trace_report.log ===" >&2
-        exit 1
-    fi
+    step trace_report "$trace_dir"
 fi
 echo "=== all experiments done ($(date +%H:%M:%S)) ==="

@@ -46,8 +46,8 @@
 //! `SynthSpec::test_spec(4)` with an 8×8 input.)
 //!
 //! See `examples/` for runnable end-to-end scenarios and the
-//! `adaptivefl-bench` crate for the binaries that regenerate every
-//! table and figure of the paper.
+//! `adaptivefl-bench` crate for the experiment grids and the `sweep`
+//! binary that regenerates every table and figure of the paper.
 
 /// Simulated federated transport: wire messages, fault injection,
 /// round deadlines, parallel client execution.
