@@ -1,14 +1,14 @@
-//! Work-stealing job scheduler for the sweep.
+//! Job scheduler for the sweep: the core's deterministic executor.
 //!
-//! The same executor shape as `adaptivefl-comm`'s round executor:
-//! crossbeam-scoped workers self-schedule by atomically claiming the
-//! next unclaimed job index, so a slow job never stalls the queue
-//! behind it. Results are re-sorted into submission order before
-//! returning — the caller sees the same `Vec` at any thread count,
-//! which is what makes sweep output thread-count-independent.
+//! Cells run on [`adaptivefl_core::executor`], the same self-scheduling
+//! pool that runs `SimTransport`'s client jobs and every method's
+//! evaluation units: workers claim the next unclaimed job index from an
+//! atomic counter, so a slow job never stalls the queue behind it, and
+//! results come back in submission order. The caller sees the same
+//! `Vec` at any thread count, which is what makes sweep output
+//! thread-count-independent.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use adaptivefl_core::executor::map_ordered;
 
 /// Runs `job(i, &jobs[i])` for every job across up to `threads`
 /// workers and returns the results in job order.
@@ -21,7 +21,8 @@ use std::sync::Mutex;
 ///
 /// # Panics
 ///
-/// Propagates a panic from any job after all workers have stopped.
+/// Panics if `threads` is 0, and propagates a panic from any job after
+/// all workers have stopped.
 pub fn run_parallel<J, R, F>(jobs: &[J], threads: usize, job: F) -> Vec<R>
 where
     J: Sync,
@@ -29,29 +30,7 @@ where
     F: Fn(usize, &J) -> R + Sync,
 {
     assert!(threads > 0, "run_parallel needs at least one thread");
-    if threads == 1 || jobs.len() <= 1 {
-        return jobs.iter().enumerate().map(|(i, j)| job(i, j)).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let done: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(jobs.len()));
-    let workers = threads.min(jobs.len());
-    crossbeam::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|_| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= jobs.len() {
-                    break;
-                }
-                let r = job(i, &jobs[i]);
-                done.lock().expect("collector lock").push((i, r));
-            });
-        }
-    })
-    .expect("sweep worker panicked");
-    let mut out = done.into_inner().expect("collector lock");
-    out.sort_by_key(|(i, _)| *i);
-    assert_eq!(out.len(), jobs.len(), "every job must report a result");
-    out.into_iter().map(|(_, r)| r).collect()
+    map_ordered(jobs.iter().collect(), threads, job)
 }
 
 #[cfg(test)]

@@ -1,11 +1,16 @@
-//! Parallel client execution on scoped threads.
+//! Client jobs on the core executor.
 //!
-//! Jobs run on up to `threads` crossbeam-scoped workers. Each client
-//! trains against an RNG derived from `(seed, round, client)` — not a
-//! shared stream — and results are sorted by client id before they are
-//! returned, so both the RNG draws and the f32 summation order of the
-//! subsequent aggregation are identical at any thread count.
+//! Each client trains against an RNG derived from `(seed, round,
+//! client)` — not a shared stream — and results are sorted by client id
+//! before they are returned, so both the RNG draws and the f32
+//! summation order of the subsequent aggregation are identical at any
+//! thread count. Jobs are handed out largest download first, so the
+//! biggest submodels do not start last and leave a worker idle at the
+//! end of the round.
 
+use std::cmp::Reverse;
+
+use adaptivefl_core::executor::map_ordered;
 use adaptivefl_core::sim::Env;
 use adaptivefl_core::transport::{ClientJob, LocalOutcome};
 
@@ -22,27 +27,8 @@ pub struct JobResult {
     pub outcome: LocalOutcome,
 }
 
-fn exec_one(env: &Env, round: usize, job: ClientJob<'_>) -> JobResult {
-    let ClientJob {
-        client,
-        tag,
-        down_params,
-        run,
-    } = job;
-    let mut rng =
-        adaptivefl_tensor::rng::derived(env.cfg.seed, &format!("sim-client-r{round}-c{client}"));
-    JobResult {
-        client,
-        tag,
-        down_params,
-        outcome: run(&mut rng),
-    }
-}
-
-/// Runs every job and returns the results sorted by client id.
-///
-/// `threads == 1` runs inline on the calling thread; higher counts
-/// fan the jobs out round-robin over scoped worker threads.
+/// Runs every job on up to `threads` workers and returns the results
+/// sorted by client id.
 ///
 /// # Panics
 ///
@@ -50,40 +36,31 @@ fn exec_one(env: &Env, round: usize, job: ClientJob<'_>) -> JobResult {
 pub fn run_jobs(
     env: &Env,
     round: usize,
-    jobs: Vec<ClientJob<'_>>,
+    mut jobs: Vec<ClientJob<'_>>,
     threads: usize,
 ) -> Vec<JobResult> {
-    let threads = threads.max(1).min(jobs.len().max(1));
-    let mut results: Vec<JobResult> = if threads == 1 {
-        jobs.into_iter().map(|j| exec_one(env, round, j)).collect()
-    } else {
-        let mut buckets: Vec<Vec<ClientJob<'_>>> = (0..threads).map(|_| Vec::new()).collect();
-        for (i, job) in jobs.into_iter().enumerate() {
-            buckets[i % threads].push(job);
+    jobs.sort_by_key(|j| Reverse(j.down_params));
+    let mut results = map_ordered(jobs, threads, |_, job| {
+        let ClientJob {
+            client,
+            tag,
+            down_params,
+            run,
+        } = job;
+        let mut rng = adaptivefl_tensor::rng::derived(
+            env.cfg.seed,
+            &format!("sim-client-r{round}-c{client}"),
+        );
+        JobResult {
+            client,
+            tag,
+            down_params,
+            outcome: run(&mut rng),
         }
-        crossbeam::thread::scope(|s| {
-            let handles: Vec<_> = buckets
-                .into_iter()
-                .map(|bucket| {
-                    s.spawn(move |_| {
-                        bucket
-                            .into_iter()
-                            .map(|j| exec_one(env, round, j))
-                            .collect::<Vec<JobResult>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("client job panicked"))
-                .collect()
-        })
-        .expect("executor scope panicked")
-    };
+    });
     results.sort_by_key(|r| r.client);
     results
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;

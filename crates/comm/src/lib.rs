@@ -8,9 +8,10 @@
 //!   `f32` payloads and panic-free decoding.
 //! - [`faults`] — a seeded [`FaultPlan`] injecting upload drops,
 //!   stragglers, client crashes and payload truncation per link.
-//! - [`executor`] — parallel client execution on crossbeam scoped
-//!   threads with per-client derived RNG streams; deterministic at any
-//!   thread count.
+//! - [`executor`] — client jobs on the core's self-scheduling
+//!   [`executor`](adaptivefl_core::executor) with per-client derived RNG
+//!   streams, largest download first; deterministic at any thread
+//!   count.
 //! - [`transport`] — [`SimTransport`], tying the above together with
 //!   round-deadline semantics (late uploads are wasted communication
 //!   and count as training failures toward AdaptiveFL's `T_r` table).

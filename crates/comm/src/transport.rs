@@ -80,8 +80,9 @@ impl SimTransport {
         }
     }
 
-    /// Sets the executor width (clamped to at least 1). Results are
-    /// identical at any width.
+    /// Sets the executor width (clamped to at least 1): client jobs and
+    /// the server's evaluation both run on this many threads. Results
+    /// are identical at any width.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
@@ -116,6 +117,10 @@ impl SimTransport {
 impl Transport for SimTransport {
     fn name(&self) -> &'static str {
         "sim"
+    }
+
+    fn width(&self) -> usize {
+        self.threads
     }
 
     fn exchange(
@@ -154,8 +159,9 @@ impl Transport for SimTransport {
                     secs *= self.faults.straggler_factor;
                 }
 
-                // The uplink is a real wire frame; faults act on it.
-                let weight = upload.weight;
+                // The uplink is a real wire frame; faults act on it, and
+                // the server weights what it decodes, not what the
+                // client held in memory.
                 let msg = UpdateUp {
                     round: round as u32,
                     client: r.client as u32,
@@ -164,7 +170,7 @@ impl Transport for SimTransport {
                 };
                 let frame = wire::encode_update_up(&msg, WireCodec::Dense);
 
-                let (status, delivered_params) = if draw.drop {
+                let (status, delivered) = if draw.drop {
                     stats.drops += 1;
                     (DeliveryStatus::Dropped, None)
                 } else if let Some(frac) = draw.truncate_at {
@@ -172,7 +178,7 @@ impl Transport for SimTransport {
                     // server-side decode must fail; count it as a drop.
                     let cut = ((frame.len() as f64) * frac) as usize;
                     match wire::decode_update_up(&frame[..cut.min(frame.len() - 1)]) {
-                        Ok(m) => (DeliveryStatus::Delivered, Some(m.params)),
+                        Ok(m) => (DeliveryStatus::Delivered, Some(m)),
                         Err(_) => {
                             stats.drops += 1;
                             (DeliveryStatus::Dropped, None)
@@ -183,7 +189,7 @@ impl Transport for SimTransport {
                     (DeliveryStatus::Late, None)
                 } else {
                     match wire::decode_update_up(&frame) {
-                        Ok(m) => (DeliveryStatus::Delivered, Some(m.params)),
+                        Ok(m) => (DeliveryStatus::Delivered, Some(m)),
                         Err(_) => {
                             stats.drops += 1;
                             (DeliveryStatus::Dropped, None)
@@ -193,7 +199,10 @@ impl Transport for SimTransport {
                 Link {
                     status,
                     loss: r.outcome.loss,
-                    upload: delivered_params.map(|params| Upload { params, weight }),
+                    upload: delivered.map(|m| Upload {
+                        weight: m.data_size as f32,
+                        params: m.params,
+                    }),
                     up_params: r.outcome.up_params,
                     secs,
                     bytes_up: if status.is_delivered() {

@@ -1,16 +1,20 @@
 //! End-to-end runs over `SimTransport`: fault injection degrades but
 //! does not derail training, faults are visible in the per-round
 //! [`CommStats`], dropped uploads feed AdaptiveFL's `T_r` table as
-//! failures, and the parallel executor is deterministic at any thread
-//! count.
+//! failures, the parallel executor is deterministic at any thread
+//! count, and delivered uploads are weighted by the decoded frame.
 
 use adaptivefl_comm::{FaultPlan, SimTransport};
+use adaptivefl_core::aggregate::{aggregate, Upload};
 use adaptivefl_core::methods::{AdaptiveFl, FlMethod, MethodKind};
 use adaptivefl_core::rl::PAPER_REWARD_CAP;
 use adaptivefl_core::select::SelectionStrategy;
 use adaptivefl_core::sim::{SimConfig, Simulation};
+use adaptivefl_core::transport::{ClientJob, LocalOutcome, Transport};
 use adaptivefl_core::PerfectTransport;
 use adaptivefl_data::{Partition, SynthSpec};
+use adaptivefl_nn::ParamMap;
+use adaptivefl_tensor::Tensor;
 
 fn spec() -> SynthSpec {
     let mut s = SynthSpec::test_spec(4);
@@ -112,6 +116,10 @@ fn dropped_clients_t_r_decreases() {
     assert!(decreased > 0, "dropped clients must lose T_r score");
 }
 
+/// Every method, client jobs and evaluation units alike, replays the
+/// same run at any executor width. Evaluation on batches of 16 out of
+/// 60 test samples splits each model into four units, so three threads
+/// share them unevenly.
 #[test]
 fn runs_are_deterministic_across_thread_counts() {
     let plan = FaultPlan {
@@ -119,13 +127,34 @@ fn runs_are_deterministic_across_thread_counts() {
         straggler_prob: 0.2,
         ..Default::default()
     };
-    let run = |threads: usize| {
-        let mut transport = SimTransport::new().with_threads(threads).with_faults(plan);
-        prepare(302).run_with_transport(MethodKind::AdaptiveFl, &mut transport)
-    };
-    let one = run(1);
-    for threads in [2, 8] {
-        assert_eq!(run(threads), one, "thread count {threads} changed the run");
+    let kinds = [
+        MethodKind::AdaptiveFl,
+        MethodKind::AdaptiveFlGreedy,
+        MethodKind::AdaptiveFlVariant(SelectionStrategy::Random),
+        MethodKind::AllLarge,
+        MethodKind::Decoupled,
+        MethodKind::HeteroFl,
+        MethodKind::ScaleFl,
+    ];
+    for kind in kinds {
+        let run = |threads: usize| {
+            let mut cfg = SimConfig::quick_test(302);
+            cfg.rounds = 6;
+            cfg.eval_every = 1;
+            cfg.eval_batch = 16;
+            let mut transport = SimTransport::new().with_threads(threads).with_faults(plan);
+            Simulation::prepare(&cfg, &spec(), Partition::Iid)
+                .run_with_transport(kind, &mut transport)
+        };
+        let one = run(1);
+        assert_eq!(one.evals.len(), 6, "{kind}");
+        for threads in [2, 3, 8] {
+            assert_eq!(
+                run(threads),
+                one,
+                "{kind}: thread count {threads} changed the run"
+            );
+        }
     }
 }
 
@@ -173,4 +202,49 @@ fn clean_sim_transport_matches_perfect_bytes() {
         p.bytes_up
     );
     assert_eq!(s.drops + s.crashes + s.stragglers + s.deadline_misses, 0);
+}
+
+/// The server weights a delivered upload by the `data_size` its frame
+/// carries (the client's `samples`), not by the weight the client held
+/// in memory.
+#[test]
+fn delivered_uploads_are_weighted_by_the_decoded_frame() {
+    let sim = prepare(305);
+    let env = sim.env();
+    let mut params = ParamMap::new();
+    params.insert("w", Tensor::full(&[3], 2.0));
+    let job = |client: usize, samples: usize, params: ParamMap| ClientJob {
+        client,
+        tag: 0,
+        down_params: 3,
+        run: Box::new(move |_| LocalOutcome {
+            upload: Some(Upload {
+                params,
+                weight: 99.0,
+            }),
+            loss: 0.5,
+            tag: 0,
+            macs_per_sample: 1,
+            samples,
+            up_params: 3,
+        }),
+    };
+    let mut other = ParamMap::new();
+    other.insert("w", Tensor::full(&[3], 8.0));
+    let jobs = vec![job(0, 10, params), job(1, 30, other)];
+    let mut rng = adaptivefl_tensor::rng::seeded(1);
+    let ex = SimTransport::new().exchange(env, 0, jobs, &mut rng);
+    let uploads: Vec<Upload> = ex
+        .deliveries
+        .into_iter()
+        .map(|d| d.upload.expect("a clean link delivers"))
+        .collect();
+    let weights: Vec<f32> = uploads.iter().map(|u| u.weight).collect();
+    assert_eq!(weights, vec![10.0, 30.0]);
+
+    // Aggregated with `samples` as the weight: (2·10 + 8·30) / 40.
+    let mut global = ParamMap::new();
+    global.insert("w", Tensor::zeros(&[3]));
+    aggregate(&mut global, &uploads);
+    assert_eq!(global.get("w").unwrap().as_slice(), &[6.5; 3]);
 }

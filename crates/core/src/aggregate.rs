@@ -23,12 +23,14 @@ pub struct Upload {
 /// Aggregates uploads into the global model in place (Algorithm 2).
 ///
 /// Upload tensors must be prefix blocks of the corresponding global
-/// tensors; upload parameter names must exist in the global map.
+/// tensors. The walk goes over the global map's names, so an upload
+/// parameter whose name the global map lacks is skipped silently, and
+/// a global parameter no upload carries keeps its value.
 ///
 /// # Panics
 ///
-/// Panics if an upload has an unknown parameter name, a non-nested
-/// shape, or a non-positive weight.
+/// Panics if an upload tensor has a non-nested shape or an upload has
+/// a non-positive weight.
 pub fn aggregate(global: &mut ParamMap, uploads: &[Upload]) {
     aggregate_traced(global, uploads, &crate::trace::NoopTracer, 0);
 }
@@ -39,7 +41,8 @@ pub fn aggregate(global: &mut ParamMap, uploads: &[Upload]) {
 /// at least one upload (Algorithm 2's covered/kept split). The
 /// arithmetic is identical to [`aggregate`] — coverage is counted from
 /// the same `cnt` accumulator the averaging already computes, so
-/// tracing cannot perturb the result.
+/// tracing cannot perturb the result. Unknown upload parameter names
+/// are skipped as in [`aggregate`].
 pub fn aggregate_traced(
     global: &mut ParamMap,
     uploads: &[Upload],

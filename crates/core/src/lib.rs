@@ -26,6 +26,8 @@
 //!   method routes through: [`PerfectTransport`](transport::PerfectTransport)
 //!   is the lossless default; the `adaptivefl-comm` crate provides a
 //!   faulty, deadline-enforcing, parallel `SimTransport`.
+//! * [`executor`] — the deterministic self-scheduling work pool behind
+//!   every parallel phase: client jobs, evaluation units, sweep cells.
 //! * [`checkpoint`] — crash-safe state capture: the
 //!   [`Checkpointable`](checkpoint::Checkpointable) trait every method
 //!   implements, [`ServerSnapshot`](checkpoint::ServerSnapshot) frozen
@@ -60,6 +62,7 @@ pub mod aggregate;
 pub mod checkpoint;
 pub mod compress;
 pub mod error;
+pub mod executor;
 pub mod methods;
 pub mod metrics;
 pub mod pool;

@@ -185,13 +185,13 @@ impl FlMethod for AdaptiveFl {
         play_round(self, env, round, transport, rng)
     }
 
-    fn evaluate(&mut self, env: &Env, round: usize) -> EvalRecord {
+    fn evaluate(&mut self, env: &Env, round: usize, width: usize) -> EvalRecord {
         // The level representatives ascend, so the full accuracy is
         // that of the L_1 (global) model.
         let reps = env.pool.level_representatives();
         let levels = reps
             .iter()
             .map(|rep| (&self.archs[rep.index], &self.global));
-        evaluate_levels(env, round, levels)
+        evaluate_levels(env, round, width, levels, None)
     }
 }

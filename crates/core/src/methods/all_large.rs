@@ -8,7 +8,7 @@ use rand_chacha::ChaCha8Rng;
 use crate::checkpoint::{Checkpointable, MethodState};
 use crate::error::CoreError;
 use crate::methods::{
-    accuracy, play_round, sample_clients, Arch, Assignments, Fit, FlMethod, RoundHooks,
+    evaluate_levels, play_round, sample_clients, Arch, Assignments, Fit, FlMethod, RoundHooks,
 };
 use crate::metrics::{EvalRecord, RoundRecord};
 use crate::sim::Env;
@@ -75,11 +75,8 @@ impl FlMethod for AllLarge {
         play_round(self, env, round, transport, rng)
     }
 
-    fn evaluate(&mut self, env: &Env, round: usize) -> EvalRecord {
-        EvalRecord {
-            round,
-            full: accuracy(env, &self.full[0], &self.global),
-            levels: Vec::new(),
-        }
+    fn evaluate(&mut self, env: &Env, round: usize, width: usize) -> EvalRecord {
+        let full = Some((&self.full[0], &self.global));
+        evaluate_levels(env, round, width, [], full)
     }
 }

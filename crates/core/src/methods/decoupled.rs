@@ -113,7 +113,13 @@ impl FlMethod for Decoupled {
         play_round(self, env, round, transport, rng)
     }
 
-    fn evaluate(&mut self, env: &Env, round: usize) -> EvalRecord {
-        evaluate_levels(env, round, self.levels.iter().zip(&self.globals))
+    fn evaluate(&mut self, env: &Env, round: usize, width: usize) -> EvalRecord {
+        evaluate_levels(
+            env,
+            round,
+            width,
+            self.levels.iter().zip(&self.globals),
+            None,
+        )
     }
 }

@@ -93,7 +93,8 @@ impl FlMethod for HeteroFl {
         play_round(self, env, round, transport, rng)
     }
 
-    fn evaluate(&mut self, env: &Env, round: usize) -> EvalRecord {
-        evaluate_levels(env, round, self.levels.iter().map(|l| (l, &self.global)))
+    fn evaluate(&mut self, env: &Env, round: usize, width: usize) -> EvalRecord {
+        let levels = self.levels.iter().map(|l| (l, &self.global));
+        evaluate_levels(env, round, width, levels, None)
     }
 }

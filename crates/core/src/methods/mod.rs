@@ -20,10 +20,13 @@ pub use decoupled::Decoupled;
 pub use heterofl::HeteroFl;
 pub use scalefl::ScaleFl;
 
+use std::ops::Range;
+
 use adaptivefl_device::DeviceClass;
 use adaptivefl_models::cost::cost_of;
 use adaptivefl_models::{Blueprint, ModelConfig, Network, PruneSpec, WidthPlan};
 use adaptivefl_nn::layer::LayerExt;
+use adaptivefl_nn::metrics::RunningMean;
 use adaptivefl_nn::ParamMap;
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -32,13 +35,14 @@ use serde::{Deserialize, Serialize};
 
 use crate::aggregate::{aggregate_with_scratch, Upload};
 use crate::checkpoint::Checkpointable;
+use crate::executor::map_ordered_with;
 use crate::metrics::{EvalRecord, RoundRecord};
 use crate::prune::PrunePlan;
 use crate::rl::PAPER_REWARD_CAP;
 use crate::select::SelectionStrategy;
 use crate::sim::Env;
 use crate::trace::{status_name, Phase, PhaseTimer, TraceEvent};
-use crate::trainer::evaluate;
+use crate::trainer::{batch_accuracy, eval_batches};
 use crate::transport::{ClientJob, Delivery, JobFn, LocalOutcome, Transport};
 
 /// A federated-learning method: owns its global model state and plays
@@ -66,8 +70,9 @@ pub trait FlMethod: Send + Checkpointable {
 
     /// Evaluates the current global model(s) on the environment's test
     /// set: global ("full") accuracy plus per-level submodel
-    /// accuracies.
-    fn evaluate(&mut self, env: &Env, round: usize) -> EvalRecord;
+    /// accuracies, spread over `width` threads (the transport's
+    /// [`width`](Transport::width)); the record does not depend on it.
+    fn evaluate(&mut self, env: &Env, round: usize, width: usize) -> EvalRecord;
 }
 
 /// Method selector for the experiment harness.
@@ -434,26 +439,56 @@ pub(crate) fn uniform_plan(model: &ModelConfig, ratio: f32) -> WidthPlan {
     }
 }
 
-/// Test accuracy of `arch` loaded from `weights`.
-pub(crate) fn accuracy(env: &Env, arch: &Arch, weights: &ParamMap) -> f32 {
-    let mut net = arch.load(weights, &mut env.eval_rng());
-    evaluate(&mut net, env.data.test(), env.cfg.eval_batch)
-}
-
-/// Evaluates each `(submodel, weights)` pair as one level, in order;
-/// the full accuracy is the last level's.
+/// Evaluates each `(submodel, weights)` pair of `levels` as one level,
+/// in order, plus `full` when given. The full accuracy is `full`'s, or
+/// else the last level's.
+///
+/// Every model's test set splits into its `eval_batch` batches, and the
+/// `(model, batch)` units run on `width` executor threads, each worker
+/// loading its own copy of the model it is on. Each batch's accuracy is
+/// folded into its model's [`RunningMean`] in batch order, so the
+/// record is the same at any width (DESIGN.md §10, "Server phases").
 pub(crate) fn evaluate_levels<'a>(
     env: &Env,
     round: usize,
+    width: usize,
     levels: impl IntoIterator<Item = (&'a Arch, &'a ParamMap)>,
+    full: Option<(&'a Arch, &'a ParamMap)>,
 ) -> EvalRecord {
-    let levels: Vec<(String, f32)> = levels
-        .into_iter()
-        .map(|(arch, weights)| (arch.name.clone(), accuracy(env, arch, weights)))
+    let mut models: Vec<(&Arch, &ParamMap)> = levels.into_iter().collect();
+    let named = models.len();
+    models.extend(full);
+    let test = env.data.test();
+    let units: Vec<(usize, Range<usize>)> = (0..models.len())
+        .flat_map(|m| eval_batches(test.len(), env.cfg.eval_batch).map(move |b| (m, b)))
         .collect();
+    let scores = map_ordered_with(
+        units,
+        width,
+        || None,
+        |loaded: &mut Option<(usize, Network)>, _, (m, batch)| {
+            if !matches!(loaded, Some((k, _)) if *k == m) {
+                // Free the previous model before building the next.
+                *loaded = None;
+                let (arch, weights) = models[m];
+                *loaded = Some((m, arch.load(weights, &mut env.eval_rng())));
+            }
+            let (_, net) = loaded.as_mut().expect("model loaded");
+            (m, batch_accuracy(net, test, batch))
+        },
+    );
+    let mut means = vec![RunningMean::new(); models.len()];
+    for (m, (acc, count)) in scores {
+        means[m].add(acc, count);
+    }
+    let accs: Vec<f32> = means.iter().map(RunningMean::mean).collect();
     EvalRecord {
         round,
-        full: levels.last().map_or(0.0, |(_, a)| *a),
-        levels,
+        full: accs.last().copied().unwrap_or(0.0),
+        levels: models[..named]
+            .iter()
+            .zip(accs)
+            .map(|((arch, _), acc)| (arch.name.clone(), acc))
+            .collect(),
     }
 }

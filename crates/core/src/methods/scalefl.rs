@@ -16,8 +16,8 @@ use rand_chacha::ChaCha8Rng;
 use crate::checkpoint::{Checkpointable, MethodState};
 use crate::error::CoreError;
 use crate::methods::{
-    accuracy, assign_by_class, evaluate_levels, play_round, uniform_plan, Arch, Assignments, Fit,
-    FlMethod, RoundHooks,
+    assign_by_class, evaluate_levels, play_round, uniform_plan, Arch, Assignments, Fit, FlMethod,
+    RoundHooks,
 };
 use crate::metrics::{EvalRecord, RoundRecord};
 use crate::prune::PrunePlan;
@@ -112,14 +112,11 @@ impl FlMethod for ScaleFl {
         play_round(self, env, round, transport, rng)
     }
 
-    fn evaluate(&mut self, env: &Env, round: usize) -> EvalRecord {
+    fn evaluate(&mut self, env: &Env, round: usize, width: usize) -> EvalRecord {
         // Each level submodel is evaluated at its own final exit (no
-        // aux heads needed for inference); the full accuracy is the
+        // aux heads run at inference); the full accuracy is the
         // complete multi-exit model's at the deepest exit.
-        let levels = evaluate_levels(env, round, self.levels.iter().map(|l| (l, &self.global)));
-        EvalRecord {
-            full: accuracy(env, &self.full, &self.global),
-            ..levels
-        }
+        let levels = self.levels.iter().map(|l| (l, &self.global));
+        evaluate_levels(env, round, width, levels, Some((&self.full, &self.global)))
     }
 }

@@ -463,7 +463,7 @@ impl Simulation {
             let last = t + 1 == self.env.cfg.rounds;
             if last || (t + 1) % self.env.cfg.eval_every.max(1) == 0 {
                 let eval_timer = PhaseTimer::start(&*tracer, Phase::Eval);
-                let ev = method.evaluate(&self.env, t);
+                let ev = method.evaluate(&self.env, t, transport.width());
                 eval_timer.stop(&*tracer);
                 if tracer.enabled() {
                     tracer.event(TraceEvent::Eval {

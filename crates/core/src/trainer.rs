@@ -1,6 +1,8 @@
 //! Local training (Step 4 of the paper's workflow) and model
 //! evaluation.
 
+use std::ops::Range;
+
 use adaptivefl_data::InMemoryDataset;
 use adaptivefl_models::Network;
 use adaptivefl_nn::layer::Layer;
@@ -151,25 +153,43 @@ impl LocalTrainer {
 /// Evaluates top-1 accuracy of a network on a dataset, batched to bound
 /// memory.
 ///
-/// Evaluation runs the network in training mode so batch-norm uses
-/// *batch statistics* — the static-BN (sBN) convention of HeteroFL-style
-/// systems. Aggregating running statistics across submodels of
-/// different widths poisons them (each width sees different activation
-/// distributions), which otherwise cripples deep BN models; every
-/// method is evaluated the same way.
+/// Evaluation normalises batch-norm with *batch statistics* — the
+/// static-BN (sBN) convention of HeteroFL-style systems. Aggregating
+/// running statistics across submodels of different widths poisons them
+/// (each width sees different activation distributions), which
+/// otherwise cripples deep BN models; every method is evaluated the
+/// same way. It runs [`Network::infer`], which gives the logits of a
+/// training-mode forward bit for bit without caching activations or
+/// touching the running statistics.
 pub fn evaluate(net: &mut Network, data: &InMemoryDataset, batch_size: usize) -> f32 {
     let mut acc = RunningMean::new();
-    let n = data.len();
-    let mut start = 0usize;
-    while start < n {
-        let end = (start + batch_size).min(n);
-        let idx: Vec<usize> = (start..end).collect();
-        let b = data.batch(&idx);
-        let logits = net.forward(b.x, true);
-        acc.add(accuracy(&logits, &b.y), b.y.len() as f32);
-        start = end;
+    for batch in eval_batches(data.len(), batch_size) {
+        let (a, n) = batch_accuracy(net, data, batch);
+        acc.add(a, n);
     }
     acc.mean()
+}
+
+/// The index ranges of the evaluation batches over `n` samples: runs of
+/// `batch_size` in order, the last one possibly shorter. A batch's
+/// members fix its statistics, so every evaluation splits the same way.
+pub fn eval_batches(n: usize, batch_size: usize) -> impl Iterator<Item = Range<usize>> {
+    (0..n)
+        .step_by(batch_size)
+        .map(move |start| start..(start + batch_size).min(n))
+}
+
+/// Top-1 accuracy of `net` on the samples `batch` of `data`, with the
+/// batch's size as its weight in a [`RunningMean`].
+pub fn batch_accuracy(
+    net: &mut Network,
+    data: &InMemoryDataset,
+    batch: Range<usize>,
+) -> (f32, f32) {
+    let idx: Vec<usize> = batch.collect();
+    let b = data.batch(&idx);
+    let logits = net.infer(b.x);
+    (accuracy(&logits, &b.y), b.y.len() as f32)
 }
 
 #[cfg(test)]

@@ -208,6 +208,14 @@ pub trait Transport: Send {
     /// Human-readable transport name (for logs and result files).
     fn name(&self) -> &'static str;
 
+    /// Threads the run may spread its own work over: the executor width
+    /// of a parallel transport, which the server's evaluation reuses
+    /// (DESIGN.md §10, "Server phases"). Results never depend on it.
+    /// Sequential transports run on the caller's thread alone.
+    fn width(&self) -> usize {
+        1
+    }
+
     /// Executes the round's jobs and returns what the server observed.
     ///
     /// `rng` is the method's round RNG; sequential transports thread it

@@ -54,6 +54,33 @@ impl ConvImpl {
     }
 }
 
+/// How a forward pass treats the layers.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Pass {
+    /// Training mode: batch statistics, caches for the backward.
+    Train,
+    /// Evaluation mode: running statistics, no caches.
+    Eval,
+    /// sBN inference: batch statistics, no caches, running statistics
+    /// untouched.
+    Infer,
+}
+
+impl Pass {
+    fn of(train: bool) -> Self {
+        if train {
+            Pass::Train
+        } else {
+            Pass::Eval
+        }
+    }
+
+    /// The `train` flag of every layer but BatchNorm.
+    fn train(self) -> bool {
+        self == Pass::Train
+    }
+}
+
 /// One runtime node, mirroring a [`Block`].
 #[allow(clippy::large_enum_variant)] // nodes are built once per model, not stored in bulk
 enum Node {
@@ -93,10 +120,10 @@ impl Seq {
         }
     }
 
-    fn forward(&mut self, x: Tensor, train: bool) -> Tensor {
+    fn forward(&mut self, x: Tensor, pass: Pass) -> Tensor {
         let mut h = x;
         for n in &mut self.nodes {
-            h = n.forward(h, train);
+            h = n.forward(h, pass);
         }
         h
     }
@@ -165,12 +192,16 @@ impl Node {
         }
     }
 
-    fn forward(&mut self, x: Tensor, train: bool) -> Tensor {
+    fn forward(&mut self, x: Tensor, pass: Pass) -> Tensor {
+        let train = pass.train();
         match self {
             Node::Conv { conv, bn, relu, .. } => {
                 let mut h = conv.forward(x, train);
                 if let Some(bn) = bn {
-                    h = bn.forward(h, train);
+                    h = match pass {
+                        Pass::Infer => bn.infer(h),
+                        _ => bn.forward(h, train),
+                    };
                 }
                 if let Some(relu) = relu {
                     h = relu.forward(h, train);
@@ -193,15 +224,15 @@ impl Node {
                 relu,
             } => {
                 let skip = match shortcut {
-                    Some(sc) => sc.forward(x.clone(), train),
+                    Some(sc) => sc.forward(x.clone(), pass),
                     None => x.clone(),
                 };
-                let mut h = main.forward(x, train);
+                let mut h = main.forward(x, pass);
                 h.add_assign(&skip);
                 relu.forward(h, train)
             }
             Node::LinearResidual { main } => {
-                let mut h = main.forward(x.clone(), train);
+                let mut h = main.forward(x.clone(), pass);
                 h.add_assign(&x);
                 h
             }
@@ -351,15 +382,30 @@ impl Network {
     /// Runs the trunk, evaluating every active exit; returns
     /// `(segment index, logits)` per exit in ascending order.
     pub fn forward_multi(&mut self, x: Tensor, train: bool) -> Vec<(usize, Tensor)> {
+        let pass = Pass::of(train);
         let mut out = Vec::with_capacity(self.exits.len());
         let mut h = x;
         for (i, seg) in self.segments.iter_mut().enumerate() {
-            h = seg.forward(h, train);
+            h = seg.forward(h, pass);
             if let Some((_, head)) = self.exits.iter_mut().find(|(e, _)| *e == i) {
-                out.push((i, head.forward(h.clone(), train)));
+                out.push((i, head.forward(h.clone(), pass)));
             }
         }
         out
+    }
+
+    /// Inference at the final exit with BatchNorm on *batch* statistics
+    /// (the sBN evaluation of DESIGN.md §7): the final logits of
+    /// `forward(x, true)`, bit for bit, but no layer caches anything
+    /// for a backward, the running statistics stay as they are, and
+    /// earlier exit heads are skipped.
+    pub fn infer(&mut self, x: Tensor) -> Tensor {
+        let (last, head) = self.exits.last_mut().expect("network has a final exit");
+        let mut h = x;
+        for seg in &mut self.segments[..=*last] {
+            h = seg.forward(h, Pass::Infer);
+        }
+        head.forward(h, Pass::Infer)
     }
 
     /// Back-propagates per-exit logit gradients through the heads and

@@ -213,3 +213,106 @@ fn mobilenet_param_roundtrip() {
     net2.load_param_map(&snap);
     assert_eq!(net2.param_map(), snap);
 }
+
+fn bits(map: &adaptivefl_nn::ParamMap) -> Vec<(String, Vec<u32>)> {
+    map.iter()
+        .map(|(n, t)| {
+            (
+                n.to_string(),
+                t.as_slice().iter().map(|v| v.to_bits()).collect(),
+            )
+        })
+        .collect()
+}
+
+/// sBN inference (`Network::infer`) gives the final logits of a
+/// training-mode forward bit for bit, leaves every parameter (running
+/// statistics included) as it was, and caches nothing: a backward
+/// right after it finds no forward. Covers the paper models and a
+/// ScaleFL multi-exit blueprint, whose aux heads inference skips.
+#[test]
+fn inference_equals_training_forward_and_caches_nothing() {
+    let mobilenet = ModelConfig {
+        input: (1, 16, 16),
+        width_mult: 0.5,
+        ..ModelConfig::mobilenet_v2_fast(22)
+    };
+    let tiny = ModelConfig::tiny(5);
+    let full = |cfg: ModelConfig| (cfg, cfg.full_blueprint(&cfg.full_plan()));
+    let cases = [
+        ("vgg16-fast", full(ModelConfig::vgg16_fast(10))),
+        ("resnet18-fast", full(ModelConfig::resnet18_fast(10))),
+        (
+            "mobilenetv2-x0.5",
+            (
+                mobilenet,
+                mobilenet.full_blueprint(&mobilenet.plan(&PruneSpec::new(0.6, 4))),
+            ),
+        ),
+        (
+            "scalefl-tiny-full",
+            (tiny, tiny.blueprint(&tiny.full_plan(), 3, true)),
+        ),
+        (
+            "scalefl-tiny-level",
+            (
+                tiny,
+                tiny.blueprint(&tiny.plan(&PruneSpec::new(0.6, 0)), 2, true),
+            ),
+        ),
+    ];
+    for (i, (what, (cfg, bp))) in cases.into_iter().enumerate() {
+        let mut r = rng::seeded(40 + i as u64);
+        // One SGD step moves the weights and running statistics off
+        // their initial values.
+        let mut trained = Network::build(&bp, &mut r);
+        let (c, h, w) = cfg.input;
+        let x = init::normal(&[6, c, h, w], 1.0, &mut r);
+        let labels = [0usize, 1, 2, 3, 4, 0];
+        let outs = trained.forward_multi(x.clone(), true);
+        let grads = outs
+            .iter()
+            .map(|(e, l)| (*e, softmax_cross_entropy(l, &labels).dlogits))
+            .collect();
+        let _ = trained.backward_multi(grads);
+        Sgd::new(0.05, 0.5).step(&mut trained);
+        let params = trained.param_map();
+
+        let x = init::normal(&[6, c, h, w], 1.0, &mut r);
+        let mut reference = Network::build(&bp, &mut rng::seeded(1));
+        reference.load_param_map(&params);
+        let want = reference.forward(x.clone(), true);
+        let mut net = Network::build(&bp, &mut rng::seeded(2));
+        net.load_param_map(&params);
+        let got = net.infer(x);
+
+        assert_eq!(got.shape(), want.shape(), "{what}");
+        let same = got
+            .as_slice()
+            .iter()
+            .zip(want.as_slice())
+            .all(|(a, b)| a.to_bits() == b.to_bits());
+        assert!(
+            same,
+            "{what}: inference logits differ from forward(x, true)"
+        );
+        assert_eq!(
+            bits(&net.param_map()),
+            bits(&params),
+            "{what}: parameters moved"
+        );
+
+        let last = *net.exit_points().last().expect("final exit");
+        let dy = Tensor::ones(got.shape());
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            net.backward_multi(vec![(last, dy)])
+        }))
+        .expect_err("backward after inference must panic");
+        let msg = err
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| err.downcast_ref::<String>().cloned())
+            .unwrap_or_default();
+        assert!(msg.contains("without forward"), "{what}: {msg}");
+    }
+}

@@ -11,7 +11,9 @@ use crate::layer::{join_name, Layer, ParamKind, ParamVisitor, ParamVisitorMut};
 /// Batch normalisation over the channel axis of NCHW input.
 ///
 /// Training mode normalises with batch statistics and updates the
-/// running estimates; evaluation mode uses the running estimates.
+/// running estimates; evaluation mode uses the running estimates;
+/// [`BatchNorm2d::infer`] normalises with batch statistics like training
+/// mode but caches and updates nothing.
 ///
 /// The forward pass writes `x̂` over the input it owns (in evaluation
 /// mode, `y` itself), and the backward pass writes `dX` over `dY`; the
@@ -63,6 +65,69 @@ impl BatchNorm2d {
     pub fn channels(&self) -> usize {
         self.gamma.numel()
     }
+
+    /// Inference with batch statistics (the sBN evaluation of
+    /// DESIGN.md §7): the output of `forward(x, true)`, bit for bit,
+    /// without caching anything for a backward or touching the running
+    /// statistics.
+    pub fn infer(&self, mut x: Tensor) -> Tensor {
+        let dims = self.check_input(&x);
+        let (mean, var) = batch_stats(&x, dims);
+        self.normalize(&mut x, dims, &mean, &self.inv_std(&var));
+        x
+    }
+
+    /// Checks an NCHW input against the layer; returns `(n, c, hw)`.
+    fn check_input(&self, x: &Tensor) -> (usize, usize, usize) {
+        let s = x.shape();
+        assert_eq!(s.len(), 4, "BatchNorm2d expects NCHW");
+        assert_eq!(s[1], self.channels(), "BatchNorm2d channel mismatch");
+        (s[0], s[1], s[2] * s[3])
+    }
+
+    fn inv_std(&self, var: &[f32]) -> Vec<f32> {
+        var.iter().map(|&v| 1.0 / (v + self.eps).sqrt()).collect()
+    }
+
+    /// Writes `γ·((x − mean)·inv_std) + β` over `x` in place — the same
+    /// expression, in the same order, as the training branch's
+    /// `x̂ = (x − mean)·inv_std` then `γ·x̂ + β`.
+    fn normalize(
+        &self,
+        x: &mut Tensor,
+        (_, c, hw): (usize, usize, usize),
+        mean: &[f32],
+        inv_std: &[f32],
+    ) {
+        let g = self.gamma.as_slice();
+        let b = self.beta.as_slice();
+        for (i, plane) in x.as_mut_slice().chunks_exact_mut(hw).enumerate() {
+            let ci = i % c;
+            let (m, is, g, b) = (mean[ci], inv_std[ci], g[ci], b[ci]);
+            for v in plane {
+                *v = g * ((*v - m) * is) + b;
+            }
+        }
+    }
+}
+
+/// Per-channel batch mean and biased variance of an NCHW batch of
+/// `(n, c, hw)`, each summed in `(n, hw)` order.
+fn batch_stats(x: &Tensor, dims: (usize, usize, usize)) -> (Vec<f32>, Vec<f32>) {
+    let cnt = (dims.0 * dims.2) as f32;
+    let xv = x.as_slice();
+    let mean: Vec<f32> = channel_sums(dims, |_, i| [xv[i]])
+        .into_iter()
+        .map(|[s]| s / cnt)
+        .collect();
+    let var = channel_sums(dims, |ci, i| {
+        let d = xv[i] - mean[ci];
+        [d * d]
+    })
+    .into_iter()
+    .map(|[s]| s / cnt)
+    .collect();
+    (mean, var)
 }
 
 /// Per-channel sums over an NCHW batch of `(n, c, hw)`: `out[ci][m]`
@@ -109,48 +174,24 @@ fn sum_block<const L: usize, const M: usize>(
 
 impl Layer for BatchNorm2d {
     fn forward(&mut self, mut x: Tensor, train: bool) -> Tensor {
-        let s = x.shape().to_vec();
-        assert_eq!(s.len(), 4, "BatchNorm2d expects NCHW");
-        let (n, c, h, w) = (s[0], s[1], s[2], s[3]);
-        assert_eq!(c, self.channels(), "BatchNorm2d channel mismatch");
-        let hw = h * w;
-        let cnt = (n * hw) as f32;
-
-        let mut mean = self.running_mean.as_slice().to_vec();
-        let mut var = self.running_var.as_slice().to_vec();
-        if train {
-            let xv = x.as_slice();
-            let sums = channel_sums((n, c, hw), |_, i| [xv[i]]);
-            for (m, [s]) in mean.iter_mut().zip(sums) {
-                *m = s / cnt;
-            }
-            let sq = channel_sums((n, c, hw), |ci, i| {
-                let d = xv[i] - mean[ci];
-                [d * d]
-            });
-            for (ci, [s]) in sq.into_iter().enumerate() {
-                var[ci] = s / cnt;
-                // Update running stats.
-                let rm = &mut self.running_mean.as_mut_slice()[ci];
-                *rm = (1.0 - self.momentum) * *rm + self.momentum * mean[ci];
-                let rv = &mut self.running_var.as_mut_slice()[ci];
-                *rv = (1.0 - self.momentum) * *rv + self.momentum * var[ci];
-            }
-        }
-
-        let inv_std: Vec<f32> = var.iter().map(|&v| 1.0 / (v + self.eps).sqrt()).collect();
-        let g = self.gamma.as_slice();
-        let b = self.beta.as_slice();
+        let dims = self.check_input(&x);
         if !train {
-            for (i, plane) in x.as_mut_slice().chunks_exact_mut(hw).enumerate() {
-                let ci = i % c;
-                let (m, is, g, b) = (mean[ci], inv_std[ci], g[ci], b[ci]);
-                for v in plane {
-                    *v = g * ((*v - m) * is) + b;
-                }
-            }
+            let inv_std = self.inv_std(self.running_var.as_slice());
+            self.normalize(&mut x, dims, self.running_mean.as_slice(), &inv_std);
             return x;
         }
+        let (mean, var) = batch_stats(&x, dims);
+        let rm = self.running_mean.as_mut_slice();
+        let rv = self.running_var.as_mut_slice();
+        for ci in 0..dims.1 {
+            rm[ci] = (1.0 - self.momentum) * rm[ci] + self.momentum * mean[ci];
+            rv[ci] = (1.0 - self.momentum) * rv[ci] + self.momentum * var[ci];
+        }
+
+        let inv_std = self.inv_std(&var);
+        let (c, hw) = (dims.1, dims.2);
+        let g = self.gamma.as_slice();
+        let b = self.beta.as_slice();
         let mut y = Vec::with_capacity(x.numel());
         for (i, plane) in x.as_mut_slice().chunks_exact_mut(hw).enumerate() {
             let ci = i % c;
@@ -160,8 +201,9 @@ impl Layer for BatchNorm2d {
             }
             y.extend(plane.iter().map(|&xh| g * xh + b));
         }
+        let shape = x.shape().to_vec();
         self.cache = Some(BnCache { x_hat: x, inv_std });
-        Tensor::from_vec(y, &s)
+        Tensor::from_vec(y, &shape)
     }
 
     fn backward(&mut self, mut dy: Tensor) -> Tensor {

@@ -8,7 +8,9 @@
 //! 1, 3 and 5 at stride 1 and 2 with padding 0 to 2, and inputs,
 //! weights and gradients salted with exact `+0.0` / `-0.0`, `±∞` and
 //! NaN. Every case runs two training steps (forward + backward) onto
-//! gradient buffers that start salted too, then one eval forward, so
+//! gradient buffers that start salted too, then one batch-statistics
+//! inference (`BatchNorm2d::infer` against the training-mode oracle,
+//! running statistics unchanged) and one eval forward, so
 //! the gradient accumulation order across minibatches and any buffer a
 //! layer keeps between calls are checked as well. A NaN matches any NaN
 //! (DESIGN.md §10); every other value must match bit for bit. Run it
@@ -474,6 +476,16 @@ fn check_batchnorm(n: usize, c: usize, h: usize, w: usize, seed: u64, salt: Salt
         assert_bits_equal(&dgamma, &oracle.dgamma, &format!("dgamma: {what}"));
         assert_bits_equal(&dbeta, &oracle.dbeta, &format!("dbeta: {what}"));
     }
+    // sBN inference: the training-mode output, bit for bit, with the
+    // running statistics left alone.
+    let x = fill(&[n, c, h, w], seed ^ 40, salt.x);
+    let y = layer.infer(x.clone());
+    let stats = (oracle.running_mean.clone(), oracle.running_var.clone());
+    let (y_ref, _) = oracle.forward(&x, true);
+    (oracle.running_mean, oracle.running_var) = stats;
+    assert_bits_equal(y.as_slice(), y_ref.as_slice(), &format!("infer y: {what}"));
+    check_stats(&layer, &oracle, "after inference");
+
     let x = fill(&[n, c, h, w], seed ^ 30, salt.x);
     let y = layer.forward(x.clone(), false);
     let (y_ref, _) = oracle.forward(&x, false);

@@ -72,9 +72,12 @@ impl SliceSpec {
             && self.dims.iter().zip(&other.dims).all(|(&a, &b)| a <= b)
     }
 
-    /// Iterates over the linear offsets of the block inside a tensor of
-    /// shape `shape`, in the block's own row-major order.
-    fn for_each_offset(&self, shape: &[usize], mut f: impl FnMut(usize)) {
+    /// Calls `f(at, off, len)` for every contiguous run of the block
+    /// inside a tensor of shape `shape`, in the block's own row-major
+    /// order: `len` elements start at offset `at` of the block and at
+    /// offset `off` of the full tensor. Trailing axes the block covers
+    /// whole merge into the run, so a full-cover block is one run.
+    fn for_each_row(&self, shape: &[usize], mut f: impl FnMut(usize, usize, usize)) {
         assert!(
             self.fits_in(shape),
             "slice {:?} does not fit in shape {:?}",
@@ -85,29 +88,37 @@ impl SliceSpec {
         if rank == 0 || self.numel() == 0 {
             return;
         }
-        let mut strides = vec![1usize; rank];
-        for i in (0..rank - 1).rev() {
-            strides[i] = strides[i + 1] * shape[i + 1];
+        // Axes `split..` form one contiguous run of the full tensor.
+        let mut split = rank - 1;
+        while split > 0 && self.dims[split] == shape[split] {
+            split -= 1;
         }
-        let mut idx = vec![0usize; rank];
+        let len: usize = self.dims[split..].iter().product();
+        let mut strides = vec![0usize; split];
+        let mut stride: usize = shape[split..].iter().product();
+        for d in (0..split).rev() {
+            strides[d] = stride;
+            stride *= shape[d];
+        }
+        let mut idx = vec![0usize; split];
+        let (mut at, mut off) = (0usize, 0usize);
         loop {
-            let off: usize = idx.iter().zip(&strides).map(|(&i, &s)| i * s).sum();
-            f(off);
-            // Advance the multi-index within the block bounds.
-            let mut d = rank;
+            f(at, off, len);
+            at += len;
+            // Advance the outer multi-index within the block bounds.
+            let mut d = split;
             loop {
                 if d == 0 {
                     return;
                 }
                 d -= 1;
                 idx[d] += 1;
+                off += strides[d];
                 if idx[d] < self.dims[d] {
                     break;
                 }
+                off -= idx[d] * strides[d];
                 idx[d] = 0;
-                if d == 0 {
-                    return;
-                }
             }
         }
     }
@@ -121,7 +132,9 @@ impl SliceSpec {
     pub fn extract(&self, full: &Tensor) -> Tensor {
         let mut out = Vec::with_capacity(self.numel());
         let src = full.as_slice();
-        self.for_each_offset(full.shape(), |off| out.push(src[off]));
+        self.for_each_row(full.shape(), |_, off, len| {
+            out.extend_from_slice(&src[off..off + len]);
+        });
         Tensor::from_vec(out, &self.dims)
     }
 
@@ -136,10 +149,8 @@ impl SliceSpec {
         let shape = full.shape().to_vec();
         let dst = full.as_mut_slice();
         let src = block.as_slice();
-        let mut i = 0usize;
-        self.for_each_offset(&shape, |off| {
-            dst[off] = src[i];
-            i += 1;
+        self.for_each_row(&shape, |at, off, len| {
+            dst[off..off + len].copy_from_slice(&src[at..at + len]);
         });
     }
 
@@ -157,11 +168,14 @@ impl SliceSpec {
         let accs = acc.as_mut_slice();
         let counts = count.as_mut_slice();
         let src = block.as_slice();
-        let mut i = 0usize;
-        self.for_each_offset(&shape, |off| {
-            accs[off] += weight * src[i];
-            counts[off] += weight;
-            i += 1;
+        self.for_each_row(&shape, |at, off, len| {
+            let rows = accs[off..off + len]
+                .iter_mut()
+                .zip(&mut counts[off..off + len]);
+            for ((a, c), &v) in rows.zip(&src[at..at + len]) {
+                *a += weight * v;
+                *c += weight;
+            }
         });
     }
 }
