@@ -5,7 +5,8 @@
 //! records under `<dir>` into `<dir>/SUMMARY.md` instead. With
 //! `--resume <dir>` it also reads the newest valid checkpoint of every
 //! run under `<dir>` and reports the persisted histories (method,
-//! completed rounds, best accuracy, communication waste).
+//! completed rounds, best accuracy, communication waste). Any other
+//! argument is an error (exit status 2).
 //!
 //! ```text
 //! cargo run --release -p adaptivefl-bench --bin summarize \
@@ -17,8 +18,8 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
+use adaptivefl_bench::results_dir;
 use adaptivefl_bench::sweep::{read_records, report};
-use adaptivefl_bench::{results_dir, Args};
 use adaptivefl_core::metrics::RunResult;
 use adaptivefl_store::SnapshotStore;
 
@@ -72,23 +73,44 @@ fn checkpoint_section(out: &mut String, dir: &Path) {
     let _ = writeln!(out, "\n*({shown} checkpointed runs)*");
 }
 
-fn main() -> ExitCode {
-    let (args, rest) = Args::parse_from(std::env::args().skip(1));
-    let mut sweep_dir: Option<PathBuf> = None;
-    let mut it = rest.into_iter();
+/// The only flags `summarize` takes, each naming a directory.
+#[derive(Debug, Default, PartialEq)]
+struct Flags {
+    sweep: Option<PathBuf>,
+    resume: Option<PathBuf>,
+}
+
+/// Parses `--sweep <dir>` and `--resume <dir>`; any other argument,
+/// the sweep's run flags included, is an error.
+fn parse_args(words: impl IntoIterator<Item = String>) -> Result<Flags, String> {
+    let mut flags = Flags::default();
+    let mut it = words.into_iter();
     while let Some(a) = it.next() {
-        match a.as_str() {
-            "--sweep" => {
-                sweep_dir = Some(PathBuf::from(it.next().expect("--sweep needs a directory")))
-            }
-            other => eprintln!("ignoring unknown argument {other}"),
-        }
+        let slot = match a.as_str() {
+            "--sweep" => &mut flags.sweep,
+            "--resume" => &mut flags.resume,
+            other => return Err(format!("unknown summarize argument {other}")),
+        };
+        *slot = Some(PathBuf::from(
+            it.next().ok_or(format!("{a} needs a directory"))?,
+        ));
     }
+    Ok(flags)
+}
+
+fn main() -> ExitCode {
+    let flags = match parse_args(std::env::args().skip(1)) {
+        Ok(f) => f,
+        Err(e) => {
+            eprintln!("summarize: {e}");
+            return ExitCode::from(2);
+        }
+    };
     // The committed report renders results/sweep into results/. Any
     // other record directory gets its report next to its records, so
     // it never overwrites the committed one. The label keeps the
     // committed report free of absolute paths.
-    let (sweep_dir, label, target) = match sweep_dir {
+    let (sweep_dir, label, target) = match flags.sweep {
         Some(d) => (d.clone(), d.display().to_string(), d.join("SUMMARY.md")),
         None => {
             let dir = results_dir();
@@ -107,11 +129,44 @@ fn main() -> ExitCode {
         }
     };
     let mut out = report::summary(&records, &label);
-    if let Some(ckpt_dir) = &args.resume {
+    if let Some(ckpt_dir) = &flags.resume {
         checkpoint_section(&mut out, ckpt_dir);
     }
 
     fs::write(&target, out).expect("write summary");
     println!("wrote {}", target.display());
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(words: &[&str]) -> Result<Flags, String> {
+        parse_args(words.iter().map(|s| s.to_string()))
+    }
+
+    #[test]
+    fn sweep_and_resume_take_directories() {
+        assert_eq!(parse(&[]).unwrap(), Flags::default());
+        let f = parse(&["--resume", "/tmp/ck", "--sweep", "/tmp/sw"]).unwrap();
+        assert_eq!(f.sweep, Some(PathBuf::from("/tmp/sw")));
+        assert_eq!(f.resume, Some(PathBuf::from("/tmp/ck")));
+    }
+
+    #[test]
+    fn bad_arguments_are_errors() {
+        for words in [
+            &["--sweep"][..],
+            &["--resume"],
+            &["--bogus"],
+            &["--full"],
+            &["--seed", "7"],
+            &["--seeds", "2"],
+            &["--jobs", "2"],
+            &["--trace", "/tmp/tr"],
+        ] {
+            assert!(parse(words).is_err(), "{words:?}");
+        }
+    }
 }

@@ -42,13 +42,15 @@ struct SweepFlags {
     check: Option<PathBuf>,
 }
 
-/// Parses the sweep-specific flags left over by [`Args::parse_from`].
+/// Parses the shared flags with [`Args::parse_from`], then the
+/// sweep-specific ones it leaves over.
 ///
 /// `--tiny` and `--full` cells keep the fast cells' slugs, so their
 /// records would land in the committed store as if they were fast
 /// ones, and later sweeps would skip and aggregate them. Both
 /// therefore need an explicit `--out` other than [`DEFAULT_OUT`].
-fn parse_sweep_flags(args: &Args, leftovers: Vec<String>) -> Result<SweepFlags, String> {
+fn parse_args(words: impl IntoIterator<Item = String>) -> Result<(Args, SweepFlags), String> {
+    let (args, leftovers) = Args::parse_from(words)?;
     let mut flags = SweepFlags {
         tiny: false,
         experiments: None,
@@ -80,7 +82,7 @@ fn parse_sweep_flags(args: &Args, leftovers: Vec<String>) -> Result<SweepFlags, 
              pass --out DIR"
         ));
     }
-    Ok(flags)
+    Ok((args, flags))
 }
 
 fn check_verdicts(path: &PathBuf) -> ExitCode {
@@ -117,8 +119,7 @@ fn check_verdicts(path: &PathBuf) -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    let (args, leftovers) = Args::parse_from(std::env::args().skip(1));
-    let flags = match parse_sweep_flags(&args, leftovers) {
+    let (args, flags) = match parse_args(std::env::args().skip(1)) {
         Ok(f) => f,
         Err(e) => {
             eprintln!("sweep: {e}");
@@ -227,8 +228,7 @@ mod tests {
     use super::*;
 
     fn parse(words: &[&str]) -> Result<SweepFlags, String> {
-        let (args, rest) = Args::parse_from(words.iter().map(|s| s.to_string()));
-        parse_sweep_flags(&args, rest)
+        parse_args(words.iter().map(|s| s.to_string())).map(|(_, flags)| flags)
     }
 
     #[test]
@@ -255,5 +255,15 @@ mod tests {
         assert!(parse(&["--bogus"]).is_err());
         assert!(parse(&["--out"]).is_err());
         assert!(parse(&["--check"]).is_err());
+        for shared in [
+            &["--jobs", "0"][..],
+            &["--seed", "x"],
+            &["--seeds", "0"],
+            &["--seeds", ","],
+            &["--resume"],
+            &["--trace"],
+        ] {
+            assert!(parse(shared).is_err(), "{shared:?}");
+        }
     }
 }

@@ -7,7 +7,7 @@
 //! output. `summarize` renders them into `results/SUMMARY.md` through
 //! [`sweep::report`], and `table1` prints the analytic Table 1.
 //!
-//! `sweep` and `summarize` share one flag parser, [`Args`]: `--full`
+//! `sweep` parses its run flags with [`Args`]: `--full`
 //! for a larger (slower) configuration, `--seed`/`--seeds` for the
 //! seeds, `--jobs` for worker threads, `--resume <dir>` to checkpoint
 //! every run into its own subdirectory of `<dir>` and continue
@@ -28,8 +28,7 @@ use adaptivefl_models::ModelConfig;
 /// Rounds between checkpoints when `--resume` is active.
 pub const CHECKPOINT_EVERY: usize = 5;
 
-/// Command-line options shared by the `sweep` and `summarize`
-/// binaries — one parser, so no bin hand-rolls the common flags.
+/// Run options of the `sweep` binary.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Args {
     /// Larger, slower configuration (more rounds/samples).
@@ -72,69 +71,71 @@ impl Args {
     /// `--seeds` accepts either a count (`--seeds 3` sweeps `seed`,
     /// `seed+1`, `seed+2`, regardless of flag order relative to
     /// `--seed`) or an explicit comma-separated list (`--seeds 7,9`).
-    pub fn parse_from(args: impl IntoIterator<Item = String>) -> (Self, Vec<String>) {
+    ///
+    /// # Errors
+    ///
+    /// A shared flag with a missing or malformed value, a zero
+    /// `--jobs`, or an empty or zero `--seeds`.
+    pub fn parse_from(
+        args: impl IntoIterator<Item = String>,
+    ) -> Result<(Self, Vec<String>), String> {
         let mut out = Args::default();
         let mut seeds_spec: Option<String> = None;
         let mut rest = Vec::new();
         let mut it = args.into_iter();
         while let Some(a) = it.next() {
+            let mut value = |what: &str| it.next().ok_or(format!("{a} needs {what}"));
             match a.as_str() {
                 "--full" => out.full = true,
                 "--seed" => {
-                    out.seed = it
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--seed needs an integer");
+                    out.seed = value("an integer")?
+                        .parse()
+                        .map_err(|_| "--seed needs an integer")?;
                 }
-                "--seeds" => {
-                    seeds_spec = Some(it.next().expect("--seeds needs a count or a,b,c list"));
-                }
-                "--jobs" => {
-                    let n: usize = it
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--jobs needs a positive integer");
-                    assert!(n > 0, "--jobs needs a positive integer");
-                    out.jobs = Some(n);
-                }
-                "--resume" => {
-                    out.resume = Some(PathBuf::from(
-                        it.next().expect("--resume needs a directory"),
-                    ));
-                }
-                "--trace" => {
-                    out.trace = Some(PathBuf::from(it.next().expect("--trace needs a directory")));
-                }
+                "--seeds" => seeds_spec = Some(value("a count or a,b,c list")?),
+                "--jobs" => match value("a positive integer")?.parse() {
+                    Ok(n) if n > 0 => out.jobs = Some(n),
+                    _ => return Err("--jobs needs a positive integer".into()),
+                },
+                "--resume" => out.resume = Some(PathBuf::from(value("a directory")?)),
+                "--trace" => out.trace = Some(PathBuf::from(value("a directory")?)),
                 _ => rest.push(a),
             }
         }
         out.seeds = match seeds_spec {
             None => vec![out.seed],
-            Some(spec) => parse_seed_spec(&spec, out.seed),
+            Some(spec) => parse_seed_spec(&spec, out.seed)?,
         };
-        (out, rest)
+        Ok((out, rest))
     }
 }
 
 /// Resolves a `--seeds` argument: a bare count expands to consecutive
 /// seeds from `base`, a comma-separated list is taken verbatim.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics on an empty list, a zero count, or unparseable integers.
-fn parse_seed_spec(spec: &str, base: u64) -> Vec<u64> {
+/// An empty list, a zero count, or unparseable integers.
+fn parse_seed_spec(spec: &str, base: u64) -> Result<Vec<u64>, String> {
     if spec.contains(',') {
-        let seeds: Vec<u64> = spec
+        let seeds = spec
             .split(',')
             .filter(|s| !s.is_empty())
-            .map(|s| s.trim().parse().expect("--seeds list needs integers"))
-            .collect();
-        assert!(!seeds.is_empty(), "--seeds list must not be empty");
-        seeds
+            .map(|s| s.trim().parse())
+            .collect::<Result<Vec<u64>, _>>()
+            .map_err(|_| "--seeds list needs integers")?;
+        if seeds.is_empty() {
+            return Err("--seeds list must not be empty".into());
+        }
+        Ok(seeds)
     } else {
-        let n: u64 = spec.parse().expect("--seeds needs a count or a,b,c list");
-        assert!(n > 0, "--seeds count must be positive");
-        (0..n).map(|i| base + i).collect()
+        let n: u64 = spec
+            .parse()
+            .map_err(|_| "--seeds needs a count or a,b,c list")?;
+        if n == 0 {
+            return Err("--seeds count must be positive".into());
+        }
+        Ok((0..n).map(|i| base + i).collect())
     }
 }
 
@@ -271,8 +272,9 @@ mod tests {
         assert!(full.samples_per_client > fast.samples_per_client);
     }
 
+    /// Parses `words`, panicking with the parser's message on an error.
     fn parse(words: &[&str]) -> (Args, Vec<String>) {
-        Args::parse_from(words.iter().map(|s| s.to_string()))
+        Args::parse_from(words.iter().map(|s| s.to_string())).unwrap()
     }
 
     #[test]

@@ -74,21 +74,6 @@ impl PrunePlan {
     }
 }
 
-/// Extracts the submodel parameters for `plan` from a full global
-/// parameter map by prefix-slicing every named tensor to the plan's
-/// shape table.
-///
-/// Builds a throwaway [`PrunePlan`]; hot paths should extract through a
-/// cached plan (see [`crate::pool::ModelPool::prune_plan`]).
-///
-/// # Panics
-///
-/// Panics if the global map is missing a parameter or a plan shape does
-/// not fit inside the global shape (i.e. the plan is not nested).
-pub fn extract_submodel(global: &ParamMap, cfg: &ModelConfig, plan: &WidthPlan) -> ParamMap {
-    PrunePlan::new(cfg, plan).extract(global)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -104,7 +89,7 @@ mod tests {
         let mut r = rng::seeded(50);
         let global = cfg.build(&cfg.full_plan(), &mut r).param_map();
         for e in pool.entries() {
-            let sub = extract_submodel(&global, &cfg, &e.plan);
+            let sub = PrunePlan::new(&cfg, &e.plan).extract(&global);
             assert_eq!(sub.numel() as u64, e.params, "{}", e.name());
         }
     }
@@ -117,7 +102,7 @@ mod tests {
         let pool = ModelPool::split(&cfg, 3, DEFAULT_RATIOS);
         let mut r = rng::seeded(51);
         let global = cfg.build(&cfg.full_plan(), &mut r).param_map();
-        let small = extract_submodel(&global, &cfg, &pool.entry(0).plan);
+        let small = PrunePlan::new(&cfg, &pool.entry(0).plan).extract(&global);
         for (name, t) in small.iter() {
             let full = global.get(name).expect("name exists");
             let spec = SliceSpec::new(t.shape().to_vec());
@@ -132,7 +117,7 @@ mod tests {
         let mut r = rng::seeded(52);
         let global = cfg.build(&cfg.full_plan(), &mut r).param_map();
         let e = pool.entry(1);
-        let sub = extract_submodel(&global, &cfg, &e.plan);
+        let sub = PrunePlan::new(&cfg, &e.plan).extract(&global);
         let mut net = cfg.build(&e.plan, &mut r);
         net.load_param_map(&sub); // panics on any shape mismatch
         assert_eq!(net.param_map(), sub);
@@ -153,7 +138,7 @@ mod tests {
             let mut r = rng::seeded(53);
             let global = cfg.build(&cfg.full_plan(), &mut r).param_map();
             for e in pool.entries() {
-                let sub = extract_submodel(&global, &cfg, &e.plan);
+                let sub = PrunePlan::new(&cfg, &e.plan).extract(&global);
                 assert_eq!(sub.numel() as u64, e.params, "{:?} {}", cfg.kind, e.name());
             }
         }
@@ -170,7 +155,7 @@ mod tests {
             assert_eq!(cached.numel() as u64, e.params, "{}", e.name());
             assert_eq!(
                 cached.extract(&global),
-                extract_submodel(&global, &cfg, &e.plan),
+                PrunePlan::new(&cfg, &e.plan).extract(&global),
                 "{}",
                 e.name()
             );
@@ -182,6 +167,6 @@ mod tests {
     fn missing_param_panics() {
         let cfg = ModelConfig::tiny(10);
         let global = ParamMap::new();
-        extract_submodel(&global, &cfg, &cfg.full_plan());
+        PrunePlan::new(&cfg, &cfg.full_plan()).extract(&global);
     }
 }

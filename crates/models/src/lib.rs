@@ -37,4 +37,4 @@ pub mod plan;
 pub use block::{Block, Blueprint, ConvSpec, LinearSpec};
 pub use config::{ModelConfig, ModelKind};
 pub use network::Network;
-pub use plan::{DepthSpec, PruneSpec, WidthPlan};
+pub use plan::{PruneSpec, WidthPlan};

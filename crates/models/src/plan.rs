@@ -127,26 +127,6 @@ impl WidthPlan {
     }
 }
 
-/// Depth selection for two-dimensional (ScaleFL-style) scaling: how many
-/// trunk segments are kept, 1-based.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DepthSpec {
-    /// Number of trunk segments kept (≥ 1).
-    pub segments: usize,
-}
-
-impl DepthSpec {
-    /// Creates a depth spec keeping `segments` segments.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `segments == 0`.
-    pub fn new(segments: usize) -> Self {
-        assert!(segments > 0, "a model needs at least one segment");
-        DepthSpec { segments }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -11,19 +11,17 @@
 //! # Example
 //!
 //! ```
+//! use adaptivefl_nn::layer::{Layer, LayerExt};
 //! use adaptivefl_nn::layers::{Linear, Relu};
-//! use adaptivefl_nn::{layer::Layer, Sequential};
 //! use adaptivefl_tensor::{rng, Tensor};
 //!
 //! let mut r = rng::seeded(0);
-//! let mut net = Sequential::new(vec![
-//!     Box::new(Linear::new(4, 8, &mut r)),
-//!     Box::new(Relu::new()),
-//!     Box::new(Linear::new(8, 2, &mut r)),
-//! ]);
-//! let x = Tensor::zeros(&[3, 4]);
-//! let y = net.forward(x, false);
+//! let mut fc = Linear::new(4, 2, &mut r);
+//! let mut act = Relu::new();
+//! let y = act.forward(fc.forward(Tensor::zeros(&[3, 4]), false), false);
 //! assert_eq!(y.shape(), &[3, 2]);
+//! let params = fc.param_map();
+//! assert_eq!(params.names().collect::<Vec<_>>(), ["bias", "weight"]);
 //! ```
 
 pub mod layer;
@@ -32,8 +30,6 @@ pub mod loss;
 pub mod metrics;
 pub mod optim;
 pub mod param;
-mod sequential;
 
 pub use layer::{Layer, ParamKind, ParamVisitor, ParamVisitorMut};
 pub use param::ParamMap;
-pub use sequential::Sequential;

@@ -6,9 +6,9 @@
 //! (`core::trace`); this crate supplies everything that actually
 //! records:
 //!
-//! * [`RecordingTracer`] — in-memory capture of events plus
-//!   power-of-two [`DurationHistogram`]s per phase; the workhorse of
-//!   tests and ad-hoc analysis.
+//! * [`RecordingTracer`] — in-memory capture of events plus a
+//!   count/total/min/max [`DurationHistogram`] per phase; the
+//!   workhorse of tests and ad-hoc analysis.
 //! * [`JsonlTracer`] — streams one flat JSON object per signal to a
 //!   `.jsonl` file (best-effort I/O: disk trouble never perturbs the
 //!   run).

@@ -1,18 +1,15 @@
 //! In-memory tracer: captures every event and folds phase durations
-//! into power-of-two-bucket histograms.
+//! into count/total/min/max summaries.
 
 use std::collections::HashMap;
 use std::sync::Mutex;
 
 use adaptivefl_core::trace::{Phase, TraceEvent, Tracer};
 
-/// A histogram of monotonic durations with power-of-two nanosecond
-/// buckets: bucket `i` counts samples in `[2^i, 2^(i+1))` ns (bucket 0
-/// also holds zero). 64 buckets cover every representable `u64`
-/// duration.
+/// Count, total, min and max of monotonic nanosecond durations: the
+/// columns the trace report prints per phase.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DurationHistogram {
-    buckets: [u64; 64],
     count: u64,
     total_nanos: u64,
     min_nanos: u64,
@@ -22,7 +19,6 @@ pub struct DurationHistogram {
 impl Default for DurationHistogram {
     fn default() -> Self {
         DurationHistogram {
-            buckets: [0; 64],
             count: 0,
             total_nanos: 0,
             min_nanos: u64::MAX,
@@ -32,14 +28,8 @@ impl Default for DurationHistogram {
 }
 
 impl DurationHistogram {
-    /// Bucket index for a duration: `floor(log2(nanos))`, 0 for 0.
-    fn bucket_of(nanos: u64) -> usize {
-        (63 - nanos.max(1).leading_zeros()) as usize
-    }
-
     /// Folds one sample in.
     pub fn record(&mut self, nanos: u64) {
-        self.buckets[Self::bucket_of(nanos)] += 1;
         self.count += 1;
         self.total_nanos = self.total_nanos.saturating_add(nanos);
         self.min_nanos = self.min_nanos.min(nanos);
@@ -73,11 +63,6 @@ impl DurationHistogram {
     /// Mean sample (0 when empty).
     pub fn mean_nanos(&self) -> u64 {
         self.total_nanos.checked_div(self.count).unwrap_or(0)
-    }
-
-    /// The raw power-of-two buckets.
-    pub fn buckets(&self) -> &[u64; 64] {
-        &self.buckets
     }
 }
 
@@ -176,22 +161,22 @@ mod tests {
     use super::*;
 
     #[test]
-    fn histogram_buckets_are_powers_of_two() {
+    fn histogram_tracks_min_max_and_total() {
         let mut h = DurationHistogram::default();
-        for n in [0, 1, 2, 3, 4, 7, 8, 1023, 1024, u64::MAX] {
+        for n in [7, 3, 1024, 8] {
             h.record(n);
         }
-        assert_eq!(h.count(), 10);
+        assert_eq!(h.count(), 4);
+        assert_eq!(h.total_nanos(), 1042);
+        assert_eq!(h.mean_nanos(), 260);
+        assert_eq!(h.min_nanos(), 3);
+        assert_eq!(h.max_nanos(), 1024);
+        // Zero is a valid minimum and the total saturates.
+        h.record(0);
+        h.record(u64::MAX);
         assert_eq!(h.min_nanos(), 0);
         assert_eq!(h.max_nanos(), u64::MAX);
-        // 0 and 1 share bucket 0; 2 and 3 bucket 1; 4 and 7 bucket 2.
-        assert_eq!(h.buckets()[0], 2);
-        assert_eq!(h.buckets()[1], 2);
-        assert_eq!(h.buckets()[2], 2);
-        assert_eq!(h.buckets()[3], 1); // 8
-        assert_eq!(h.buckets()[9], 1); // 1023
-        assert_eq!(h.buckets()[10], 1); // 1024
-        assert_eq!(h.buckets()[63], 1); // u64::MAX
+        assert_eq!(h.total_nanos(), u64::MAX);
     }
 
     #[test]

@@ -64,7 +64,7 @@ impl LayerCoverage {
 pub struct TraceReport {
     /// Methods seen in `run_start` events, in arrival order.
     pub methods: Vec<String>,
-    /// Per-phase duration histograms.
+    /// Per-phase duration summaries.
     pub phases: BTreeMap<&'static str, DurationHistogram>,
     /// Per-layer coverage, keyed by parameter name.
     pub coverage: BTreeMap<String, LayerCoverage>,
