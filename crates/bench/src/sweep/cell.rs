@@ -28,14 +28,9 @@ pub enum CellRun {
 }
 
 impl CellRun {
-    /// Display name — matches the instantiated method's
-    /// `FlMethod::name` (the records' `method` field and the run-RNG
-    /// label both use it).
+    /// The method name of the cell's kind, [`MethodKind::name`].
     pub fn method_name(&self) -> String {
-        match self {
-            CellRun::Kind(k) => k.to_string(),
-            CellRun::AdaptiveCap(_) => "AdaptiveFL".into(),
-        }
+        self.kind().name()
     }
 
     /// The method kind the cell runs.

@@ -2,11 +2,14 @@
 //! committed sweep records render to. `stats.json` and `verdicts.json`
 //! are written by `sweep`, `SUMMARY.md` by `summarize`; none is edited
 //! by hand, and these tests fail as soon as one of them disagrees with
-//! the records in `results/sweep/<slug>/<seed>.json`.
+//! the records in `results/sweep/<slug>/<seed>.json`. Each record also
+//! still names its method the way its cell's kind does.
 
 use std::path::PathBuf;
 
-use adaptivefl_bench::sweep::{evaluate_claims, read_records, report, summarize_cells, CellRecord};
+use adaptivefl_bench::sweep::{
+    evaluate_claims, grids, read_records, report, summarize_cells, CellRecord,
+};
 
 fn results() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results")
@@ -51,4 +54,22 @@ fn committed_summary_matches_the_records() {
         committed("SUMMARY.md") == rendered,
         "results/SUMMARY.md is stale: rerun `summarize`"
     );
+}
+
+#[test]
+fn committed_method_names_match_the_cell_kinds() {
+    let cells = grids::all(false, 2024);
+    for record in records() {
+        let cell = cells
+            .iter()
+            .find(|c| c.slug == record.slug)
+            .unwrap_or_else(|| panic!("no fast cell has slug {}", record.slug));
+        assert_eq!(
+            record.method,
+            cell.run.kind().name(),
+            "{} seed {}",
+            record.slug,
+            record.seed
+        );
+    }
 }

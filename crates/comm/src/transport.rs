@@ -3,9 +3,9 @@
 //!
 //! Per round it (1) runs every [`ClientJob`] on the parallel executor
 //! with per-client derived RNGs, (2) wire-encodes each completed
-//! upload as an [`UpdateUp`](crate::wire::UpdateUp) frame, (3) applies
-//! the [`FaultPlan`]'s seeded faults (crash, straggler delay, drop,
-//! truncation) per link, (4) enforces the round deadline, and (5)
+//! upload as an [`UpdateUp`] frame, (3) applies the [`FaultPlan`]'s
+//! seeded faults (crash, straggler delay, drop, truncation) per link,
+//! (4) enforces the round deadline, and (5)
 //! hands the surviving, decoded uploads back to the method sorted by
 //! client id.
 //!
@@ -115,10 +115,6 @@ impl SimTransport {
 }
 
 impl Transport for SimTransport {
-    fn name(&self) -> &'static str {
-        "sim"
-    }
-
     fn width(&self) -> usize {
         self.threads
     }

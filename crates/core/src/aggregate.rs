@@ -32,31 +32,28 @@ pub struct Upload {
 /// Panics if an upload tensor has a non-nested shape or an upload has
 /// a non-positive weight.
 pub fn aggregate(global: &mut ParamMap, uploads: &[Upload]) {
-    aggregate_traced(global, uploads, &crate::trace::NoopTracer, 0);
+    aggregate_with_scratch(
+        global,
+        uploads,
+        &crate::trace::NoopTracer,
+        0,
+        &Scratch::new(),
+    );
 }
 
-/// [`aggregate`] with per-layer element-coverage reporting: when the
-/// tracer is enabled, emits one [`TraceEvent::LayerCoverage`] per
-/// touched parameter tensor counting how many elements were covered by
-/// at least one upload (Algorithm 2's covered/kept split). The
-/// arithmetic is identical to [`aggregate`] — coverage is counted from
-/// the same `cnt` accumulator the averaging already computes, so
-/// tracing cannot perturb the result. Unknown upload parameter names
-/// are skipped as in [`aggregate`].
-pub fn aggregate_traced(
-    global: &mut ParamMap,
-    uploads: &[Upload],
-    tracer: &dyn Tracer,
-    round: usize,
-) {
-    aggregate_with_scratch(global, uploads, tracer, round, &Scratch::new());
-}
-
-/// [`aggregate_traced`] drawing the per-parameter `acc`/`cnt`
-/// accumulators from a [`Scratch`] arena, so a long run allocates them
-/// once instead of twice per parameter per round. The arithmetic is
-/// identical — the arena hands out zeroed buffers, exactly what the
-/// per-round `Tensor::zeros` allocations previously produced.
+/// [`aggregate`] with per-layer element-coverage reporting and a
+/// [`Scratch`] arena.
+///
+/// When the tracer is enabled, emits one [`TraceEvent::LayerCoverage`]
+/// per touched parameter tensor counting how many elements were covered
+/// by at least one upload (Algorithm 2's covered/kept split). Coverage
+/// is counted from the same `cnt` accumulator the averaging already
+/// computes, so tracing cannot perturb the result.
+///
+/// The per-parameter `acc`/`cnt` accumulators come from `scratch`, so a
+/// long run allocates them once instead of twice per parameter per
+/// round. The arithmetic is identical to [`aggregate`]: the arena hands
+/// out zeroed buffers, and unknown upload parameter names are skipped.
 pub fn aggregate_with_scratch(
     global: &mut ParamMap,
     uploads: &[Upload],

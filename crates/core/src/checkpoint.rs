@@ -8,9 +8,10 @@
 //!   [`FlMethod`](crate::methods::FlMethod) owns: named parameter maps
 //!   (the global model, or one per level for Decoupled), the optional
 //!   [`RlState`] tables, and opaque extras for forward compatibility.
-//! * [`Checkpointable`] — capture/restore over [`MethodState`];
-//!   a supertrait of `FlMethod`, so every method is checkpointable by
-//!   construction.
+//!   Every method captures and restores it through
+//!   [`FlMethod::capture`](crate::methods::FlMethod::capture) and
+//!   [`FlMethod::restore`](crate::methods::FlMethod::restore), written
+//!   once for all of them.
 //! * [`ServerSnapshot`] — one frozen run: config fingerprint, method
 //!   kind and state, the run RNG's reconstruction words, the model-pool
 //!   shape (for validation) and the accumulated round/eval history.
@@ -50,50 +51,13 @@ pub struct MethodState {
     pub extra: Vec<(String, Vec<u8>)>,
 }
 
-impl MethodState {
-    /// The common single-global-model state.
-    pub fn single(global: ParamMap) -> Self {
-        MethodState {
-            params: vec![("global".to_string(), global)],
-            rl: None,
-            extra: Vec::new(),
-        }
-    }
-
-    /// Takes the single `"global"` parameter map out of the state.
-    pub fn into_single(mut self) -> Result<ParamMap, CoreError> {
-        if self.params.len() != 1 || self.params[0].0 != "global" {
-            return Err(CoreError::Snapshot(format!(
-                "expected one \"global\" parameter map, found {:?}",
-                self.params.iter().map(|(n, _)| n).collect::<Vec<_>>()
-            )));
-        }
-        Ok(self.params.remove(0).1)
-    }
-}
-
-/// Capture/restore of server-side state. A supertrait of
-/// [`FlMethod`](crate::methods::FlMethod): every method must be able to
-/// freeze itself into a [`MethodState`] and later restore from one.
-pub trait Checkpointable {
-    /// Freezes the current state.
-    fn capture(&self) -> MethodState;
-
-    /// Replaces the current state with a previously captured one.
-    ///
-    /// Implementations must validate structural compatibility (map
-    /// count/names, table dimensions) and return
-    /// [`CoreError::Snapshot`] on mismatch rather than panic.
-    fn restore(&mut self, state: MethodState) -> Result<(), CoreError>;
-}
-
 /// One frozen run, as captured between rounds.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServerSnapshot {
     /// The method kind; resume instantiates it afresh and then
     /// restores [`ServerSnapshot::method`] into it.
     pub kind: MethodKind,
-    /// The method's display name (resume validates it).
+    /// The method's name, [`MethodKind::name`] (resume validates it).
     pub method_name: String,
     /// Rounds fully completed (the resumed run starts at this index).
     pub completed_rounds: usize,
@@ -179,27 +143,8 @@ impl SnapshotSink for MemorySink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adaptivefl_tensor::Tensor;
     use rand::RngCore;
     use rand_chacha::ChaCha8Rng;
-
-    #[test]
-    fn single_state_roundtrips() {
-        let mut map = ParamMap::new();
-        map.insert("w", Tensor::zeros(&[3]));
-        let state = MethodState::single(map.clone());
-        assert_eq!(state.into_single().expect("single"), map);
-    }
-
-    #[test]
-    fn into_single_rejects_multi_map_state() {
-        let state = MethodState {
-            params: vec![("a".into(), ParamMap::new()), ("b".into(), ParamMap::new())],
-            rl: None,
-            extra: Vec::new(),
-        };
-        assert!(state.into_single().is_err());
-    }
 
     fn snapshot(completed_rounds: usize, rng_words: Vec<u32>) -> ServerSnapshot {
         ServerSnapshot {

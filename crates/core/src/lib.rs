@@ -18,28 +18,29 @@
 //!   ablation variants (+Greed, +Random, +C, +S, +CS).
 //! * [`methods`] — AdaptiveFL itself plus the four baselines
 //!   (All-Large, Decoupled, HeteroFL, ScaleFL) behind one
-//!   [`FlMethod`](methods::FlMethod) trait.
+//!   [`FlMethod`](methods::FlMethod) trait. A method supplies only its
+//!   round hooks; its round, evaluation and capture/restore are derived
+//!   from them once, and its name comes from
+//!   [`MethodKind::name`](methods::MethodKind::name).
 //! * [`sim`] — the round-loop simulator that produces the metrics the
 //!   paper reports (accuracy per level, learning curves,
 //!   communication-waste rate, simulated wall-clock).
 //! * [`transport`] — the client↔server exchange abstraction every
-//!   method routes through: [`PerfectTransport`](transport::PerfectTransport)
-//!   is the lossless default; the `adaptivefl-comm` crate provides a
-//!   faulty, deadline-enforcing, parallel `SimTransport`.
+//!   method routes through: [`PerfectTransport`] is the lossless
+//!   default; the `adaptivefl-comm` crate provides a faulty,
+//!   deadline-enforcing, parallel `SimTransport`.
 //! * [`executor`] — the deterministic self-scheduling work pool behind
 //!   every parallel phase: client jobs, evaluation units, sweep cells.
-//! * [`checkpoint`] — crash-safe state capture: the
-//!   [`Checkpointable`](checkpoint::Checkpointable) trait every method
-//!   implements, [`ServerSnapshot`](checkpoint::ServerSnapshot) frozen
-//!   runs, and the [`SnapshotSink`](checkpoint::SnapshotSink) hook the
-//!   `adaptivefl-store` crate plugs durable storage into; resumed runs
-//!   are bit-identical to uninterrupted ones.
-//! * [`trace`] — structured observability: the [`Tracer`](trace::Tracer)
-//!   trait every phase of the round loop reports into, with the
-//!   zero-overhead [`NoopTracer`](trace::NoopTracer) default; the
-//!   `adaptivefl-trace` crate provides recording/JSONL implementations
-//!   and the report renderer. Traced runs are bit-identical to
-//!   untraced ones.
+//! * [`checkpoint`] — crash-safe state capture: the [`MethodState`]
+//!   every method captures and restores, [`ServerSnapshot`] frozen
+//!   runs, and the [`SnapshotSink`] hook the `adaptivefl-store` crate
+//!   plugs durable storage into; resumed runs are bit-identical to
+//!   uninterrupted ones.
+//! * [`trace`] — structured observability: the [`Tracer`] trait every
+//!   phase of the round loop reports into, with the zero-overhead
+//!   [`NoopTracer`] default; the `adaptivefl-trace` crate provides
+//!   recording/JSONL implementations and the report renderer. Traced
+//!   runs are bit-identical to untraced ones.
 //!
 //! # Example
 //!
@@ -74,7 +75,7 @@ pub mod trace;
 pub mod trainer;
 pub mod transport;
 
-pub use checkpoint::{Checkpointable, MemorySink, MethodState, ServerSnapshot, SnapshotSink};
+pub use checkpoint::{MemorySink, MethodState, ServerSnapshot, SnapshotSink};
 pub use error::CoreError;
 pub use pool::{Level, ModelPool, PoolEntry};
 pub use trace::{NoopTracer, Phase, PhaseTimer, TraceEvent, Tracer};

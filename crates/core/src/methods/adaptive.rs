@@ -4,15 +4,13 @@ use adaptivefl_nn::ParamMap;
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 
-use crate::checkpoint::{Checkpointable, MethodState};
-use crate::error::CoreError;
-use crate::methods::{evaluate_levels, play_round, Arch, Assignments, Fit, FlMethod, RoundHooks};
-use crate::metrics::{EvalRecord, RoundRecord};
+use crate::methods::{evaluate_levels, Arch, Assignments, Fit, RoundHooks};
+use crate::metrics::EvalRecord;
 use crate::rl::RlState;
 use crate::select::{select_client, SelectionStrategy};
 use crate::sim::Env;
 use crate::trace::TraceEvent;
-use crate::transport::{Delivery, Transport};
+use crate::transport::Delivery;
 
 /// AdaptiveFL server state: the full global model, the RL tables, and
 /// the selection strategy (ablation variants reuse this struct).
@@ -66,32 +64,6 @@ impl AdaptiveFl {
     }
 }
 
-impl Checkpointable for AdaptiveFl {
-    fn capture(&self) -> MethodState {
-        let mut state = MethodState::single(self.global.clone());
-        state.rl = Some(self.rl.clone());
-        state
-    }
-
-    fn restore(&mut self, state: MethodState) -> Result<(), CoreError> {
-        let Some(rl) = state.rl.clone() else {
-            return Err(CoreError::Snapshot(
-                "AdaptiveFL snapshot lacks RL tables".into(),
-            ));
-        };
-        if rl.num_clients() != self.rl.num_clients() {
-            return Err(CoreError::Snapshot(format!(
-                "RL tables track {} clients, environment has {}",
-                rl.num_clients(),
-                self.rl.num_clients()
-            )));
-        }
-        self.global = state.into_single()?;
-        self.rl = rl;
-        Ok(())
-    }
-}
-
 impl RoundHooks for AdaptiveFl {
     const FIT: Fit = Fit::LargestFitting;
 
@@ -132,6 +104,20 @@ impl RoundHooks for AdaptiveFl {
         (&self.archs, std::slice::from_mut(&mut self.global))
     }
 
+    fn evaluate(&self, env: &Env, round: usize, width: usize) -> EvalRecord {
+        // The level representatives ascend, so the full accuracy is
+        // that of the L_1 (global) model.
+        let reps = env.pool.level_representatives();
+        let levels = reps
+            .iter()
+            .map(|rep| (&self.archs[rep.index], &self.global));
+        evaluate_levels(env, round, width, levels, None)
+    }
+
+    fn rl_tables(&mut self) -> Option<&mut RlState> {
+        Some(&mut self.rl)
+    }
+
     fn on_dispatch(&mut self, env: &Env, round: usize, client: usize, tag: usize) {
         let level = env.pool.entry(tag).level;
         self.rl.update_on_dispatch(level, client);
@@ -160,38 +146,5 @@ impl RoundHooks for AdaptiveFl {
                 returned,
             });
         }
-    }
-}
-
-impl FlMethod for AdaptiveFl {
-    fn name(&self) -> String {
-        if self.greedy_dispatch {
-            "AdaptiveFL+Greed".to_string()
-        } else {
-            match self.strategy {
-                SelectionStrategy::CuriosityAndResource => "AdaptiveFL".to_string(),
-                s => format!("AdaptiveFL+{s}"),
-            }
-        }
-    }
-
-    fn round(
-        &mut self,
-        env: &Env,
-        round: usize,
-        transport: &mut dyn Transport,
-        rng: &mut ChaCha8Rng,
-    ) -> RoundRecord {
-        play_round(self, env, round, transport, rng)
-    }
-
-    fn evaluate(&mut self, env: &Env, round: usize, width: usize) -> EvalRecord {
-        // The level representatives ascend, so the full accuracy is
-        // that of the L_1 (global) model.
-        let reps = env.pool.level_representatives();
-        let levels = reps
-            .iter()
-            .map(|rep| (&self.archs[rep.index], &self.global));
-        evaluate_levels(env, round, width, levels, None)
     }
 }

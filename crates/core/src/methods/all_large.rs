@@ -5,14 +5,9 @@
 use adaptivefl_nn::ParamMap;
 use rand_chacha::ChaCha8Rng;
 
-use crate::checkpoint::{Checkpointable, MethodState};
-use crate::error::CoreError;
-use crate::methods::{
-    evaluate_levels, play_round, sample_clients, Arch, Assignments, Fit, FlMethod, RoundHooks,
-};
-use crate::metrics::{EvalRecord, RoundRecord};
+use crate::methods::{evaluate_levels, sample_clients, Arch, Assignments, Fit, RoundHooks};
+use crate::metrics::EvalRecord;
 use crate::sim::Env;
-use crate::transport::Transport;
 
 /// FedAvg on `L_1` with uniformly sampled clients. Resource limits are
 /// deliberately ignored (the paper trains All-Large "with all clients
@@ -36,17 +31,6 @@ impl AllLarge {
     }
 }
 
-impl Checkpointable for AllLarge {
-    fn capture(&self) -> MethodState {
-        MethodState::single(self.global.clone())
-    }
-
-    fn restore(&mut self, state: MethodState) -> Result<(), CoreError> {
-        self.global = state.into_single()?;
-        Ok(())
-    }
-}
-
 impl RoundHooks for AllLarge {
     const FIT: Fit = Fit::Any;
 
@@ -58,24 +42,8 @@ impl RoundHooks for AllLarge {
     fn parts(&mut self) -> (&[Arch], &mut [ParamMap]) {
         (&self.full, std::slice::from_mut(&mut self.global))
     }
-}
 
-impl FlMethod for AllLarge {
-    fn name(&self) -> String {
-        "All-Large".to_string()
-    }
-
-    fn round(
-        &mut self,
-        env: &Env,
-        round: usize,
-        transport: &mut dyn Transport,
-        rng: &mut ChaCha8Rng,
-    ) -> RoundRecord {
-        play_round(self, env, round, transport, rng)
-    }
-
-    fn evaluate(&mut self, env: &Env, round: usize, width: usize) -> EvalRecord {
+    fn evaluate(&self, env: &Env, round: usize, width: usize) -> EvalRecord {
         let full = Some((&self.full[0], &self.global));
         evaluate_levels(env, round, width, [], full)
     }

@@ -6,14 +6,9 @@ use adaptivefl_nn::layer::LayerExt;
 use adaptivefl_nn::ParamMap;
 use rand_chacha::ChaCha8Rng;
 
-use crate::checkpoint::{Checkpointable, MethodState};
-use crate::error::CoreError;
-use crate::methods::{
-    evaluate_levels, play_round, sample_clients, Arch, Assignments, Fit, FlMethod, RoundHooks,
-};
-use crate::metrics::{EvalRecord, RoundRecord};
+use crate::methods::{evaluate_levels, sample_clients, Arch, Assignments, Fit, RoundHooks};
+use crate::metrics::EvalRecord;
 use crate::sim::Env;
-use crate::transport::Transport;
 
 /// Per-level global models (`S_1`, `M_1`, `L_1`), each trained only by
 /// the clients that can afford that level.
@@ -45,33 +40,6 @@ impl Decoupled {
     }
 }
 
-impl Checkpointable for Decoupled {
-    fn capture(&self) -> MethodState {
-        MethodState {
-            params: self
-                .levels
-                .iter()
-                .zip(&self.globals)
-                .map(|(level, global)| (level.name.clone(), global.clone()))
-                .collect(),
-            rl: None,
-            extra: Vec::new(),
-        }
-    }
-
-    fn restore(&mut self, state: MethodState) -> Result<(), CoreError> {
-        let names: Vec<&str> = state.params.iter().map(|(n, _)| n.as_str()).collect();
-        let levels: Vec<&str> = self.levels.iter().map(|l| l.name.as_str()).collect();
-        if names != levels {
-            return Err(CoreError::Snapshot(format!(
-                "Decoupled snapshot has level models {names:?}, environment builds {levels:?}"
-            )));
-        }
-        self.globals = state.params.into_iter().map(|(_, global)| global).collect();
-        Ok(())
-    }
-}
-
 impl RoundHooks for Decoupled {
     const FIT: Fit = Fit::Any;
 
@@ -96,30 +64,9 @@ impl RoundHooks for Decoupled {
     fn parts(&mut self) -> (&[Arch], &mut [ParamMap]) {
         (&self.levels, &mut self.globals)
     }
-}
 
-impl FlMethod for Decoupled {
-    fn name(&self) -> String {
-        "Decoupled".to_string()
-    }
-
-    fn round(
-        &mut self,
-        env: &Env,
-        round: usize,
-        transport: &mut dyn Transport,
-        rng: &mut ChaCha8Rng,
-    ) -> RoundRecord {
-        play_round(self, env, round, transport, rng)
-    }
-
-    fn evaluate(&mut self, env: &Env, round: usize, width: usize) -> EvalRecord {
-        evaluate_levels(
-            env,
-            round,
-            width,
-            self.levels.iter().zip(&self.globals),
-            None,
-        )
+    fn evaluate(&self, env: &Env, round: usize, width: usize) -> EvalRecord {
+        let levels = self.levels.iter().zip(&self.globals);
+        evaluate_levels(env, round, width, levels, None)
     }
 }

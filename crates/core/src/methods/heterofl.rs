@@ -11,16 +11,12 @@
 use adaptivefl_nn::ParamMap;
 use rand_chacha::ChaCha8Rng;
 
-use crate::checkpoint::{Checkpointable, MethodState};
-use crate::error::CoreError;
 use crate::methods::{
-    assign_by_class, evaluate_levels, play_round, uniform_plan, Arch, Assignments, Fit, FlMethod,
-    RoundHooks,
+    assign_by_class, evaluate_levels, uniform_plan, Arch, Assignments, Fit, RoundHooks,
 };
-use crate::metrics::{EvalRecord, RoundRecord};
+use crate::metrics::EvalRecord;
 use crate::prune::PrunePlan;
 use crate::sim::Env;
-use crate::transport::Transport;
 
 /// Uniform width ratios per level: 1.0× / 0.5× / 0.25× model size,
 /// i.e. width ratios 1.0 / √0.5 / 0.5 (params scale ≈ quadratically in
@@ -53,17 +49,6 @@ impl HeteroFl {
     }
 }
 
-impl Checkpointable for HeteroFl {
-    fn capture(&self) -> MethodState {
-        MethodState::single(self.global.clone())
-    }
-
-    fn restore(&mut self, state: MethodState) -> Result<(), CoreError> {
-        self.global = state.into_single()?;
-        Ok(())
-    }
-}
-
 impl RoundHooks for HeteroFl {
     // No client-side adaptation: a resource dip below the assigned
     // size fails the round for this client.
@@ -76,24 +61,8 @@ impl RoundHooks for HeteroFl {
     fn parts(&mut self) -> (&[Arch], &mut [ParamMap]) {
         (&self.levels, std::slice::from_mut(&mut self.global))
     }
-}
 
-impl FlMethod for HeteroFl {
-    fn name(&self) -> String {
-        "HeteroFL".to_string()
-    }
-
-    fn round(
-        &mut self,
-        env: &Env,
-        round: usize,
-        transport: &mut dyn Transport,
-        rng: &mut ChaCha8Rng,
-    ) -> RoundRecord {
-        play_round(self, env, round, transport, rng)
-    }
-
-    fn evaluate(&mut self, env: &Env, round: usize, width: usize) -> EvalRecord {
+    fn evaluate(&self, env: &Env, round: usize, width: usize) -> EvalRecord {
         let levels = self.levels.iter().map(|l| (l, &self.global));
         evaluate_levels(env, round, width, levels, None)
     }

@@ -6,7 +6,9 @@
 //! pick `(client, submodel)` pairs, dispatch one job per pair through
 //! the transport, let each client fit its submodel to its resources and
 //! train it, then aggregate whatever comes back. A method supplies only
-//! what differs, through the crate-private `RoundHooks` trait.
+//! what differs, through the crate-private `RoundHooks` trait;
+//! [`FlMethod`] — the round, evaluation and capture/restore — is
+//! derived from those hooks once for every method.
 
 mod adaptive;
 mod all_large;
@@ -34,11 +36,12 @@ use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::aggregate::{aggregate_with_scratch, Upload};
-use crate::checkpoint::Checkpointable;
+use crate::checkpoint::MethodState;
+use crate::error::CoreError;
 use crate::executor::map_ordered_with;
 use crate::metrics::{EvalRecord, RoundRecord};
 use crate::prune::PrunePlan;
-use crate::rl::PAPER_REWARD_CAP;
+use crate::rl::{RlState, PAPER_REWARD_CAP};
 use crate::select::SelectionStrategy;
 use crate::sim::Env;
 use crate::trace::{status_name, Phase, PhaseTimer, TraceEvent};
@@ -48,16 +51,13 @@ use crate::transport::{ClientJob, Delivery, JobFn, LocalOutcome, Transport};
 /// A federated-learning method: owns its global model state and plays
 /// one round at a time against the shared environment.
 ///
-/// Every method is [`Checkpointable`]: its full server-side state can
-/// be frozen into a
-/// [`MethodState`](crate::checkpoint::MethodState) and restored later,
-/// which is what makes mid-run snapshots and bit-identical resumes
-/// possible (see
+/// Every method's full server-side state can be frozen into a
+/// [`MethodState`] and restored later, which is what makes mid-run
+/// snapshots and bit-identical resumes possible (see
 /// [`Simulation::resume_with_transport`](crate::sim::Simulation::resume_with_transport)).
-pub trait FlMethod: Send + Checkpointable {
-    /// Display name used in tables and result files.
-    fn name(&self) -> String;
-
+/// The trait has one implementation, derived from the crate-private
+/// round hooks every method supplies.
+pub trait FlMethod: Send {
     /// Executes one training round: dispatch client jobs through the
     /// transport, then consume whatever deliveries survived the link.
     fn round(
@@ -73,6 +73,98 @@ pub trait FlMethod: Send + Checkpointable {
     /// accuracies, spread over `width` threads (the transport's
     /// [`width`](Transport::width)); the record does not depend on it.
     fn evaluate(&mut self, env: &Env, round: usize, width: usize) -> EvalRecord;
+
+    /// Freezes the server state: the weight maps, named `"global"`
+    /// when one map serves every submodel and after their submodels
+    /// otherwise, plus AdaptiveFL's RL tables. It takes `&mut self`
+    /// only because the round hooks lend the weights mutably; nothing
+    /// changes.
+    fn capture(&mut self) -> MethodState;
+
+    /// Replaces the server state with a captured one.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::Snapshot`], leaving the state untouched, when the
+    /// maps' count or names differ from the ones [`FlMethod::capture`]
+    /// gives, when RL tables are missing or were not expected, or when
+    /// they track another number of clients.
+    fn restore(&mut self, state: MethodState) -> Result<(), CoreError>;
+}
+
+impl<M: RoundHooks + Send> FlMethod for M {
+    fn round(
+        &mut self,
+        env: &Env,
+        round: usize,
+        transport: &mut dyn Transport,
+        rng: &mut ChaCha8Rng,
+    ) -> RoundRecord {
+        play_round(self, env, round, transport, rng)
+    }
+
+    fn evaluate(&mut self, env: &Env, round: usize, width: usize) -> EvalRecord {
+        RoundHooks::evaluate(self, env, round, width)
+    }
+
+    fn capture(&mut self) -> MethodState {
+        let (archs, weights) = self.parts();
+        let params = map_names(archs, weights.len())
+            .into_iter()
+            .zip(weights.iter())
+            .map(|(name, map)| (name.to_string(), map.clone()))
+            .collect();
+        MethodState {
+            params,
+            rl: self.rl_tables().map(|rl| rl.clone()),
+            extra: Vec::new(),
+        }
+    }
+
+    fn restore(&mut self, state: MethodState) -> Result<(), CoreError> {
+        let (archs, weights) = self.parts();
+        let want = map_names(archs, weights.len());
+        let got: Vec<&str> = state.params.iter().map(|(n, _)| n.as_str()).collect();
+        if got != want {
+            return Err(CoreError::Snapshot(format!(
+                "snapshot holds parameter maps {got:?}, the method keeps {want:?}"
+            )));
+        }
+        match (self.rl_tables(), state.rl) {
+            (None, None) => {}
+            (Some(mine), Some(rl)) if rl.num_clients() == mine.num_clients() => *mine = rl,
+            (Some(mine), Some(rl)) => {
+                return Err(CoreError::Snapshot(format!(
+                    "RL tables track {} clients, environment has {}",
+                    rl.num_clients(),
+                    mine.num_clients()
+                )))
+            }
+            (Some(_), None) => {
+                return Err(CoreError::Snapshot("snapshot lacks RL tables".into()));
+            }
+            (None, Some(_)) => {
+                return Err(CoreError::Snapshot(
+                    "snapshot holds RL tables the method does not keep".into(),
+                ));
+            }
+        }
+        for (weights, (_, map)) in self.parts().1.iter_mut().zip(state.params) {
+            *weights = map;
+        }
+        Ok(())
+    }
+}
+
+/// The names [`FlMethod::capture`] gives a method's `maps` weight
+/// maps: `"global"` for one map shared by every submodel, else each
+/// submodel's own, the pairing `play_round`'s `target` uses.
+fn map_names(archs: &[Arch], maps: usize) -> Vec<&str> {
+    if maps == 1 {
+        vec!["global"]
+    } else {
+        archs[..maps].iter().map(|a| a.name.as_str()).collect()
+    }
 }
 
 /// Method selector for the experiment harness.
@@ -129,6 +221,20 @@ impl MethodKind {
             MethodKind::Decoupled => Box::new(Decoupled::new(env)),
             MethodKind::HeteroFl => Box::new(HeteroFl::new(env)),
             MethodKind::ScaleFl => Box::new(ScaleFl::new(env)),
+        }
+    }
+
+    /// The run's method name: the records' `method` field, the run-RNG
+    /// label `run-{name}` and the snapshot's `method_name`. It is the
+    /// [`Display`](std::fmt::Display) form, except that the reward-cap
+    /// kinds and the explicit `+CS` variant are plain `AdaptiveFL`.
+    pub fn name(self) -> String {
+        match self {
+            MethodKind::AdaptiveFlCapped(_)
+            | MethodKind::AdaptiveFlVariant(SelectionStrategy::CuriosityAndResource) => {
+                "AdaptiveFL".into()
+            }
+            kind => kind.to_string(),
         }
     }
 
@@ -235,6 +341,16 @@ pub(crate) trait RoundHooks {
     /// they start from and are aggregated into: one map shared by
     /// every submodel, or one per submodel.
     fn parts(&mut self) -> (&[Arch], &mut [ParamMap]);
+
+    /// Evaluates the submodels' weights ([`FlMethod::evaluate`]),
+    /// through [`evaluate_levels`].
+    fn evaluate(&self, env: &Env, round: usize, width: usize) -> EvalRecord;
+
+    /// The RL tables the method keeps: AdaptiveFL's, `None` for the
+    /// baselines.
+    fn rl_tables(&mut self) -> Option<&mut RlState> {
+        None
+    }
 
     /// Server bookkeeping for one dispatch, after its `Dispatch` event.
     fn on_dispatch(&mut self, _env: &Env, _round: usize, _client: usize, _tag: usize) {}

@@ -13,16 +13,12 @@ use adaptivefl_nn::layer::LayerExt;
 use adaptivefl_nn::ParamMap;
 use rand_chacha::ChaCha8Rng;
 
-use crate::checkpoint::{Checkpointable, MethodState};
-use crate::error::CoreError;
 use crate::methods::{
-    assign_by_class, evaluate_levels, play_round, uniform_plan, Arch, Assignments, Fit, FlMethod,
-    RoundHooks,
+    assign_by_class, evaluate_levels, uniform_plan, Arch, Assignments, Fit, RoundHooks,
 };
-use crate::metrics::{EvalRecord, RoundRecord};
+use crate::metrics::EvalRecord;
 use crate::prune::PrunePlan;
 use crate::sim::Env;
-use crate::transport::Transport;
 
 /// Distillation weight of the early exits toward the final exit.
 const KD_WEIGHT: f32 = 0.5;
@@ -73,17 +69,6 @@ impl ScaleFl {
     }
 }
 
-impl Checkpointable for ScaleFl {
-    fn capture(&self) -> MethodState {
-        MethodState::single(self.global.clone())
-    }
-
-    fn restore(&mut self, state: MethodState) -> Result<(), CoreError> {
-        self.global = state.into_single()?;
-        Ok(())
-    }
-}
-
 impl RoundHooks for ScaleFl {
     const FIT: Fit = Fit::Exact;
     const DISTILL: Option<(f32, f32)> = Some((KD_WEIGHT, KD_TEMPERATURE));
@@ -95,24 +80,8 @@ impl RoundHooks for ScaleFl {
     fn parts(&mut self) -> (&[Arch], &mut [ParamMap]) {
         (&self.levels, std::slice::from_mut(&mut self.global))
     }
-}
 
-impl FlMethod for ScaleFl {
-    fn name(&self) -> String {
-        "ScaleFL".to_string()
-    }
-
-    fn round(
-        &mut self,
-        env: &Env,
-        round: usize,
-        transport: &mut dyn Transport,
-        rng: &mut ChaCha8Rng,
-    ) -> RoundRecord {
-        play_round(self, env, round, transport, rng)
-    }
-
-    fn evaluate(&mut self, env: &Env, round: usize, width: usize) -> EvalRecord {
+    fn evaluate(&self, env: &Env, round: usize, width: usize) -> EvalRecord {
         // Each level submodel is evaluated at its own final exit (no
         // aux heads run at inference); the full accuracy is the
         // complete multi-exit model's at the deepest exit.

@@ -344,16 +344,12 @@ impl Simulation {
         format!("{cfg:?}")
     }
 
-    fn validate_snapshot(
-        &self,
-        snap: &ServerSnapshot,
-        method: &dyn FlMethod,
-    ) -> Result<(), CoreError> {
-        if snap.method_name != method.name() {
+    fn validate_snapshot(&self, snap: &ServerSnapshot) -> Result<(), CoreError> {
+        if snap.method_name != snap.kind.name() {
             return Err(CoreError::Snapshot(format!(
                 "snapshot is of method {}, resuming {}",
                 snap.method_name,
-                method.name()
+                snap.kind.name()
             )));
         }
         let fp = Self::cfg_fingerprint(&self.env.cfg);
@@ -388,7 +384,7 @@ impl Simulation {
     fn snapshot(
         &self,
         kind: MethodKind,
-        method: &dyn FlMethod,
+        method: &mut dyn FlMethod,
         rng: &ChaCha8Rng,
         completed_rounds: usize,
         rounds: &[RoundRecord],
@@ -396,7 +392,7 @@ impl Simulation {
     ) -> ServerSnapshot {
         ServerSnapshot {
             kind,
-            method_name: method.name(),
+            method_name: kind.name(),
             completed_rounds,
             rng_words: rng.state_words().to_vec(),
             method: method.capture(),
@@ -418,15 +414,16 @@ impl Simulation {
         from: Option<&ServerSnapshot>,
         mut hooks: Option<RunHooks<'_>>,
     ) -> Result<Option<RunResult>, CoreError> {
+        let name = kind.name();
         let mut method = kind.instantiate(&self.env);
         let (mut rng, start_round, mut rounds, mut evals) = match from {
             None => {
-                let label = format!("run-{}", method.name());
+                let label = format!("run-{name}");
                 let rng = adaptivefl_tensor::rng::derived(self.env.cfg.seed, &label);
                 (rng, 0, Vec::new(), Vec::new())
             }
             Some(snap) => {
-                self.validate_snapshot(snap, &*method)?;
+                self.validate_snapshot(snap)?;
                 method.restore(snap.method.clone())?;
                 let rng = snap.rng()?;
                 (
@@ -440,7 +437,7 @@ impl Simulation {
         let tracer = Arc::clone(&self.env.tracer);
         if tracer.enabled() {
             tracer.event(TraceEvent::RunStart {
-                method: method.name(),
+                method: name.clone(),
                 start_round,
                 rounds: self.env.cfg.rounds,
             });
@@ -479,7 +476,7 @@ impl Simulation {
                 let periodic = h.checkpoint_every > 0 && done % h.checkpoint_every == 0 && !last;
                 if halt || periodic {
                     let ckpt_timer = PhaseTimer::start(&*tracer, Phase::Checkpoint);
-                    let snap = self.snapshot(kind, &*method, &rng, done, &rounds, &evals);
+                    let snap = self.snapshot(kind, &mut *method, &rng, done, &rounds, &evals);
                     h.sink.save(&snap)?;
                     ckpt_timer.stop(&*tracer);
                     if tracer.enabled() {
@@ -492,7 +489,7 @@ impl Simulation {
             }
         }
         Ok(Some(RunResult {
-            method: method.name(),
+            method: name,
             rounds,
             evals,
         }))

@@ -52,16 +52,10 @@ impl LocalTrainer {
     /// Trains the network on a client shard with plain cross-entropy
     /// (single exit); returns the mean training loss.
     ///
-    /// Optimizer buffers come from a private arena; use
-    /// [`LocalTrainer::train_with_scratch`] to share one across
-    /// sessions. The results are bit-identical either way.
-    pub fn train(&self, net: &mut Network, data: &InMemoryDataset, rng: &mut impl Rng) -> f32 {
-        self.train_with_scratch(net, data, rng, &Scratch::new())
-    }
-
-    /// [`LocalTrainer::train`] with an explicit scratch arena for the
-    /// optimizer's momentum buffers, so repeated training sessions
-    /// reuse them instead of reallocating per parameter per session.
+    /// The optimizer's momentum buffers come from `scratch`, so
+    /// repeated training sessions reuse them instead of reallocating
+    /// per parameter per session; a fresh [`Scratch`] gives the same
+    /// bits.
     pub fn train_with_scratch(
         &self,
         net: &mut Network,
@@ -87,27 +81,8 @@ impl LocalTrainer {
     /// ScaleFL-style multi-exit local training: cross-entropy at every
     /// active exit plus self-distillation (temperature-scaled KL) from
     /// the final exit into each earlier exit. Returns the mean combined
-    /// loss.
-    pub fn train_multi_exit(
-        &self,
-        net: &mut Network,
-        data: &InMemoryDataset,
-        kd_weight: f32,
-        kd_temperature: f32,
-        rng: &mut impl Rng,
-    ) -> f32 {
-        self.train_multi_exit_with_scratch(
-            net,
-            data,
-            kd_weight,
-            kd_temperature,
-            rng,
-            &Scratch::new(),
-        )
-    }
-
-    /// [`LocalTrainer::train_multi_exit`] with an explicit scratch
-    /// arena (see [`LocalTrainer::train_with_scratch`]).
+    /// loss. Optimizer buffers come from `scratch`, as in
+    /// [`LocalTrainer::train_with_scratch`].
     #[allow(clippy::too_many_arguments)]
     pub fn train_multi_exit_with_scratch(
         &self,
@@ -218,8 +193,9 @@ mod tests {
             batch_size: 16,
         };
         let before = evaluate(&mut net, fed.test(), 32);
-        let loss1 = trainer.train(&mut net, fed.client(0), &mut r);
-        let loss2 = trainer.train(&mut net, fed.client(0), &mut r);
+        let scratch = Scratch::new();
+        let loss1 = trainer.train_with_scratch(&mut net, fed.client(0), &mut r, &scratch);
+        let loss2 = trainer.train_with_scratch(&mut net, fed.client(0), &mut r, &scratch);
         let after = evaluate(&mut net, fed.test(), 32);
         assert!(loss2 < loss1, "loss did not decrease: {loss1} → {loss2}");
         assert!(after > before + 0.15, "accuracy {before} → {after}");
@@ -246,7 +222,14 @@ mod tests {
             epochs: 12,
             batch_size: 16,
         };
-        let loss = trainer.train_multi_exit(&mut net, fed.client(0), 0.5, 2.0, &mut r);
+        let loss = trainer.train_multi_exit_with_scratch(
+            &mut net,
+            fed.client(0),
+            0.5,
+            2.0,
+            &mut r,
+            &Scratch::new(),
+        );
         assert!(loss.is_finite());
         // Final-exit accuracy should be clearly above chance (0.25).
         let b = fed.test().full_batch();

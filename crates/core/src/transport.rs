@@ -205,9 +205,6 @@ pub struct Exchange {
 
 /// A simulated client↔server link executing one round's jobs.
 pub trait Transport: Send {
-    /// Human-readable transport name (for logs and result files).
-    fn name(&self) -> &'static str;
-
     /// Threads the run may spread its own work over: the executor width
     /// of a parallel transport, which the server's evaluation reuses
     /// (DESIGN.md §10, "Server phases"). Results never depend on it.
@@ -255,10 +252,6 @@ pub fn client_secs(
 pub struct PerfectTransport;
 
 impl Transport for PerfectTransport {
-    fn name(&self) -> &'static str {
-        "perfect"
-    }
-
     fn exchange(
         &mut self,
         env: &Env,

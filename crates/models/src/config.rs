@@ -83,16 +83,6 @@ impl ModelConfig {
         }
     }
 
-    /// Full-size ResNet18 on 32×32×3 input.
-    pub fn resnet18_cifar() -> Self {
-        ModelConfig {
-            kind: ModelKind::ResNet18,
-            input: (3, 32, 32),
-            classes: 10,
-            width_mult: 1.0,
-        }
-    }
-
     /// Reduced ResNet18 for CPU-budget training runs.
     pub fn resnet18_fast(classes: usize) -> Self {
         ModelConfig {
@@ -100,16 +90,6 @@ impl ModelConfig {
             input: (3, 8, 8),
             classes,
             width_mult: 1.0 / 8.0,
-        }
-    }
-
-    /// Full-size MobileNetV2 on Widar-like input (22 gesture classes).
-    pub fn mobilenet_v2_widar() -> Self {
-        ModelConfig {
-            kind: ModelKind::MobileNetV2,
-            input: (1, 16, 16),
-            classes: 22,
-            width_mult: 1.0,
         }
     }
 

@@ -65,16 +65,6 @@ impl Conv2d {
         }
     }
 
-    /// Output channel count.
-    pub fn out_channels(&self) -> usize {
-        self.weight.shape()[0]
-    }
-
-    /// Input channel count.
-    pub fn in_channels(&self) -> usize {
-        self.weight.shape()[1]
-    }
-
     /// The convolution geometry (kernel, stride, padding).
     pub fn geometry(&self) -> ConvGeometry {
         self.geo

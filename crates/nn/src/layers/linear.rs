@@ -42,11 +42,6 @@ impl Linear {
         }
     }
 
-    /// Output feature count.
-    pub fn out_features(&self) -> usize {
-        self.weight.shape()[0]
-    }
-
     /// Input feature count.
     pub fn in_features(&self) -> usize {
         self.weight.shape()[1]

@@ -6,7 +6,7 @@
 //! this crate owns everything about putting that snapshot on disk and
 //! getting it back intact:
 //!
-//! * [`format`] — the versioned `.afs` binary layout: magic, tagged
+//! * [`format`](mod@format) — the versioned `.afs` binary layout: magic, tagged
 //!   sections, raw float bits (lossless), CRC-32 over the payload.
 //! * [`crc`] — the CRC-32 (IEEE) implementation guarding each file.
 //! * [`store`] — [`SnapshotStore`]: a snapshot directory with atomic

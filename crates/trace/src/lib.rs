@@ -1,10 +1,9 @@
 //! `adaptivefl-trace`: tracer implementations and trace tooling for
 //! the AdaptiveFL simulator.
 //!
-//! The [`Tracer`](adaptivefl_core::trace::Tracer) trait and the
-//! zero-overhead `NoopTracer` default live in `adaptivefl-core`
-//! (`core::trace`); this crate supplies everything that actually
-//! records:
+//! The [`Tracer`] trait and the zero-overhead `NoopTracer` default
+//! live in `adaptivefl-core` (`core::trace`); this crate supplies
+//! everything that actually records:
 //!
 //! * [`RecordingTracer`] — in-memory capture of events plus a
 //!   count/total/min/max [`DurationHistogram`] per phase; the
