@@ -21,11 +21,16 @@
 //! The default tracer is [`NoopTracer`]. Every emission site guards on
 //! [`Tracer::enabled`], so when tracing is off no event is constructed
 //! and no clock is read — the hot path pays one predictable branch.
-//! `adaptivefl-trace` provides the real implementations
-//! (`RecordingTracer` for in-memory capture, `JsonlTracer` for
-//! streaming a run to disk) and the report renderer.
+//! [`jsonl`] is the trace file format: one flat JSON object per
+//! signal, written by the derived `Serialize` of [`TraceEvent`] and
+//! read back bit-exact through `serde_json`. It lives here, beside the
+//! type it encodes. `adaptivefl-trace` provides the real
+//! implementations (`RecordingTracer` for in-memory capture,
+//! `JsonlTracer` for streaming a run to disk) and the report renderer.
 
 use std::time::Instant;
+
+pub mod jsonl;
 
 /// Execution phases a tracer can time. The variants mirror the round
 /// loop: a `Round` contains `Dispatch`, per-client `ClientTrain`,
@@ -92,8 +97,9 @@ impl std::fmt::Display for Phase {
 
 /// One structured fact about a run. All payloads are deterministic:
 /// they derive from the seeded simulation only, never from wall-clock
-/// time or thread scheduling.
-#[derive(Debug, Clone, PartialEq)]
+/// time or thread scheduling. The field names are the keys of the
+/// [`jsonl`] encoding.
+#[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub enum TraceEvent {
     /// A run (fresh or resumed) entered the round loop.
     RunStart {

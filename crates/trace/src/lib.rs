@@ -12,8 +12,10 @@
 //!   `.jsonl` file (best-effort I/O: disk trouble never perturbs the
 //!   run).
 //! * [`jsonl`] — the lossless line codec ([`encode_line`] /
-//!   [`parse_line`]): floats are written in shortest round-trip form,
-//!   so parse∘encode is the identity (proptested).
+//!   [`parse_line`]), re-exported from `adaptivefl-core`
+//!   (`core::trace::jsonl`), where it sits beside [`TraceEvent`]: the
+//!   derived `Serialize` writes each line and `serde_json` reads it
+//!   back, bit-exact for every float (proptested).
 //! * [`TraceReport`] — folds parsed lines into the per-phase wall-time
 //!   breakdown and per-layer Algorithm-2 coverage table the
 //!   `trace_report` bench bin prints.
@@ -45,11 +47,11 @@
 //! println!("{}", TraceReport::from_lines(&lines).render());
 //! ```
 
-pub mod jsonl;
 pub mod record;
 pub mod report;
 pub mod writer;
 
+pub use adaptivefl_core::trace::jsonl;
 pub use jsonl::{encode_line, parse_document, parse_line, ParseError, TraceLine};
 pub use record::{DurationHistogram, RecordingTracer};
 pub use report::{fmt_nanos, LayerCoverage, TraceReport};

@@ -160,9 +160,9 @@ proptest! {
 
 /// `7.038531e-26` is the one positive finite `f32` whose shortest `{}`
 /// text, parsed as `f64` and then cast to `f32`, lands on a different
-/// `f32`: the two roundings disagree. A reader that takes every float
-/// through `f64` (as `serde_json` does) would corrupt it, so the trace
-/// lexer must parse `f32` fields from their text directly.
+/// `f32`: the two roundings disagree. The reader takes every float
+/// through `f64` (as `serde_json` does), so the writer must print an
+/// `f32` field as the shortest text of its exact `f64` widening.
 #[test]
 fn f32_broken_by_an_f64_detour_roundtrips() {
     let x = f32::from_bits(0x15ae_43fd);
