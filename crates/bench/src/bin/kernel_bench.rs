@@ -196,7 +196,7 @@ fn bench_sessions() -> Vec<SessionReport> {
     let mut tiny_spec = SynthSpec::test_spec(4);
     tiny_spec.input = (3, 8, 8);
     let cifar = syn_cifar10();
-    let [(_, vgg16), _] = paper_models(cifar.classes, cifar.input);
+    let [(_, vgg16), (_, resnet18)] = paper_models(cifar.classes, cifar.input);
     let widar = syn_widar();
     let mobilenet = ModelConfig {
         classes: widar.classes,
@@ -207,6 +207,7 @@ fn bench_sessions() -> Vec<SessionReport> {
     vec![
         bench_session("tiny", ModelConfig::tiny(4), tiny_spec),
         bench_session("vgg16_fast", vgg16, cifar),
+        bench_session("resnet18_fast", resnet18, cifar),
         bench_session("mobilenetv2_x0.5", mobilenet, widar),
     ]
 }

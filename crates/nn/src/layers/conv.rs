@@ -32,7 +32,9 @@ pub struct Conv2d {
 
 #[derive(Debug)]
 struct ForwardCache {
-    /// The minibatch's column matrix `[c_in·k·k, n·oh·ow]`.
+    /// The minibatch's column matrix from `conv2d_forward`:
+    /// `[c_in·k·k, n·oh·ow]`, or `[c_in, n]` when only the centre tap
+    /// reads the input (a 1×1 plane with `k = 2·pad + 1`).
     cols: Tensor,
     in_shape: Vec<usize>,
 }
@@ -40,6 +42,10 @@ struct ForwardCache {
 impl Conv2d {
     /// Creates a convolution `in_c → out_c` with a `k×k` kernel,
     /// Kaiming-uniform weights and zero bias.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k == 0` or `stride == 0`.
     pub fn new(
         in_c: usize,
         out_c: usize,
@@ -48,6 +54,10 @@ impl Conv2d {
         pad: usize,
         rng: &mut impl Rng,
     ) -> Self {
+        assert!(
+            k > 0 && stride > 0,
+            "conv kernel and stride must be positive"
+        );
         let shape = [out_c, in_c, k, k];
         let weight = init::kaiming_uniform(&shape, in_c * k * k, rng);
         Conv2d {
@@ -168,6 +178,12 @@ mod tests {
             },
         );
         assert_eq!(names, vec!["block.0.weight", "block.0.bias"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "conv kernel and stride must be positive")]
+    fn zero_stride_panics() {
+        Conv2d::new(1, 1, 3, 0, 1, &mut rng::seeded(4));
     }
 
     #[test]

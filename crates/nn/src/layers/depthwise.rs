@@ -31,7 +31,15 @@ pub struct DepthwiseConv2d {
 impl DepthwiseConv2d {
     /// Creates a depthwise convolution over `c` channels with a `k×k`
     /// kernel.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k == 0` or `stride == 0`.
     pub fn new(c: usize, k: usize, stride: usize, pad: usize, rng: &mut impl Rng) -> Self {
+        assert!(
+            k > 0 && stride > 0,
+            "conv kernel and stride must be positive"
+        );
         let shape = [c, 1, k, k];
         DepthwiseConv2d {
             weight: init::kaiming_uniform(&shape, k * k, rng),
@@ -568,6 +576,12 @@ mod tests {
             let ana = dx.as_slice()[idx];
             assert!((num - ana).abs() < 0.05 * (1.0 + ana.abs()));
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "conv kernel and stride must be positive")]
+    fn zero_kernel_panics() {
+        DepthwiseConv2d::new(1, 0, 1, 0, &mut rng::seeded(35));
     }
 
     #[test]

@@ -11,6 +11,12 @@
 //! equal a per-sample lowering bit for bit. The weight and bias
 //! gradients keep their per-sample accumulation order (see
 //! [`conv2d_backward`] and DESIGN.md §10).
+//!
+//! A square `(2·pad + 1)` kernel over a 1×1 plane reads padding at every
+//! tap but the centre. Such a layer is lowered as the pointwise conv of
+//! its centre tap `W[:, :, pad, pad]`, with `cols` of shape `[c_in, n]`;
+//! the padding taps' only observable effect, NaN from `∞·0`, is applied
+//! as a row rule (DESIGN.md §10, "Taps that read only padding").
 
 use crate::ops::matmul::{matmul, matmul_a_bt_segmented, matmul_at_b};
 use crate::Tensor;
@@ -34,8 +40,16 @@ impl ConvGeometry {
     ///
     /// # Panics
     ///
-    /// Panics if the kernel does not fit in the padded input.
+    /// Panics if the kernel or the stride is zero, or if the kernel does
+    /// not fit in the padded input.
     pub fn out_hw(&self, h: usize, w: usize) -> (usize, usize) {
+        assert!(
+            self.kh > 0 && self.kw > 0 && self.stride > 0,
+            "conv kernel and stride must be positive, got {}x{} at stride {}",
+            self.kh,
+            self.kw,
+            self.stride
+        );
         let ph = h + 2 * self.pad;
         let pw = w + 2 * self.pad;
         assert!(
@@ -64,10 +78,46 @@ pub struct Conv2dGrads {
     pub db: Tensor,
 }
 
-/// A 1×1 kernel at stride 1 without padding: each (sample, channel)
-/// plane is one contiguous run of a column-matrix row.
+/// A 1×1 kernel at stride 1 without padding.
+const POINTWISE: ConvGeometry = ConvGeometry {
+    kh: 1,
+    kw: 1,
+    stride: 1,
+    pad: 0,
+};
+
+/// A pointwise layer: each (sample, channel) plane is one contiguous run
+/// of a column-matrix row.
 fn is_pointwise(geo: ConvGeometry) -> bool {
-    (geo.kh, geo.kw, geo.stride, geo.pad) == (1, 1, 1, 0)
+    geo == POINTWISE
+}
+
+/// `true` when every tap but the centre reads padding: a 1×1 plane under
+/// a square `(2·pad + 1)` kernel with `pad > 0`. The output is then 1×1
+/// at any stride, and the layer is the pointwise conv of its centre tap.
+fn centre_only(geo: ConvGeometry, h: usize, w: usize) -> bool {
+    (h, w) == (1, 1) && geo.pad > 0 && geo.kh == 2 * geo.pad + 1 && geo.kw == geo.kh
+}
+
+/// The matrix a layer is lowered with and the geometry of its columns:
+/// `W₂d = [c_out, c_in·kh·kw]` under `geo`, or, for a [`centre_only`]
+/// layer, the centre taps `W[:, :, pad, pad]` as `[c_out, c_in]`
+/// (one strided copy) under [`POINTWISE`].
+fn lowering(weight: &Tensor, geo: ConvGeometry, h: usize, w: usize) -> (Tensor, ConvGeometry) {
+    let ws = weight.shape();
+    let (c_out, c_in, kk) = (ws[0], ws[1], ws[2] * ws[3]);
+    if centre_only(geo, h, w) {
+        let centre = geo.pad * geo.kw + geo.pad;
+        let wc = weight.as_slice()[centre..].iter().step_by(kk).copied();
+        (Tensor::from_vec(wc.collect(), &[c_out, c_in]), POINTWISE)
+    } else {
+        (weight.reshape(&[c_out, c_in * kk]), geo)
+    }
+}
+
+/// `true` if any element of `v` is `±∞` or NaN (one branch-free pass).
+fn any_non_finite(v: &[f32]) -> bool {
+    v.iter().fold(false, |acc, x| acc | !x.is_finite())
 }
 
 /// Unfolds one sample `[c, h, w]` into columns `col0..col0 + oh·ow` of
@@ -172,7 +222,12 @@ fn col2im_from(
 /// * `bias` — `[c_out]`
 ///
 /// Returns the output `[n, c_out, oh, ow]` and the batch column matrix
-/// `[c_in·kh·kw, n·oh·ow]` needed by [`conv2d_backward`].
+/// `[K, n·oh·ow]` needed by [`conv2d_backward`]. `K` is `c_in·kh·kw`,
+/// or `c_in` when only the centre tap reads the input (a 1×1 plane
+/// under a square `(2·pad + 1)` kernel): such a layer runs as the
+/// pointwise conv of `W[:, :, pad, pad]`, and an output row `co` is NaN
+/// wherever an off-centre weight of `co` is non-finite (`∞·0`), exactly
+/// as the full lowering computes it.
 ///
 /// # Panics
 ///
@@ -191,17 +246,18 @@ pub fn conv2d_forward(
     assert_eq!((kh, kw), (geo.kh, geo.kw), "kernel/geometry mismatch");
     assert_eq!(bias.numel(), c_out, "bias size mismatch");
     let (oh, ow) = geo.out_hw(h, w);
-    let (k, p) = (c_in * kh * kw, oh * ow);
+    let (w2d, lgeo) = lowering(weight, geo, h, w);
+    let (k, p) = (w2d.shape()[1], oh * ow);
     let np = n * p;
     let chw = c_in * h * w;
 
     let mut cols = vec![0.0f32; k * np];
     for ni in 0..n {
         let sample = &x.as_slice()[ni * chw..(ni + 1) * chw];
-        im2col_into(sample, c_in, h, w, geo, &mut cols, np, ni * p);
+        im2col_into(sample, c_in, h, w, lgeo, &mut cols, np, ni * p);
     }
     let cols = Tensor::from_vec(cols, &[k, np]);
-    let y = matmul(&weight.reshape(&[c_out, k]), &cols); // [c_out, n·P]
+    let y = matmul(&w2d, &cols); // [c_out, n·P]
 
     let mut out = vec![0.0f32; n * c_out * p];
     let ys = y.as_slice();
@@ -211,6 +267,22 @@ pub fn conv2d_forward(
             let dst = &mut out[(ni * c_out + co) * p..(ni * c_out + co + 1) * p];
             for (o, &v) in dst.iter_mut().zip(src) {
                 *o = v + b;
+            }
+        }
+    }
+    if lgeo != geo {
+        // The full lowering adds `w·(+0.0)` per padding tap: a no-op on
+        // a chain that starts at `+0.0`, unless `w` is `±∞` or NaN.
+        let centre = geo.pad * kw + geo.pad;
+        for (co, row) in weight.as_slice().chunks_exact(c_in * kh * kw).enumerate() {
+            let poisoned = any_non_finite(row)
+                && row.chunks_exact(kh * kw).any(|taps| {
+                    any_non_finite(&taps[..centre]) || any_non_finite(&taps[centre + 1..])
+                });
+            if poisoned {
+                for ni in 0..n {
+                    out[ni * c_out + co] = f32::NAN;
+                }
             }
         }
     }
@@ -228,11 +300,18 @@ pub fn conv2d_forward(
 /// sample order onto a `+0.0` start, exactly as `n` separate per-sample
 /// backward passes summed into a zeroed gradient would.
 ///
+/// A layer whose taps read only padding but the centre (see
+/// [`conv2d_forward`]) runs as its centre-tap pointwise conv: `dx` is
+/// `W_cᵀ · dY`, the centre taps of `dw` are the pointwise `dw`, and
+/// every off-centre tap of row `co` is `+0.0`, or NaN if any `dY` of
+/// channel `co` is non-finite (`∞·0`), as the full lowering computes.
+///
 /// # Panics
 ///
 /// Panics on shape inconsistency with the forward pass: `in_shape` not
 /// 4-D, a batch size, channel count or output size that does not match
-/// `dy` and `weight`, or a `cols` that is not `[c_in·kh·kw, n·oh·ow]`.
+/// `dy` and `weight`, or a `cols` of another shape than
+/// [`conv2d_forward`] returns for `in_shape`.
 pub fn conv2d_backward(
     dy: &Tensor,
     weight: &Tensor,
@@ -263,7 +342,8 @@ pub fn conv2d_backward(
         (oh, ow),
         "conv backward: dy spatial size does not match in_shape"
     );
-    let (k, p) = (ws[1] * ws[2] * ws[3], oh * ow);
+    let (w2d, lgeo) = lowering(weight, geo, h, w);
+    let (k, p) = (w2d.shape()[1], oh * ow);
     let np = n * p;
     assert_eq!(
         cols.shape(),
@@ -283,12 +363,12 @@ pub fn conv2d_backward(
     let dyg = Tensor::from_vec(dyg, &[c_out, np]);
 
     // dcols = W₂dᵀ · dY in one product, then fold back per sample.
-    let dcols = matmul_at_b(&weight.reshape(&[c_out, k]), &dyg); // [K, n·P]
+    let dcols = matmul_at_b(&w2d, &dyg); // [K, n·P]
     let chw = c_in * h * w;
     let mut dx = vec![0.0f32; n * chw];
     for ni in 0..n {
         let dxi = &mut dx[ni * chw..(ni + 1) * chw];
-        col2im_from(dcols.as_slice(), np, ni * p, c_in, h, w, geo, dxi);
+        col2im_from(dcols.as_slice(), np, ni * p, c_in, h, w, lgeo, dxi);
     }
 
     // dW = ((+0.0 + dY₀·cols₀ᵀ) + dY₁·cols₁ᵀ) + …, one segment per
@@ -301,9 +381,30 @@ pub fn conv2d_backward(
             db.as_mut_slice()[co] += row.iter().sum::<f32>();
         }
     }
+    let dw = if lgeo == geo {
+        dw2d.reshape(&ws)
+    } else {
+        // Each padding tap's sum is `+0.0 + dY·(+0.0)`: `+0.0`, or NaN
+        // once a `dY` of its row is non-finite.
+        let (kk, centre) = (ws[2] * ws[3], geo.pad * ws[3] + geo.pad);
+        let mut dw = vec![0.0f32; c_out * c_in * kk];
+        let rows = dw.chunks_exact_mut(c_in * kk);
+        for ((row, dyr), dwc) in rows
+            .zip(dyg.as_slice().chunks_exact(np))
+            .zip(dw2d.as_slice().chunks_exact(c_in))
+        {
+            if any_non_finite(dyr) {
+                row.fill(f32::NAN);
+            }
+            for (taps, &v) in row.chunks_exact_mut(kk).zip(dwc) {
+                taps[centre] = v;
+            }
+        }
+        Tensor::from_vec(dw, &ws)
+    };
     Conv2dGrads {
         dx: Tensor::from_vec(dx, &[n, c_in, h, w]),
-        dw: dw2d.reshape(&ws),
+        dw,
         db,
     }
 }
@@ -538,6 +639,83 @@ mod tests {
         let mut cols = [7.0f32; 8];
         im2col_into(&[1.0, 2.0, 3.0, 4.0], 2, 1, 2, geo, &mut cols, 4, 2);
         assert_eq!(cols, [7.0, 7.0, 1.0, 2.0, 7.0, 7.0, 3.0, 4.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "kernel and stride must be positive")]
+    fn out_size_rejects_zero_stride() {
+        let g = ConvGeometry {
+            stride: 0,
+            ..geo3()
+        };
+        g.out_hw(4, 4);
+    }
+
+    /// Deterministic values in `[-2, 2)` with every fifth one `±0.0`.
+    fn salted(len: usize, seed: f32) -> Vec<f32> {
+        (0..len)
+            .map(|i| match i % 5 {
+                0 => 0.0,
+                3 if i % 2 == 0 => -0.0,
+                _ => (i as f32 * 12.9898 + seed).sin() * 2.0,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn centre_only_conv_is_the_pointwise_conv_of_its_centre_tap() {
+        let (n, c_in, c_out) = (3, 5, 6);
+        for (k, pad) in [(3, 1), (5, 2)] {
+            for stride in [1, 2] {
+                let geo = ConvGeometry {
+                    kh: k,
+                    kw: k,
+                    stride,
+                    pad,
+                };
+                let x = Tensor::from_vec(salted(n * c_in, 1.0), &[n, c_in, 1, 1]);
+                let wt = Tensor::from_vec(salted(c_out * c_in * k * k, 2.0), &[c_out, c_in, k, k]);
+                let b = Tensor::from_vec(salted(c_out, 3.0), &[c_out]);
+                let centre = pad * k + pad;
+                let wc: Vec<f32> = wt.as_slice().chunks(k * k).map(|t| t[centre]).collect();
+                let wc = Tensor::from_vec(wc, &[c_out, c_in, 1, 1]);
+
+                let (y, cols) = conv2d_forward(&x, &wt, &b, geo);
+                let (y_pw, cols_pw) = conv2d_forward(&x, &wc, &b, POINTWISE);
+                assert_eq!(cols.shape(), &[c_in, n]);
+                assert_eq!(cols.as_slice(), cols_pw.as_slice());
+                let bits =
+                    |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&y), bits(&y_pw), "y: k={k} stride={stride}");
+
+                let dy = Tensor::from_vec(salted(n * c_out, 4.0), y.shape());
+                let g = conv2d_backward(&dy, &wt, &cols, x.shape(), geo);
+                let g_pw = conv2d_backward(&dy, &wc, &cols_pw, x.shape(), POINTWISE);
+                assert_eq!(bits(&g.dx), bits(&g_pw.dx), "dx: k={k} stride={stride}");
+                assert_eq!(bits(&g.db), bits(&g_pw.db), "db: k={k} stride={stride}");
+                for (i, (taps, &v)) in
+                    g.dw.as_slice()
+                        .chunks(k * k)
+                        .zip(g_pw.dw.as_slice())
+                        .enumerate()
+                {
+                    assert_eq!(taps[centre].to_bits(), v.to_bits(), "dw centre {i}");
+                    for (t, &d) in taps.iter().enumerate().filter(|&(t, _)| t != centre) {
+                        assert_eq!(d.to_bits(), 0, "dw tap {t} of {i} must be +0.0");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "cols must be [K, n·P] = [2, 3]")]
+    fn centre_only_backward_rejects_full_width_cols() {
+        let x = Tensor::ones(&[3, 2, 1, 1]);
+        let w = Tensor::ones(&[4, 2, 3, 3]);
+        let (y, _) = conv2d_forward(&x, &w, &Tensor::zeros(&[4]), geo3());
+        let cols = Tensor::zeros(&[2 * 9, 3]);
+        conv2d_backward(&Tensor::ones(y.shape()), &w, &cols, x.shape(), geo3());
     }
 
     fn backward_fixture() -> (Tensor, Tensor, Tensor) {

@@ -7,10 +7,14 @@
 //! Covered: every conv geometry the paper models use (3×3 pad 1 at
 //! stride 1 and 2, 1×1 pad 0), batch sizes 1, 3 and 16, spatial sizes
 //! down to a single output pixel (the deep layers of the 8×8 models),
-//! and weights salted with exact `+0.0` / `-0.0` (the zero-skip of the
-//! A-side kernels), `±∞` and NaN. Run it with `TENSOR_NAIVE=1` as well to
-//! check the reference kernels underneath. A NaN matches any NaN (see
-//! [`assert_bits_equal`]); every other value must match bit for bit.
+//! and inputs, weights and output gradients salted with exact `+0.0` /
+//! `-0.0` (the zero-skip of the A-side kernels), `±∞` and NaN. 3×3 and
+//! 5×5 kernels over a 1×1 plane, which run as their centre tap's
+//! pointwise conv, are checked with non-finite values placed where only
+//! the skipped padding taps would meet them. Run it with
+//! `TENSOR_NAIVE=1` as well to check the reference kernels underneath.
+//! A NaN matches any NaN (see [`assert_bits_equal`]); every other value
+//! must match bit for bit.
 
 use adaptivefl_tensor::ops::{
     conv2d_backward, conv2d_forward, matmul, matmul_a_bt, matmul_at_b, ConvGeometry,
@@ -189,6 +193,8 @@ enum Salt {
     NonFinite,
 }
 
+const SALTS: [Salt; 3] = [Salt::Clean, Salt::Zeros, Salt::NonFinite];
+
 fn fill(shape: &[usize], seed: u64, salt: Salt) -> Tensor {
     let mut state = seed ^ 0x9e37_79b9_7f4a_7c15;
     let len = shape.iter().product();
@@ -229,6 +235,20 @@ fn assert_bits_equal(got: &Tensor, want: &Tensor, what: &str) {
 }
 
 /// Runs one layer both ways and compares `y`, `dx`, `dw` and `db`.
+fn compare(geo: ConvGeometry, x: &Tensor, weight: &Tensor, bias: &Tensor, dy: &Tensor, what: &str) {
+    let (y, cols) = conv2d_forward(x, weight, bias, geo);
+    let (y_ref, caches) = oracle_forward(x, weight, bias, geo);
+    assert_bits_equal(&y, &y_ref, &format!("y: {what}"));
+
+    let grads = conv2d_backward(dy, weight, &cols, x.shape(), geo);
+    let (dx_ref, dw_ref, db_ref) = oracle_backward(dy, weight, &caches, x.shape(), geo);
+    assert_bits_equal(&grads.dx, &dx_ref, &format!("dx: {what}"));
+    assert_bits_equal(&grads.dw, &dw_ref, &format!("dw: {what}"));
+    assert_bits_equal(&grads.db, &db_ref, &format!("db: {what}"));
+}
+
+/// A random layer with `x`, the weights and `dy` salted at the levels
+/// of `salts`, in that order, through [`compare`].
 fn check(
     geo: ConvGeometry,
     n: usize,
@@ -236,23 +256,16 @@ fn check(
     c_out: usize,
     side: usize,
     seed: u64,
-    salt: Salt,
+    salts: [Salt; 3],
 ) {
-    let what = format!("{geo:?} n={n} c_in={c_in} c_out={c_out} side={side} {salt:?}");
-    let x = fill(&[n, c_in, side, side], seed, Salt::Zeros);
-    let weight = fill(&[c_out, c_in, geo.kh, geo.kw], seed ^ 0x5a5a, salt);
+    let what = format!("{geo:?} n={n} c_in={c_in} c_out={c_out} side={side} {salts:?}");
+    let [x_salt, w_salt, dy_salt] = salts;
+    let (oh, ow) = geo.out_hw(side, side);
+    let x = fill(&[n, c_in, side, side], seed, x_salt);
+    let weight = fill(&[c_out, c_in, geo.kh, geo.kw], seed ^ 0x5a5a, w_salt);
     let bias = fill(&[c_out], seed ^ 0x3c3c, Salt::Zeros);
-
-    let (y, cols) = conv2d_forward(&x, &weight, &bias, geo);
-    let (y_ref, caches) = oracle_forward(&x, &weight, &bias, geo);
-    assert_bits_equal(&y, &y_ref, &format!("y: {what}"));
-
-    let dy = fill(y.shape(), seed ^ 0xa5a5, Salt::Zeros);
-    let grads = conv2d_backward(&dy, &weight, &cols, x.shape(), geo);
-    let (dx_ref, dw_ref, db_ref) = oracle_backward(&dy, &weight, &caches, x.shape(), geo);
-    assert_bits_equal(&grads.dx, &dx_ref, &format!("dx: {what}"));
-    assert_bits_equal(&grads.dw, &dw_ref, &format!("dw: {what}"));
-    assert_bits_equal(&grads.db, &db_ref, &format!("db: {what}"));
+    let dy = fill(&[n, c_out, oh, ow], seed ^ 0xa5a5, dy_salt);
+    compare(geo, &x, &weight, &bias, &dy, &what);
 }
 
 proptest! {
@@ -262,12 +275,12 @@ proptest! {
     #[test]
     fn batched_conv_is_bit_equal_to_per_sample(
         shape in (0usize..3, 0usize..3, 1usize..=9, 1usize..=9, 0usize..5),
-        salt in 0usize..3,
+        salts in (0usize..3, 0usize..3, 0usize..3),
         seed in 0u64..1 << 60,
     ) {
         let (g, b, c_in, c_out, s) = shape;
-        let salt = [Salt::Clean, Salt::Zeros, Salt::NonFinite][salt];
-        check(GEOMETRIES[g], BATCHES[b], c_in, c_out, SIDES[s], seed, salt);
+        let salts = [SALTS[salts.0], SALTS[salts.1], SALTS[salts.2]];
+        check(GEOMETRIES[g], BATCHES[b], c_in, c_out, SIDES[s], seed, salts);
     }
 }
 
@@ -279,8 +292,11 @@ fn deep_single_pixel_layers_are_bit_equal() {
         // 3×3 pad 1 keeps 1×1; 3×3 stride 2 maps 2×2 to 1×1.
         let side = if geo.stride == 2 { 2 } else { 1 };
         for &n in &BATCHES {
-            for salt in [Salt::Clean, Salt::Zeros, Salt::NonFinite] {
-                check(geo, n, 16, 64, side, 7 + gi as u64, salt);
+            for w_salt in SALTS {
+                for dy_salt in SALTS {
+                    let salts = [Salt::Zeros, w_salt, dy_salt];
+                    check(geo, n, 16, 64, side, 7 + gi as u64, salts);
+                }
             }
         }
     }
@@ -302,25 +318,72 @@ fn pointwise_layers_with_signed_zeros_are_bit_equal() {
                 let x = fill(&[n, c_in, side, side], seed, Salt::Zeros);
                 let weight = fill(&[c_out, c_in, 1, 1], seed ^ 0x5a5a, salt);
                 let bias = fill(&[c_out], seed ^ 0x3c3c, Salt::Zeros);
-                let (y, cols) = conv2d_forward(&x, &weight, &bias, geo);
-                let (y_ref, caches) = oracle_forward(&x, &weight, &bias, geo);
-                assert_bits_equal(&y, &y_ref, &format!("y: {what}"));
-                let dy = fill(y.shape(), seed ^ 0xa5a5, Salt::Zeros).map(|v| -v);
-                let grads = conv2d_backward(&dy, &weight, &cols, x.shape(), geo);
-                let (dx_ref, dw_ref, db_ref) =
-                    oracle_backward(&dy, &weight, &caches, x.shape(), geo);
-                assert_bits_equal(&grads.dx, &dx_ref, &format!("dx: {what}"));
-                assert_bits_equal(&grads.dw, &dw_ref, &format!("dw: {what}"));
-                assert_bits_equal(&grads.db, &db_ref, &format!("db: {what}"));
+                let dy = fill(&[n, c_out, side, side], seed ^ 0xa5a5, Salt::Zeros).map(|v| -v);
+                compare(geo, &x, &weight, &bias, &dy, &what);
+            }
+        }
+    }
+}
+
+/// k×k kernels over a 1×1 plane with `k = 2·pad + 1`, which run as the
+/// pointwise conv of their centre tap. The per-sample oracle multiplies
+/// every padding tap by `+0.0`, so a non-finite weight that sits only
+/// off-centre must still make its output row NaN, and a single `±∞` or
+/// NaN in a row of `dy` must still make that row's off-centre `dW` NaN.
+#[test]
+fn centre_tap_layers_are_bit_equal() {
+    for (k, pad) in [(3, 1), (5, 2)] {
+        for stride in [1, 2] {
+            let geo = ConvGeometry {
+                kh: k,
+                kw: k,
+                stride,
+                pad,
+            };
+            let centre = pad * k + pad;
+            for &n in &BATCHES {
+                for (c_in, c_out) in [(1, 1), (3, 8), (64, 64)] {
+                    let what = format!("{geo:?} n={n} c_in={c_in} c_out={c_out}");
+                    let seed = (k * 100 + stride * 10 + c_in) as u64 + n as u64;
+                    let x = fill(&[n, c_in, 1, 1], seed, Salt::Zeros);
+                    let mut weight = fill(&[c_out, c_in, k, k], seed ^ 0x5a5a, Salt::Zeros);
+                    let bias = fill(&[c_out], seed ^ 0x3c3c, Salt::Zeros);
+                    let mut dy = fill(&[n, c_out, 1, 1], seed ^ 0xa5a5, Salt::Zeros);
+                    // Row co's only non-finite weight: off-centre in rows
+                    // 0..3 (tap `co`, then the last tap of the last input
+                    // channel), at the centre in row 3.
+                    let kk = k * k;
+                    let row = c_in * kk;
+                    let w = weight.as_mut_slice();
+                    let poison = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN, f32::INFINITY];
+                    for (co, v) in poison.into_iter().enumerate().take(c_out) {
+                        let at = match co {
+                            0 => 0,
+                            1 => row - 1,
+                            2 => (c_in - 1) * kk + centre + 1,
+                            _ => centre,
+                        };
+                        w[co * row + at] = v;
+                    }
+                    // One non-finite `dy` per poisoned row, in the last
+                    // sample: ∞ in channel 0, NaN in the last channel.
+                    let d = dy.as_mut_slice();
+                    d[(n - 1) * c_out] = f32::INFINITY;
+                    d[n * c_out - 1] = f32::NAN;
+                    compare(geo, &x, &weight, &bias, &dy, &what);
+                }
             }
         }
     }
 }
 
 /// A VGG16-fast first-block layer at training batch 16: many output
-/// pixels, full SIMD tiles.
+/// pixels, full SIMD tiles. The third call has no zero in `x`, the
+/// weights or `dy`, so no panel at that width skips.
 #[test]
 fn wide_early_layer_is_bit_equal() {
-    check(GEOMETRIES[0], 16, 8, 16, 8, 11, Salt::Clean);
-    check(GEOMETRIES[1], 16, 8, 16, 8, 12, Salt::Zeros);
+    use Salt::{Clean, Zeros};
+    check(GEOMETRIES[0], 16, 8, 16, 8, 11, [Zeros, Clean, Zeros]);
+    check(GEOMETRIES[1], 16, 8, 16, 8, 12, [Zeros; 3]);
+    check(GEOMETRIES[0], 16, 8, 16, 8, 13, [Clean; 3]);
 }
