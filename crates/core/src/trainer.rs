@@ -125,26 +125,6 @@ impl LocalTrainer {
     }
 }
 
-/// Evaluates top-1 accuracy of a network on a dataset, batched to bound
-/// memory.
-///
-/// Evaluation normalises batch-norm with *batch statistics* — the
-/// static-BN (sBN) convention of HeteroFL-style systems. Aggregating
-/// running statistics across submodels of different widths poisons them
-/// (each width sees different activation distributions), which
-/// otherwise cripples deep BN models; every method is evaluated the
-/// same way. It runs [`Network::infer`], which gives the logits of a
-/// training-mode forward bit for bit without caching activations or
-/// touching the running statistics.
-pub fn evaluate(net: &mut Network, data: &InMemoryDataset, batch_size: usize) -> f32 {
-    let mut acc = RunningMean::new();
-    for batch in eval_batches(data.len(), batch_size) {
-        let (a, n) = batch_accuracy(net, data, batch);
-        acc.add(a, n);
-    }
-    acc.mean()
-}
-
 /// The index ranges of the evaluation batches over `n` samples: runs of
 /// `batch_size` in order, the last one possibly shorter. A batch's
 /// members fix its statistics, so every evaluation splits the same way.
@@ -156,6 +136,15 @@ pub fn eval_batches(n: usize, batch_size: usize) -> impl Iterator<Item = Range<u
 
 /// Top-1 accuracy of `net` on the samples `batch` of `data`, with the
 /// batch's size as its weight in a [`RunningMean`].
+///
+/// Evaluation normalises batch-norm with *batch statistics* — the
+/// static-BN (sBN) convention of HeteroFL-style systems. Aggregating
+/// running statistics across submodels of different widths poisons them
+/// (each width sees different activation distributions), which
+/// otherwise cripples deep BN models; every method is evaluated the
+/// same way. It runs [`Layer::infer`], which gives the logits of a
+/// training-mode forward bit for bit without caching activations or
+/// touching the running statistics.
 pub fn batch_accuracy(
     net: &mut Network,
     data: &InMemoryDataset,
@@ -173,6 +162,17 @@ mod tests {
     use adaptivefl_data::{FederatedDataset, Partition, SynthSpec};
     use adaptivefl_models::ModelConfig;
     use adaptivefl_tensor::rng;
+
+    /// Folds [`batch_accuracy`] over [`eval_batches`] into one
+    /// [`RunningMean`], as `methods::evaluate_levels` does per model.
+    fn test_accuracy(net: &mut Network, data: &InMemoryDataset, batch_size: usize) -> f32 {
+        let mut acc = RunningMean::new();
+        for batch in eval_batches(data.len(), batch_size) {
+            let (a, n) = batch_accuracy(net, data, batch);
+            acc.add(a, n);
+        }
+        acc.mean()
+    }
 
     #[test]
     fn training_reduces_loss_and_lifts_accuracy() {
@@ -192,11 +192,11 @@ mod tests {
             epochs: 8,
             batch_size: 16,
         };
-        let before = evaluate(&mut net, fed.test(), 32);
+        let before = test_accuracy(&mut net, fed.test(), 32);
         let scratch = Scratch::new();
         let loss1 = trainer.train_with_scratch(&mut net, fed.client(0), &mut r, &scratch);
         let loss2 = trainer.train_with_scratch(&mut net, fed.client(0), &mut r, &scratch);
-        let after = evaluate(&mut net, fed.test(), 32);
+        let after = test_accuracy(&mut net, fed.test(), 32);
         assert!(loss2 < loss1, "loss did not decrease: {loss1} → {loss2}");
         assert!(after > before + 0.15, "accuracy {before} → {after}");
     }
@@ -251,8 +251,8 @@ mod tests {
         };
         let mut r = rng::seeded(75);
         let mut net = cfg.build(&cfg.full_plan(), &mut r);
-        let a = evaluate(&mut net, fed.test(), 7);
-        let b = evaluate(&mut net, fed.test(), 25);
+        let a = test_accuracy(&mut net, fed.test(), 7);
+        let b = test_accuracy(&mut net, fed.test(), 25);
         assert!((a - b).abs() < 1e-6);
     }
 }

@@ -11,58 +11,15 @@ use rand::Rng;
 
 use crate::block::{Block, Blueprint};
 
-/// Dense or depthwise convolution kernel behind one `Node::Conv`.
-enum ConvImpl {
-    Dense(Conv2d),
-    Depthwise(DepthwiseConv2d),
-}
-
-impl ConvImpl {
-    fn forward(&mut self, x: Tensor, train: bool) -> Tensor {
-        match self {
-            ConvImpl::Dense(c) => c.forward(x, train),
-            ConvImpl::Depthwise(c) => c.forward(x, train),
-        }
-    }
-
-    fn backward(&mut self, dy: Tensor) -> Tensor {
-        match self {
-            ConvImpl::Dense(c) => c.backward(dy),
-            ConvImpl::Depthwise(c) => c.backward(dy),
-        }
-    }
-
-    fn visit_params(&self, prefix: &str, v: &mut dyn ParamVisitor) {
-        match self {
-            ConvImpl::Dense(c) => c.visit_params(prefix, v),
-            ConvImpl::Depthwise(c) => c.visit_params(prefix, v),
-        }
-    }
-
-    fn visit_params_mut(&mut self, prefix: &str, v: &mut dyn ParamVisitorMut) {
-        match self {
-            ConvImpl::Dense(c) => c.visit_params_mut(prefix, v),
-            ConvImpl::Depthwise(c) => c.visit_params_mut(prefix, v),
-        }
-    }
-
-    fn zero_grads(&mut self) {
-        match self {
-            ConvImpl::Dense(c) => c.zero_grads(),
-            ConvImpl::Depthwise(c) => c.zero_grads(),
-        }
-    }
-}
-
 /// How a forward pass treats the layers.
-#[derive(Clone, Copy, PartialEq, Eq)]
+#[derive(Clone, Copy)]
 enum Pass {
     /// Training mode: batch statistics, caches for the backward.
     Train,
     /// Evaluation mode: running statistics, no caches.
     Eval,
-    /// sBN inference: batch statistics, no caches, running statistics
-    /// untouched.
+    /// sBN inference ([`Layer::infer`]): batch statistics, no caches,
+    /// running statistics untouched.
     Infer,
 }
 
@@ -74,38 +31,109 @@ impl Pass {
             Pass::Eval
         }
     }
-
-    /// The `train` flag of every layer but BatchNorm.
-    fn train(self) -> bool {
-        self == Pass::Train
-    }
 }
 
-/// One runtime node, mirroring a [`Block`].
-#[allow(clippy::large_enum_variant)] // nodes are built once per model, not stored in bulk
+/// One runtime node: a layer, or a residual join of two sequences.
 enum Node {
-    Conv {
-        name: String,
-        conv: ConvImpl,
-        bn: Option<BatchNorm2d>,
-        relu: Option<Relu>,
-    },
-    Linear {
-        name: String,
-        fc: Linear,
-        relu: Option<Relu>,
-    },
-    MaxPool(MaxPool2d),
-    Gap(GlobalAvgPool),
-    Flatten(Flatten),
-    Residual {
-        main: Seq,
-        shortcut: Option<Seq>,
-        relu: Relu,
-    },
-    LinearResidual {
-        main: Seq,
-    },
+    /// A layer and the name prefix of its parameters.
+    Leaf(String, Box<dyn Layer>),
+    /// `main(x) + shortcut(x)`; the shortcut is the identity when
+    /// `None`.
+    Residual { main: Seq, shortcut: Option<Seq> },
+}
+
+impl Node {
+    fn leaf(prefix: &str, layer: impl Layer + 'static) -> Self {
+        Node::Leaf(prefix.to_string(), Box::new(layer))
+    }
+
+    /// Appends the nodes of `block` to `seq`, drawing weights from
+    /// `rng` in block order.
+    fn build(block: &Block, rng: &mut impl Rng, seq: &mut Vec<Node>) {
+        match block {
+            Block::Conv(c) => {
+                seq.push(if c.depthwise {
+                    assert_eq!(
+                        c.in_c, c.out_c,
+                        "depthwise conv {} needs in_c == out_c",
+                        c.name
+                    );
+                    Node::leaf(
+                        &c.name,
+                        DepthwiseConv2d::new(c.out_c, c.k, c.stride, c.pad, rng),
+                    )
+                } else {
+                    Node::leaf(
+                        &c.name,
+                        Conv2d::new(c.in_c, c.out_c, c.k, c.stride, c.pad, rng),
+                    )
+                });
+                if c.bn {
+                    seq.push(Node::leaf(
+                        &format!("{}.bn", c.name),
+                        BatchNorm2d::new(c.out_c),
+                    ));
+                }
+                if c.relu {
+                    seq.push(Node::leaf("", Relu::new()));
+                }
+            }
+            Block::Linear(l) => {
+                seq.push(Node::leaf(&l.name, Linear::new(l.in_f, l.out_f, rng)));
+                if l.relu {
+                    seq.push(Node::leaf("", Relu::new()));
+                }
+            }
+            Block::MaxPool(w) => seq.push(Node::leaf("", MaxPool2d::new(*w))),
+            Block::GlobalAvgPool => seq.push(Node::leaf("", GlobalAvgPool::new())),
+            Block::Flatten => seq.push(Node::leaf("", Flatten::new())),
+            Block::Residual { main, shortcut } => {
+                seq.push(Node::Residual {
+                    main: Seq::build(main, rng),
+                    shortcut: shortcut.as_ref().map(|sc| Seq::build(sc, rng)),
+                });
+                seq.push(Node::leaf("", Relu::new()));
+            }
+            Block::LinearResidual { main } => seq.push(Node::Residual {
+                main: Seq::build(main, rng),
+                shortcut: None,
+            }),
+        }
+    }
+
+    fn forward(&mut self, x: Tensor, pass: Pass) -> Tensor {
+        match self {
+            Node::Leaf(_, layer) => match pass {
+                Pass::Train => layer.forward(x, true),
+                Pass::Eval => layer.forward(x, false),
+                Pass::Infer => layer.infer(x),
+            },
+            Node::Residual { main, shortcut } => {
+                let skip = match shortcut {
+                    Some(sc) => sc.forward(x.clone(), pass),
+                    None => x.clone(),
+                };
+                let mut h = main.forward(x, pass);
+                h.add_assign(&skip);
+                h
+            }
+        }
+    }
+
+    fn backward(&mut self, dy: Tensor) -> Tensor {
+        match self {
+            Node::Leaf(_, layer) => layer.backward(dy),
+            Node::Residual { main, shortcut } => {
+                let mut dx = main.backward(dy.clone());
+                let dskip = match shortcut {
+                    Some(sc) => sc.backward(dy),
+                    None => dy,
+                };
+                dx.add_assign(&dskip);
+                dx
+            }
+        }
+    }
 }
 
 /// A sequence of nodes.
@@ -115,231 +143,47 @@ struct Seq {
 
 impl Seq {
     fn build(blocks: &[Block], rng: &mut impl Rng) -> Self {
-        Seq {
-            nodes: blocks.iter().map(|b| Node::build(b, rng)).collect(),
+        let mut nodes = Vec::new();
+        for b in blocks {
+            Node::build(b, rng, &mut nodes);
         }
+        Seq { nodes }
     }
 
     fn forward(&mut self, x: Tensor, pass: Pass) -> Tensor {
-        let mut h = x;
-        for n in &mut self.nodes {
-            h = n.forward(h, pass);
-        }
-        h
+        self.nodes.iter_mut().fold(x, |h, n| n.forward(h, pass))
     }
 
     fn backward(&mut self, dy: Tensor) -> Tensor {
-        let mut g = dy;
-        for n in self.nodes.iter_mut().rev() {
-            g = n.backward(g);
-        }
-        g
+        self.nodes.iter_mut().rev().fold(dy, |g, n| n.backward(g))
     }
 
-    fn visit(&self, v: &mut dyn ParamVisitor) {
+    /// Calls `f` on every leaf with its prefix, in parameter order
+    /// (`main` before `shortcut`).
+    fn leaves(&self, f: &mut dyn FnMut(&str, &dyn Layer)) {
         for n in &self.nodes {
-            n.visit(v);
+            match n {
+                Node::Leaf(prefix, layer) => f(prefix, layer.as_ref()),
+                Node::Residual { main, shortcut } => {
+                    for s in std::iter::once(main).chain(shortcut) {
+                        s.leaves(f);
+                    }
+                }
+            }
         }
     }
 
-    fn visit_mut(&mut self, v: &mut dyn ParamVisitorMut) {
+    /// [`Seq::leaves`], mutably.
+    fn leaves_mut(&mut self, f: &mut dyn FnMut(&str, &mut dyn Layer)) {
         for n in &mut self.nodes {
-            n.visit_mut(v);
-        }
-    }
-
-    fn zero_grads(&mut self) {
-        for n in &mut self.nodes {
-            n.zero_grads();
-        }
-    }
-}
-
-impl Node {
-    fn build(block: &Block, rng: &mut impl Rng) -> Self {
-        match block {
-            Block::Conv(c) => Node::Conv {
-                name: c.name.clone(),
-                conv: if c.depthwise {
-                    assert_eq!(
-                        c.in_c, c.out_c,
-                        "depthwise conv {} needs in_c == out_c",
-                        c.name
-                    );
-                    ConvImpl::Depthwise(DepthwiseConv2d::new(c.out_c, c.k, c.stride, c.pad, rng))
-                } else {
-                    ConvImpl::Dense(Conv2d::new(c.in_c, c.out_c, c.k, c.stride, c.pad, rng))
-                },
-                bn: c.bn.then(|| BatchNorm2d::new(c.out_c)),
-                relu: c.relu.then(Relu::new),
-            },
-            Block::Linear(l) => Node::Linear {
-                name: l.name.clone(),
-                fc: Linear::new(l.in_f, l.out_f, rng),
-                relu: l.relu.then(Relu::new),
-            },
-            Block::MaxPool(w) => Node::MaxPool(MaxPool2d::new(*w)),
-            Block::GlobalAvgPool => Node::Gap(GlobalAvgPool::new()),
-            Block::Flatten => Node::Flatten(Flatten::new()),
-            Block::Residual { main, shortcut } => Node::Residual {
-                main: Seq::build(main, rng),
-                shortcut: shortcut.as_ref().map(|sc| Seq::build(sc, rng)),
-                relu: Relu::new(),
-            },
-            Block::LinearResidual { main } => Node::LinearResidual {
-                main: Seq::build(main, rng),
-            },
-        }
-    }
-
-    fn forward(&mut self, x: Tensor, pass: Pass) -> Tensor {
-        let train = pass.train();
-        match self {
-            Node::Conv { conv, bn, relu, .. } => {
-                let mut h = conv.forward(x, train);
-                if let Some(bn) = bn {
-                    h = match pass {
-                        Pass::Infer => bn.infer(h),
-                        _ => bn.forward(h, train),
-                    };
-                }
-                if let Some(relu) = relu {
-                    h = relu.forward(h, train);
-                }
-                h
-            }
-            Node::Linear { fc, relu, .. } => {
-                let mut h = fc.forward(x, train);
-                if let Some(relu) = relu {
-                    h = relu.forward(h, train);
-                }
-                h
-            }
-            Node::MaxPool(p) => p.forward(x, train),
-            Node::Gap(g) => g.forward(x, train),
-            Node::Flatten(f) => f.forward(x, train),
-            Node::Residual {
-                main,
-                shortcut,
-                relu,
-            } => {
-                let skip = match shortcut {
-                    Some(sc) => sc.forward(x.clone(), pass),
-                    None => x.clone(),
-                };
-                let mut h = main.forward(x, pass);
-                h.add_assign(&skip);
-                relu.forward(h, train)
-            }
-            Node::LinearResidual { main } => {
-                let mut h = main.forward(x.clone(), pass);
-                h.add_assign(&x);
-                h
-            }
-        }
-    }
-
-    fn backward(&mut self, dy: Tensor) -> Tensor {
-        match self {
-            Node::Conv { conv, bn, relu, .. } => {
-                let mut g = dy;
-                if let Some(relu) = relu {
-                    g = relu.backward(g);
-                }
-                if let Some(bn) = bn {
-                    g = bn.backward(g);
-                }
-                conv.backward(g)
-            }
-            Node::Linear { fc, relu, .. } => {
-                let mut g = dy;
-                if let Some(relu) = relu {
-                    g = relu.backward(g);
-                }
-                fc.backward(g)
-            }
-            Node::MaxPool(p) => p.backward(dy),
-            Node::Gap(g) => g.backward(dy),
-            Node::Flatten(f) => f.backward(dy),
-            Node::Residual {
-                main,
-                shortcut,
-                relu,
-            } => {
-                let g = relu.backward(dy);
-                let mut dx = main.backward(g.clone());
-                let dskip = match shortcut {
-                    Some(sc) => sc.backward(g),
-                    None => g,
-                };
-                dx.add_assign(&dskip);
-                dx
-            }
-            Node::LinearResidual { main } => {
-                let mut dx = main.backward(dy.clone());
-                dx.add_assign(&dy);
-                dx
-            }
-        }
-    }
-
-    fn visit(&self, v: &mut dyn ParamVisitor) {
-        match self {
-            Node::Conv { name, conv, bn, .. } => {
-                conv.visit_params(name, v);
-                if let Some(bn) = bn {
-                    bn.visit_params(&format!("{name}.bn"), v);
+            match n {
+                Node::Leaf(prefix, layer) => f(prefix, layer.as_mut()),
+                Node::Residual { main, shortcut } => {
+                    for s in std::iter::once(main).chain(shortcut) {
+                        s.leaves_mut(f);
+                    }
                 }
             }
-            Node::Linear { name, fc, .. } => fc.visit_params(name, v),
-            Node::Residual { main, shortcut, .. } => {
-                main.visit(v);
-                if let Some(sc) = shortcut {
-                    sc.visit(v);
-                }
-            }
-            Node::LinearResidual { main } => main.visit(v),
-            _ => {}
-        }
-    }
-
-    fn visit_mut(&mut self, v: &mut dyn ParamVisitorMut) {
-        match self {
-            Node::Conv { name, conv, bn, .. } => {
-                conv.visit_params_mut(name, v);
-                if let Some(bn) = bn {
-                    bn.visit_params_mut(&format!("{name}.bn"), v);
-                }
-            }
-            Node::Linear { name, fc, .. } => fc.visit_params_mut(name, v),
-            Node::Residual { main, shortcut, .. } => {
-                main.visit_mut(v);
-                if let Some(sc) = shortcut {
-                    sc.visit_mut(v);
-                }
-            }
-            Node::LinearResidual { main } => main.visit_mut(v),
-            _ => {}
-        }
-    }
-
-    fn zero_grads(&mut self) {
-        match self {
-            Node::Conv { conv, bn, .. } => {
-                conv.zero_grads();
-                if let Some(bn) = bn {
-                    bn.zero_grads();
-                }
-            }
-            Node::Linear { fc, .. } => fc.zero_grads(),
-            Node::Residual { main, shortcut, .. } => {
-                main.zero_grads();
-                if let Some(sc) = shortcut {
-                    sc.zero_grads();
-                }
-            }
-            Node::LinearResidual { main } => main.zero_grads(),
-            _ => {}
         }
     }
 }
@@ -379,6 +223,20 @@ impl Network {
         self.exits.iter().map(|(e, _)| *e).collect()
     }
 
+    /// The trunk segments, then the exit heads: parameter order.
+    fn seqs(&self) -> impl Iterator<Item = &Seq> {
+        self.segments
+            .iter()
+            .chain(self.exits.iter().map(|(_, h)| h))
+    }
+
+    /// [`Network::seqs`], mutably.
+    fn seqs_mut(&mut self) -> impl Iterator<Item = &mut Seq> {
+        self.segments
+            .iter_mut()
+            .chain(self.exits.iter_mut().map(|(_, h)| h))
+    }
+
     /// Runs the trunk, evaluating every active exit; returns
     /// `(segment index, logits)` per exit in ascending order.
     pub fn forward_multi(&mut self, x: Tensor, train: bool) -> Vec<(usize, Tensor)> {
@@ -392,20 +250,6 @@ impl Network {
             }
         }
         out
-    }
-
-    /// Inference at the final exit with BatchNorm on *batch* statistics
-    /// (the sBN evaluation of DESIGN.md §7): the final logits of
-    /// `forward(x, true)`, bit for bit, but no layer caches anything
-    /// for a backward, the running statistics stay as they are, and
-    /// earlier exit heads are skipped.
-    pub fn infer(&mut self, x: Tensor) -> Tensor {
-        let (last, head) = self.exits.last_mut().expect("network has a final exit");
-        let mut h = x;
-        for seg in &mut self.segments[..=*last] {
-            h = seg.forward(h, Pass::Infer);
-        }
-        head.forward(h, Pass::Infer)
     }
 
     /// Back-propagates per-exit logit gradients through the heads and
@@ -461,6 +305,19 @@ impl Layer for Network {
         outs.pop().expect("network has a final exit").1
     }
 
+    /// Inference at the final exit with BatchNorm on *batch* statistics
+    /// (the sBN evaluation of DESIGN.md §7): the final logits of
+    /// `forward(x, true)`, bit for bit, but no layer caches anything
+    /// for a backward, the running statistics stay as they are, and
+    /// earlier exit heads are skipped.
+    fn infer(&mut self, x: Tensor) -> Tensor {
+        let (last, head) = self.exits.last_mut().expect("network has a final exit");
+        let h = self.segments[..=*last]
+            .iter_mut()
+            .fold(x, |h, seg| seg.forward(h, Pass::Infer));
+        head.forward(h, Pass::Infer)
+    }
+
     fn backward(&mut self, dy: Tensor) -> Tensor {
         assert_eq!(
             self.exits.len(),
@@ -472,29 +329,20 @@ impl Layer for Network {
     }
 
     fn visit_params(&self, _prefix: &str, v: &mut dyn ParamVisitor) {
-        for seg in &self.segments {
-            seg.visit(v);
-        }
-        for (_, head) in &self.exits {
-            head.visit(v);
+        for seq in self.seqs() {
+            seq.leaves(&mut |prefix, layer| layer.visit_params(prefix, v));
         }
     }
 
     fn visit_params_mut(&mut self, _prefix: &str, v: &mut dyn ParamVisitorMut) {
-        for seg in &mut self.segments {
-            seg.visit_mut(v);
-        }
-        for (_, head) in &mut self.exits {
-            head.visit_mut(v);
+        for seq in self.seqs_mut() {
+            seq.leaves_mut(&mut |prefix, layer| layer.visit_params_mut(prefix, v));
         }
     }
 
     fn zero_grads(&mut self) {
-        for seg in &mut self.segments {
-            seg.zero_grads();
-        }
-        for (_, head) in &mut self.exits {
-            head.zero_grads();
+        for seq in self.seqs_mut() {
+            seq.leaves_mut(&mut |_, layer| layer.zero_grads());
         }
     }
 }

@@ -60,10 +60,21 @@ impl<F: FnMut(&str, ParamKind, &mut Tensor, &mut Tensor)> ParamVisitorMut for F 
 /// `forward` must cache whatever the matching `backward` needs;
 /// `backward` accumulates parameter gradients (it does **not** zero
 /// them) and returns the gradient w.r.t. the input.
+///
+/// `infer` is the sBN inference pass (DESIGN.md §7): the output of
+/// `forward(x, true)`, bit for bit, but nothing is cached for a
+/// backward and no state changes (BatchNorm's running statistics stay
+/// as they are). Only layers whose training-mode output differs from
+/// their evaluation-mode output override it.
 pub trait Layer: Send {
     /// Runs the layer on `x`. `train` selects training-mode behaviour
     /// (batch-norm statistics, caching for backward).
     fn forward(&mut self, x: Tensor, train: bool) -> Tensor;
+
+    /// Inference with batch statistics; defaults to `forward(x, false)`.
+    fn infer(&mut self, x: Tensor) -> Tensor {
+        self.forward(x, false)
+    }
 
     /// Back-propagates `dy` (gradient w.r.t. this layer's output),
     /// accumulating parameter gradients, and returns the gradient
@@ -150,6 +161,47 @@ pub fn join_name(prefix: &str, local: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layers::{Conv2d, DepthwiseConv2d, Flatten, GlobalAvgPool, Linear, MaxPool2d, Relu};
+    use adaptivefl_tensor::{init, rng};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    /// Every layer that keeps the default `infer`: it caches nothing,
+    /// so a following `backward` panics, and its output is
+    /// `forward(x, false)` bit for bit.
+    #[test]
+    fn default_infer_is_an_eval_forward_that_caches_nothing() {
+        let mut r = rng::seeded(9);
+        let image = init::normal(&[2, 3, 4, 4], 1.0, &mut r);
+        let rows = init::normal(&[2, 5], 1.0, &mut r);
+        let cases: Vec<(&str, Box<dyn Layer>, &Tensor)> = vec![
+            ("conv", Box::new(Conv2d::new(3, 4, 3, 1, 1, &mut r)), &image),
+            (
+                "depthwise",
+                Box::new(DepthwiseConv2d::new(3, 3, 1, 1, &mut r)),
+                &image,
+            ),
+            ("linear", Box::new(Linear::new(5, 2, &mut r)), &rows),
+            ("relu", Box::new(Relu::new()), &image),
+            ("maxpool", Box::new(MaxPool2d::new(2)), &image),
+            ("gap", Box::new(GlobalAvgPool::new()), &image),
+            ("flatten", Box::new(Flatten::new()), &image),
+        ];
+        for (what, mut layer, x) in cases {
+            let got = layer.infer(x.clone());
+            let dy = Tensor::ones(got.shape());
+            let backward = catch_unwind(AssertUnwindSafe(|| layer.backward(dy)));
+            assert!(backward.is_err(), "{what}: backward after infer must panic");
+            let want = layer.forward(x.clone(), false);
+            assert_eq!(got.shape(), want.shape(), "{what}");
+            assert!(
+                got.as_slice()
+                    .iter()
+                    .zip(want.as_slice())
+                    .all(|(a, b)| a.to_bits() == b.to_bits()),
+                "{what}: infer differs from forward(x, false)"
+            );
+        }
+    }
 
     #[test]
     fn join_name_handles_empty_prefix() {

@@ -12,8 +12,8 @@ use crate::layer::{join_name, Layer, ParamKind, ParamVisitor, ParamVisitorMut};
 ///
 /// Training mode normalises with batch statistics and updates the
 /// running estimates; evaluation mode uses the running estimates;
-/// [`BatchNorm2d::infer`] normalises with batch statistics like training
-/// mode but caches and updates nothing.
+/// [`Layer::infer`] normalises with batch statistics like training mode
+/// but caches and updates nothing.
 ///
 /// The forward pass writes `x̂` over the input it owns (in evaluation
 /// mode, `y` itself), and the backward pass writes `dX` over `dY`; the
@@ -64,17 +64,6 @@ impl BatchNorm2d {
     /// Number of channels.
     pub fn channels(&self) -> usize {
         self.gamma.numel()
-    }
-
-    /// Inference with batch statistics (the sBN evaluation of
-    /// DESIGN.md §7): the output of `forward(x, true)`, bit for bit,
-    /// without caching anything for a backward or touching the running
-    /// statistics.
-    pub fn infer(&self, mut x: Tensor) -> Tensor {
-        let dims = self.check_input(&x);
-        let (mean, var) = batch_stats(&x, dims);
-        self.normalize(&mut x, dims, &mean, &self.inv_std(&var));
-        x
     }
 
     /// Checks an NCHW input against the layer; returns `(n, c, hw)`.
@@ -204,6 +193,15 @@ impl Layer for BatchNorm2d {
         let shape = x.shape().to_vec();
         self.cache = Some(BnCache { x_hat: x, inv_std });
         Tensor::from_vec(y, &shape)
+    }
+
+    /// Normalises with batch statistics, as training mode does, but
+    /// caches nothing and leaves the running statistics alone.
+    fn infer(&mut self, mut x: Tensor) -> Tensor {
+        let dims = self.check_input(&x);
+        let (mean, var) = batch_stats(&x, dims);
+        self.normalize(&mut x, dims, &mean, &self.inv_std(&var));
+        x
     }
 
     fn backward(&mut self, mut dy: Tensor) -> Tensor {

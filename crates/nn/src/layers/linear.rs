@@ -59,7 +59,7 @@ impl Layer for Linear {
         // y = x · Wᵀ
         let mut y = matmul_a_bt(&x, &self.weight);
         let (n, o) = (y.shape()[0], y.shape()[1]);
-        let b = self.bias.as_slice().to_vec();
+        let b = self.bias.as_slice();
         let yv = y.as_mut_slice();
         for r in 0..n {
             for c in 0..o {

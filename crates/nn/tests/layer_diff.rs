@@ -9,8 +9,8 @@
 //! weights and gradients salted with exact `+0.0` / `-0.0`, `±∞` and
 //! NaN. Every case runs two training steps (forward + backward) onto
 //! gradient buffers that start salted too, then one batch-statistics
-//! inference (`BatchNorm2d::infer` against the training-mode oracle,
-//! running statistics unchanged) and one eval forward, so
+//! inference (`BatchNorm2d`'s `Layer::infer` against the training-mode
+//! oracle, running statistics unchanged) and one eval forward, so
 //! the gradient accumulation order across minibatches and any buffer a
 //! layer keeps between calls are checked as well. A NaN matches any NaN
 //! (DESIGN.md §10); every other value must match bit for bit. Run it

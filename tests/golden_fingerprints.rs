@@ -153,6 +153,30 @@ fn mobilenetv2_golden_matches_faulty_transport() {
     );
 }
 
+/// ResNet18-fast under ScaleFL over the perfect transport: the golden
+/// that pins projection-shortcut residual blocks, ScaleFL's exit heads
+/// and the sBN evaluation of a ResNet bit for bit.
+#[test]
+fn resnet18_scalefl_golden_matches_perfect_transport() {
+    let mut spec = SynthSpec::test_spec(4);
+    spec.input = (3, 8, 8);
+    let mut cfg = SimConfig::quick_test(900);
+    cfg.model = ModelConfig {
+        input: spec.input,
+        classes: spec.classes,
+        ..ModelConfig::resnet18_fast(spec.classes)
+    };
+    cfg.rounds = 3;
+    let fp = Simulation::prepare(&cfg, &spec, Partition::Dirichlet(0.5))
+        .run(MethodKind::ScaleFl)
+        .fingerprint();
+    check_golden_file(
+        "resnet18-scalefl-perfect.txt",
+        "ResNet18 ScaleFL over perfect transport",
+        &fp,
+    );
+}
+
 #[test]
 fn fingerprints_have_nine_decimals_and_method_names() {
     let fp = prepare().run(MethodKind::AdaptiveFl).fingerprint();
