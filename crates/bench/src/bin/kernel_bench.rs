@@ -1,7 +1,10 @@
 //! CI gate + perf record for the blocked matmul kernels.
 //!
 //! Times the reference (naive) kernels against the register-blocked
-//! ones over a ladder of shapes, verifies bit-identity per shape, then
+//! ones over a ladder of shapes, plus the Linear backward shapes with
+//! about half of `A` exact zeros (a ReLU output's `dY`, which the
+//! reference's zero-skip and the blocked kernels' post-check meet),
+//! verifies bit-identity per shape, then
 //! times one heterogeneous aggregation round and one full local
 //! training session each of TinyCnn, VGG16-fast (the fig3 model) and
 //! MobileNetV2 ×0.5 (the fig6 test-bed model). Results land in a JSON
@@ -44,6 +47,8 @@ struct ShapeReport {
     reference_ns: u64,
     blocked_ns: u64,
     speedup: f64,
+    /// Share of exact zeros in `A`.
+    a_zero_share: f64,
     bit_identical: bool,
 }
 
@@ -90,7 +95,16 @@ fn time_min<F: FnMut() -> Tensor>(mut f: F) -> (u64, Tensor) {
     (best, out)
 }
 
-fn bench_shape(op: &str, m: usize, k: usize, n: usize) -> ShapeReport {
+/// `t` with every element below the median of its absolute values
+/// replaced by `+0.0`: about half exact zeros, as after a ReLU.
+fn half_zeros(t: Tensor) -> Tensor {
+    let mut mags: Vec<f32> = t.as_slice().iter().map(|v| v.abs()).collect();
+    let mid = mags.len() / 2;
+    let cut = *mags.select_nth_unstable_by(mid, f32::total_cmp).1;
+    t.map(|v| if v.abs() < cut { 0.0 } else { v })
+}
+
+fn bench_shape(op: &str, m: usize, k: usize, n: usize, sparse_a: bool) -> ShapeReport {
     // `matmul` takes a [m,k]·[k,n]; `matmul_at_b` takes aᵀ as [k,m].
     let (a, b, reference, blocked): (Tensor, Tensor, fn(&Tensor, &Tensor) -> Tensor, _) = match op {
         "matmul" => (
@@ -107,6 +121,9 @@ fn bench_shape(op: &str, m: usize, k: usize, n: usize) -> ShapeReport {
         ),
         other => panic!("unknown op {other}"),
     };
+    let a = if sparse_a { half_zeros(a) } else { a };
+    let a_zero_share =
+        a.as_slice().iter().filter(|&&v| v == 0.0).count() as f64 / a.numel().max(1) as f64;
     let (reference_ns, want) = time_min(|| reference(&a, &b));
     let (blocked_ns, got) = time_min(|| blocked(&a, &b));
     let bit_identical = want
@@ -122,6 +139,7 @@ fn bench_shape(op: &str, m: usize, k: usize, n: usize) -> ShapeReport {
         reference_ns,
         blocked_ns,
         speedup: reference_ns as f64 / blocked_ns.max(1) as f64,
+        a_zero_share,
         bit_identical,
     }
 }
@@ -233,23 +251,30 @@ fn main() -> ExitCode {
         (128, 128, 128),
         (256, 256, 256),
     ];
+    // Linear backward at batch 16 over 512 features, `dY` half zeros:
+    // `dX = dY·W` and `dW = dYᵀ·X`.
+    let sparse: &[(&str, usize, usize, usize)] =
+        &[("matmul", 16, 512, 512), ("matmul_at_b", 512, 16, 512)];
+    let runs = ["matmul", "matmul_at_b"]
+        .into_iter()
+        .flat_map(|op| ladder.iter().map(move |&(m, k, n)| (op, m, k, n, false)))
+        .chain(sparse.iter().map(|&(op, m, k, n)| (op, m, k, n, true)));
     let mut shapes = Vec::new();
-    for op in ["matmul", "matmul_at_b"] {
-        for &(m, k, n) in ladder {
-            let rep = bench_shape(op, m, k, n);
-            println!(
-                "{op} {m}x{k}x{n}: reference {:.2}ms, blocked {:.2}ms, speedup {:.2}x{}",
-                rep.reference_ns as f64 / 1e6,
-                rep.blocked_ns as f64 / 1e6,
-                rep.speedup,
-                if rep.bit_identical {
-                    ""
-                } else {
-                    "  ** BIT DRIFT **"
-                },
-            );
-            shapes.push(rep);
-        }
+    for (op, m, k, n, sparse_a) in runs {
+        let rep = bench_shape(op, m, k, n, sparse_a);
+        println!(
+            "{op} {m}x{k}x{n}{}: reference {:.2}ms, blocked {:.2}ms, speedup {:.2}x{}",
+            if sparse_a { " (A half zeros)" } else { "" },
+            rep.reference_ns as f64 / 1e6,
+            rep.blocked_ns as f64 / 1e6,
+            rep.speedup,
+            if rep.bit_identical {
+                ""
+            } else {
+                "  ** BIT DRIFT **"
+            },
+        );
+        shapes.push(rep);
     }
 
     let aggregation_round_us = bench_aggregation_round();

@@ -475,9 +475,7 @@ impl Layer for DepthwiseConv2d {
             3 => self.forward_with::<3>(&x),
             _ => self.forward_with::<0>(&x),
         };
-        if train {
-            self.cache = Some(x);
-        }
+        self.cache = train.then_some(x);
         y
     }
 
@@ -599,6 +597,16 @@ mod tests {
         let mut dw = DepthwiseConv2d::new(2, 3, 1, 1, &mut r);
         let _ = dw.forward(Tensor::zeros(&[1, 2, 4, 4]), true);
         dw.backward(Tensor::zeros(&[1, 2, 3, 3]));
+    }
+
+    #[test]
+    #[should_panic(expected = "depthwise backward without forward")]
+    fn eval_forward_drops_an_earlier_training_cache() {
+        let mut r = rng::seeded(35);
+        let mut dw = DepthwiseConv2d::new(2, 3, 1, 1, &mut r);
+        let _ = dw.forward(Tensor::ones(&[1, 2, 4, 4]), true);
+        let _ = dw.forward(Tensor::ones(&[1, 2, 4, 4]), false);
+        dw.backward(Tensor::ones(&[1, 2, 4, 4]));
     }
 
     #[test]

@@ -21,11 +21,10 @@ impl Layer for Flatten {
     fn forward(&mut self, x: Tensor, train: bool) -> Tensor {
         let s = x.shape().to_vec();
         assert!(!s.is_empty(), "flatten needs at least one axis");
-        if train {
-            self.in_shape = Some(s.clone());
-        }
         let rest: usize = s[1..].iter().product();
-        x.reshape(&[s[0], rest])
+        let y = x.reshape(&[s[0], rest]);
+        self.in_shape = train.then_some(s);
+        y
     }
 
     fn backward(&mut self, dy: Tensor) -> Tensor {
@@ -52,5 +51,14 @@ mod tests {
         assert_eq!(y.shape(), &[2, 48]);
         let dx = f.backward(y);
         assert_eq!(dx.shape(), &[2, 3, 4, 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "flatten backward without forward")]
+    fn eval_forward_drops_an_earlier_training_cache() {
+        let mut f = Flatten::new();
+        let _ = f.forward(Tensor::ones(&[2, 3, 4, 4]), true);
+        let _ = f.forward(Tensor::ones(&[2, 3, 4, 4]), false);
+        f.backward(Tensor::ones(&[2, 48]));
     }
 }

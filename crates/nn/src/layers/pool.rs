@@ -67,9 +67,7 @@ impl GlobalAvgPool {
 
 impl Layer for GlobalAvgPool {
     fn forward(&mut self, x: Tensor, train: bool) -> Tensor {
-        if train {
-            self.in_shape = Some(x.shape().to_vec());
-        }
+        self.in_shape = train.then(|| x.shape().to_vec());
         global_avg_pool_forward(&x)
     }
 
@@ -104,5 +102,14 @@ mod tests {
         assert_eq!(y.shape(), &[2, 3]);
         let dx = g.backward(Tensor::ones(&[2, 3]));
         assert_eq!(dx.shape(), &[2, 3, 4, 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "gap backward without forward")]
+    fn gap_eval_forward_drops_an_earlier_training_cache() {
+        let mut g = GlobalAvgPool::new();
+        let _ = g.forward(Tensor::ones(&[2, 3, 4, 4]), true);
+        let _ = g.forward(Tensor::ones(&[2, 3, 4, 4]), false);
+        g.backward(Tensor::ones(&[2, 3]));
     }
 }

@@ -41,8 +41,8 @@ impl Layer for Relu {
         if train {
             self.mask.clear();
             self.mask.extend(x.as_slice().iter().map(|&v| v > 0.0));
-            self.armed = true;
         }
+        self.armed = train;
         x.map_inplace(|v| v.max(0.0));
         x
     }
@@ -75,5 +75,14 @@ mod tests {
         let _ = relu.forward(x, true);
         let dx = relu.backward(Tensor::ones(&[4]));
         assert_eq!(dx.as_slice(), &[0.0, 0.0, 1.0, 0.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "relu backward without forward")]
+    fn eval_forward_disarms_an_earlier_training_forward() {
+        let mut relu = Relu::new();
+        let _ = relu.forward(Tensor::ones(&[4]), true);
+        let _ = relu.forward(Tensor::ones(&[4]), false);
+        relu.backward(Tensor::ones(&[4]));
     }
 }

@@ -74,9 +74,7 @@ impl Sgd {
                         let fresh = scratch.take_tensor(g.shape());
                         scratch.recycle_tensor(std::mem::replace(v, fresh));
                     }
-                    v.scale(mu);
-                    v.add_assign(g);
-                    value.axpy(-lr, v);
+                    momentum_step(value, v, g, lr, mu);
                 } else {
                     value.axpy(-lr, g);
                 }
@@ -92,6 +90,37 @@ impl Sgd {
         for (_, v) in velocity {
             self.scratch.recycle_tensor(v);
         }
+    }
+}
+
+/// One momentum step in a single pass: `v = v·μ + g`, then
+/// `p += (−lr)·v`, per element. These are the roundings of
+/// `v.scale(μ)`, `v.add_assign(g)` and `p.axpy(−lr, v)`, in the same
+/// order, so the result is theirs bit for bit.
+///
+/// # Panics
+///
+/// Panics if the shapes of `p`, `v` and `g` differ.
+fn momentum_step(p: &mut Tensor, v: &mut Tensor, g: &Tensor, lr: f32, mu: f32) {
+    assert_eq!(
+        v.shape(),
+        g.shape(),
+        "sgd: velocity and gradient shapes differ"
+    );
+    assert_eq!(
+        p.shape(),
+        v.shape(),
+        "sgd: parameter and velocity shapes differ"
+    );
+    let alpha = -lr;
+    for ((p, v), &g) in p
+        .as_mut_slice()
+        .iter_mut()
+        .zip(v.as_mut_slice())
+        .zip(g.as_slice())
+    {
+        *v = *v * mu + g;
+        *p += alpha * *v;
     }
 }
 
@@ -131,6 +160,47 @@ mod tests {
             last = out.loss;
         }
         assert!(last < 0.3 * first.unwrap(), "loss {last} vs {first:?}");
+    }
+
+    #[test]
+    fn fused_momentum_step_equals_three_passes_bitwise() {
+        let salted = |seed: usize| -> Tensor {
+            let specials = [0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+            let data = (0..64)
+                .map(|i| match (i * 7 + seed) % 11 {
+                    j @ 0..=4 => specials[j],
+                    _ => ((i + seed) as f32 * 1.37).sin() * 3.0,
+                })
+                .collect();
+            Tensor::from_vec(data, &[8, 8])
+        };
+        let same = |x: &Tensor, y: &Tensor| {
+            x.as_slice()
+                .iter()
+                .zip(y.as_slice())
+                .all(|(a, b)| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan()))
+        };
+        for mu in [0.0, 0.5, 0.9] {
+            for (lr, seed) in [(0.01, 1), (0.1, 2), (1.0, 5)] {
+                let (p0, v0, g) = (salted(seed), salted(seed + 3), salted(seed + 6));
+                let (mut p, mut v) = (p0.clone(), v0.clone());
+                momentum_step(&mut p, &mut v, &g, lr, mu);
+                let (mut p3, mut v3) = (p0, v0);
+                v3.scale(mu);
+                v3.add_assign(&g);
+                p3.axpy(-lr, &v3);
+                assert!(same(&v, &v3), "velocity, mu {mu} lr {lr}");
+                assert!(same(&p, &p3), "parameter, mu {mu} lr {lr}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "parameter and velocity shapes differ")]
+    fn fused_momentum_step_rejects_mismatched_parameter() {
+        let mut p = Tensor::zeros(&[3]);
+        let mut v = Tensor::zeros(&[2]);
+        momentum_step(&mut p, &mut v, &Tensor::zeros(&[2]), 0.1, 0.5);
     }
 
     #[test]

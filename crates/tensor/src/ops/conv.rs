@@ -4,7 +4,9 @@
 //! every sample's receptive fields are unfolded into one column matrix
 //! `cols` of shape `[K, n·P]` (`K = c_in·kh·kw`, `P = oh·ow`; sample `i`
 //! owns columns `i·P..(i+1)·P`), so the forward pass is a single
-//! `W₂d · cols` and the input gradient a single `W₂dᵀ · dY`.
+//! `W₂d · cols` and the input gradient a single `W₂dᵀ · dY`. The unfold
+//! and its adjoint fold walk a map of contiguous runs per kernel tap,
+//! built once per call, in place of per-element bounds checks.
 //!
 //! Widening the B operand of a matrix product leaves every output
 //! element's k-chain (and the zero-skip on `W`) untouched, so the results
@@ -86,12 +88,6 @@ const POINTWISE: ConvGeometry = ConvGeometry {
     pad: 0,
 };
 
-/// A pointwise layer: each (sample, channel) plane is one contiguous run
-/// of a column-matrix row.
-fn is_pointwise(geo: ConvGeometry) -> bool {
-    geo == POINTWISE
-}
-
 /// `true` when every tap but the centre reads padding: a 1×1 plane under
 /// a square `(2·pad + 1)` kernel with `pad > 0`. The output is then 1×1
 /// at any stride, and the layer is the pointwise conv of its centre tap.
@@ -120,94 +116,174 @@ fn any_non_finite(v: &[f32]) -> bool {
     v.iter().fold(false, |acc, x| acc | !x.is_finite())
 }
 
-/// Unfolds one sample `[c, h, w]` into columns `col0..col0 + oh·ow` of
-/// the row-major column matrix `out` (row stride `ld`). Padding cells
-/// are left as they are, so `out` must start zeroed.
-#[allow(clippy::too_many_arguments)]
-fn im2col_into(
-    x: &[f32],
-    c: usize,
-    h: usize,
-    w: usize,
-    geo: ConvGeometry,
-    out: &mut [f32],
-    ld: usize,
-    col0: usize,
-) {
-    let (oh, ow) = geo.out_hw(h, w);
-    if is_pointwise(geo) {
-        // Row `ci` of this sample's columns is channel `ci`'s plane.
-        for (ci, plane) in x[..c * h * w].chunks_exact(h * w).enumerate() {
-            out[ci * ld + col0..][..h * w].copy_from_slice(plane);
-        }
-        return;
-    }
-    for ci in 0..c {
+/// One stretch of a tap's unfolded row within a sample's column block:
+/// output columns `p..p + len` read input cells `q, q + stride, …` of
+/// the sample's plane.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Run {
+    p: usize,
+    q: usize,
+    len: usize,
+}
+
+/// The im2col map of one `(h, w, geo)`, as runs per tap `(ki, kj)` in
+/// row-major tap order. Padding cells belong to no run, so a column
+/// matrix or input gradient that starts zeroed keeps `+0.0` there.
+/// Runs that continue each other (one output row's end meets the next
+/// row's start, in the output and in the input) are merged, so a
+/// pointwise layer's single tap is one run over the whole plane.
+#[derive(Debug)]
+struct TapRuns {
+    runs: Vec<Run>,
+    /// Tap `t` owns `runs[starts[t]..starts[t + 1]]`.
+    starts: Vec<usize>,
+    stride: usize,
+    /// Input cells per plane, `h·w`.
+    hw: usize,
+    /// Output columns per sample, `oh·ow`.
+    p: usize,
+}
+
+impl TapRuns {
+    fn new(h: usize, w: usize, geo: ConvGeometry) -> Self {
+        let (oh, ow) = geo.out_hw(h, w);
+        let s = geo.stride;
+        // Outputs `lo..hi` of a tap at kernel offset `k` read inside an
+        // input axis of `len` cells: `0 <= o·s + k - pad < len`.
+        let valid = |k: usize, len: usize, out: usize| {
+            let lo = geo.pad.saturating_sub(k).div_ceil(s).min(out);
+            let hi = (len + geo.pad).saturating_sub(k).div_ceil(s).min(out);
+            (lo, hi.max(lo))
+        };
+        let mut runs: Vec<Run> = Vec::new();
+        let mut starts = Vec::with_capacity(geo.kh * geo.kw + 1);
         for ki in 0..geo.kh {
+            let (oi0, oi1) = valid(ki, h, oh);
             for kj in 0..geo.kw {
-                let row = (ci * geo.kh + ki) * geo.kw + kj;
-                for oi in 0..oh {
-                    let ii = (oi * geo.stride + ki) as isize - geo.pad as isize;
-                    if ii < 0 || ii as usize >= h {
-                        continue;
-                    }
-                    let src_row = ci * h * w + ii as usize * w;
-                    let dst_row = row * ld + col0 + oi * ow;
-                    for oj in 0..ow {
-                        let jj = (oj * geo.stride + kj) as isize - geo.pad as isize;
-                        if jj < 0 || jj as usize >= w {
-                            continue;
+                let (oj0, oj1) = valid(kj, w, ow);
+                let first = runs.len();
+                starts.push(first);
+                if oj0 == oj1 {
+                    continue;
+                }
+                for oi in oi0..oi1 {
+                    let run = Run {
+                        p: oi * ow + oj0,
+                        q: (oi * s + ki - geo.pad) * w + oj0 * s + kj - geo.pad,
+                        len: oj1 - oj0,
+                    };
+                    match runs[first..].last_mut() {
+                        Some(last)
+                            if last.p + last.len == run.p && last.q + last.len * s == run.q =>
+                        {
+                            last.len += run.len
                         }
-                        out[dst_row + oj] = x[src_row + jj as usize];
+                        _ => runs.push(run),
+                    }
+                }
+            }
+        }
+        starts.push(runs.len());
+        TapRuns {
+            runs,
+            starts,
+            stride: s,
+            hw: h * w,
+            p: oh * ow,
+        }
+    }
+
+    fn taps(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    fn tap(&self, t: usize) -> &[Run] {
+        &self.runs[self.starts[t]..self.starts[t + 1]]
+    }
+
+    /// `true` when the map is one tap whose one run is the whole plane:
+    /// a pointwise layer, or a [`centre_only`] one.
+    fn whole_plane(&self) -> bool {
+        self.runs
+            == [Run {
+                p: 0,
+                q: 0,
+                len: self.hw,
+            }]
+            && self.p == self.hw
+    }
+
+    /// Unfolds the batch `x` `[n, c, h, w]` into the zeroed column
+    /// matrix `cols` `[c·kh·kw, n·P]`, sample `i` in columns
+    /// `i·P..(i + 1)·P`.
+    fn im2col(&self, x: &[f32], n: usize, c: usize, cols: &mut [f32]) {
+        let (hw, p, s, taps) = (self.hw, self.p, self.stride, self.taps());
+        if n * p == 0 || hw == 0 {
+            return;
+        }
+        if self.whole_plane() {
+            // One block copy per (sample, channel), in input order.
+            for (ni, sample) in x.chunks_exact(c * hw).enumerate() {
+                for (ci, plane) in sample.chunks_exact(hw).enumerate() {
+                    cols[ci * n * p + ni * p..][..p].copy_from_slice(plane);
+                }
+            }
+            return;
+        }
+        for (r, row) in cols.chunks_exact_mut(n * p).enumerate() {
+            let (ci, t) = (r / taps, r % taps);
+            for run in self.tap(t) {
+                let (p0, q0, len) = (run.p, ci * hw + run.q, run.len);
+                for (block, sample) in row.chunks_exact_mut(p).zip(x.chunks_exact(c * hw)) {
+                    let dst = &mut block[p0..p0 + len];
+                    if s == 1 {
+                        dst.copy_from_slice(&sample[q0..q0 + len]);
+                    } else {
+                        for (d, &v) in dst.iter_mut().zip(sample[q0..].iter().step_by(s)) {
+                            *d = v;
+                        }
                     }
                 }
             }
         }
     }
-}
 
-/// Folds columns `col0..col0 + oh·ow` of the column matrix `src` (row
-/// stride `ld`) back into one sample `out` `[c, h, w]`, summing
-/// overlapping contributions into what `out` already holds (adjoint of
-/// [`im2col_into`]).
-#[allow(clippy::too_many_arguments)]
-fn col2im_from(
-    src: &[f32],
-    ld: usize,
-    col0: usize,
-    c: usize,
-    h: usize,
-    w: usize,
-    geo: ConvGeometry,
-    out: &mut [f32],
-) {
-    let (oh, ow) = geo.out_hw(h, w);
-    if is_pointwise(geo) {
-        // Still an add onto the zeroed `out`: `+0.0 + -0.0` is `+0.0`.
-        for (ci, plane) in out[..c * h * w].chunks_exact_mut(h * w).enumerate() {
-            for (o, &v) in plane.iter_mut().zip(&src[ci * ld + col0..][..h * w]) {
-                *o += v;
-            }
+    /// Folds the column matrix `dcols` `[c·kh·kw, n·P]` into the zeroed
+    /// batch gradient `dx` `[n, c, h, w]` (adjoint of
+    /// [`TapRuns::im2col`]). Each input cell takes its taps' terms in
+    /// `(ki, kj)` order, added onto its `+0.0`: an add, not a copy, even
+    /// where one tap covers the cell, since `+0.0 + -0.0` is `+0.0`.
+    fn col2im(&self, dcols: &[f32], n: usize, c: usize, dx: &mut [f32]) {
+        let (hw, p, s, taps) = (self.hw, self.p, self.stride, self.taps());
+        if n * p == 0 || hw == 0 {
+            return;
         }
-        return;
-    }
-    for ci in 0..c {
-        for ki in 0..geo.kh {
-            for kj in 0..geo.kw {
-                let row = (ci * geo.kh + ki) * geo.kw + kj;
-                for oi in 0..oh {
-                    let ii = (oi * geo.stride + ki) as isize - geo.pad as isize;
-                    if ii < 0 || ii as usize >= h {
-                        continue;
+        if self.whole_plane() {
+            // One block add per (sample, channel), so `dx` is written in
+            // order rather than one sample apart.
+            for (ni, sample) in dx.chunks_exact_mut(c * hw).enumerate() {
+                for (ci, plane) in sample.chunks_exact_mut(hw).enumerate() {
+                    for (d, &v) in plane.iter_mut().zip(&dcols[ci * n * p + ni * p..][..p]) {
+                        *d += v;
                     }
-                    let dst_row = ci * h * w + ii as usize * w;
-                    let src_row = row * ld + col0 + oi * ow;
-                    for oj in 0..ow {
-                        let jj = (oj * geo.stride + kj) as isize - geo.pad as isize;
-                        if jj < 0 || jj as usize >= w {
-                            continue;
+                }
+            }
+            return;
+        }
+        for (r, row) in dcols.chunks_exact(n * p).enumerate() {
+            let (ci, t) = (r / taps, r % taps);
+            for run in self.tap(t) {
+                let (p0, q0, len) = (run.p, ci * hw + run.q, run.len);
+                for (block, sample) in row.chunks_exact(p).zip(dx.chunks_exact_mut(c * hw)) {
+                    let src = &block[p0..p0 + len];
+                    if s == 1 {
+                        for (d, &v) in sample[q0..q0 + len].iter_mut().zip(src) {
+                            *d += v;
                         }
-                        out[dst_row + jj as usize] += src[src_row + oj];
+                    } else {
+                        for (d, &v) in sample[q0..].iter_mut().step_by(s).zip(src) {
+                            *d += v;
+                        }
                     }
                 }
             }
@@ -249,13 +325,9 @@ pub fn conv2d_forward(
     let (w2d, lgeo) = lowering(weight, geo, h, w);
     let (k, p) = (w2d.shape()[1], oh * ow);
     let np = n * p;
-    let chw = c_in * h * w;
 
     let mut cols = vec![0.0f32; k * np];
-    for ni in 0..n {
-        let sample = &x.as_slice()[ni * chw..(ni + 1) * chw];
-        im2col_into(sample, c_in, h, w, lgeo, &mut cols, np, ni * p);
-    }
+    TapRuns::new(h, w, lgeo).im2col(x.as_slice(), n, c_in, &mut cols);
     let cols = Tensor::from_vec(cols, &[k, np]);
     let y = matmul(&w2d, &cols); // [c_out, n·P]
 
@@ -362,14 +434,10 @@ pub fn conv2d_backward(
     }
     let dyg = Tensor::from_vec(dyg, &[c_out, np]);
 
-    // dcols = W₂dᵀ · dY in one product, then fold back per sample.
+    // dcols = W₂dᵀ · dY in one product, then one fold for the batch.
     let dcols = matmul_at_b(&w2d, &dyg); // [K, n·P]
-    let chw = c_in * h * w;
-    let mut dx = vec![0.0f32; n * chw];
-    for ni in 0..n {
-        let dxi = &mut dx[ni * chw..(ni + 1) * chw];
-        col2im_from(dcols.as_slice(), np, ni * p, c_in, h, w, lgeo, dxi);
-    }
+    let mut dx = vec![0.0f32; n * c_in * h * w];
+    TapRuns::new(h, w, lgeo).col2im(dcols.as_slice(), n, c_in, &mut dx);
 
     // dW = ((+0.0 + dY₀·cols₀ᵀ) + dY₁·cols₁ᵀ) + …, one segment per
     // sample; db likewise, from per-sample row sums.
@@ -584,36 +652,16 @@ mod tests {
         let (n, c, h, w) = (3, 2, 5, 5);
         let (oh, ow) = geo.out_hw(h, w);
         let (k, p) = (c * 9, oh * ow);
-        let chw = c * h * w;
-        let x: Vec<f32> = (0..n * chw).map(|i| (i as f32 * 0.37).cos()).collect();
+        let runs = TapRuns::new(h, w, geo);
+        let x: Vec<f32> = (0..n * c * h * w)
+            .map(|i| (i as f32 * 0.37).cos())
+            .collect();
         let mut cols = vec![0.0f32; k * n * p];
-        for ni in 0..n {
-            im2col_into(
-                &x[ni * chw..(ni + 1) * chw],
-                c,
-                h,
-                w,
-                geo,
-                &mut cols,
-                n * p,
-                ni * p,
-            );
-        }
+        runs.im2col(&x, n, c, &mut cols);
         let y: Vec<f32> = (0..cols.len()).map(|i| (i as f32 * 0.11).sin()).collect();
         let lhs: f32 = cols.iter().zip(&y).map(|(a, b)| a * b).sum();
-        let mut folded = vec![0.0f32; n * chw];
-        for ni in 0..n {
-            col2im_from(
-                &y,
-                n * p,
-                ni * p,
-                c,
-                h,
-                w,
-                geo,
-                &mut folded[ni * chw..(ni + 1) * chw],
-            );
-        }
+        let mut folded = vec![0.0f32; x.len()];
+        runs.col2im(&y, n, c, &mut folded);
         let rhs: f32 = x.iter().zip(&folded).map(|(a, b)| a * b).sum();
         assert!((lhs - rhs).abs() < 1e-3, "{lhs} vs {rhs}");
     }
@@ -621,24 +669,76 @@ mod tests {
     #[test]
     fn pointwise_col2im_adds_onto_zero() {
         // A 1×1 fold is a block add, not a copy: `+0.0 + -0.0` is `+0.0`.
-        let geo = ConvGeometry {
-            kh: 1,
-            kw: 1,
-            stride: 1,
-            pad: 0,
-        };
-        // Two channels of one 1×2 sample, in columns 0..2 of a
-        // [2, 4] column matrix.
+        // Two samples of two 1×2 channels; sample 0 owns columns 0..2 of
+        // the [2, 4] column matrix, sample 1 columns 2..4.
+        let runs = TapRuns::new(1, 2, POINTWISE);
+        assert_eq!(runs.tap(0), [Run { p: 0, q: 0, len: 2 }]);
         let src = [-0.0f32, 1.5, 9.0, 9.0, -0.0, 2.0, 9.0, 9.0];
-        let mut out = [0.0f32; 4];
-        col2im_from(&src, 4, 0, 2, 1, 2, geo, &mut out);
+        let mut out = [0.0f32; 8];
+        runs.col2im(&src, 2, 2, &mut out);
         assert_eq!(
             out.map(f32::to_bits),
-            [0.0f32, 1.5, 0.0, 2.0].map(f32::to_bits)
+            [0.0f32, 1.5, 0.0, 2.0, 9.0, 9.0, 9.0, 9.0].map(f32::to_bits)
         );
         let mut cols = [7.0f32; 8];
-        im2col_into(&[1.0, 2.0, 3.0, 4.0], 2, 1, 2, geo, &mut cols, 4, 2);
-        assert_eq!(cols, [7.0, 7.0, 1.0, 2.0, 7.0, 7.0, 3.0, 4.0]);
+        runs.im2col(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0], 2, 2, &mut cols);
+        assert_eq!(cols, [1.0, 2.0, 5.0, 6.0, 3.0, 4.0, 7.0, 8.0]);
+    }
+
+    #[test]
+    fn tap_runs_skip_padding_and_merge_rows() {
+        // 3×3 pad 1 over a 3×4 plane: the centre tap reads every cell in
+        // one run; the top-left tap starts at output (1, 1), one run per
+        // output row; the top-centre tap's rows continue each other.
+        let runs = TapRuns::new(3, 4, geo3());
+        assert_eq!(runs.taps(), 9);
+        assert_eq!(
+            runs.tap(4),
+            [Run {
+                p: 0,
+                q: 0,
+                len: 12
+            }]
+        );
+        assert_eq!(
+            runs.tap(0),
+            [Run { p: 5, q: 0, len: 3 }, Run { p: 9, q: 4, len: 3 }]
+        );
+        assert_eq!(runs.tap(1), [Run { p: 4, q: 0, len: 8 }]);
+        // At stride 2 a run steps through every other input column, and
+        // skips input rows between output rows, so none merge.
+        let g2 = ConvGeometry {
+            stride: 2,
+            ..geo3()
+        };
+        let runs = TapRuns::new(5, 5, g2);
+        assert_eq!(
+            runs.tap(4),
+            [
+                Run { p: 0, q: 0, len: 3 },
+                Run {
+                    p: 3,
+                    q: 10,
+                    len: 3
+                },
+                Run {
+                    p: 6,
+                    q: 20,
+                    len: 3
+                }
+            ]
+        );
+        assert_eq!(
+            runs.tap(0),
+            [
+                Run { p: 4, q: 6, len: 2 },
+                Run {
+                    p: 7,
+                    q: 16,
+                    len: 2
+                }
+            ]
+        );
     }
 
     #[test]

@@ -16,11 +16,14 @@
 //! for every single output element the k-accumulation order (and the
 //! skip-on-zero rule of the reference kernels) is preserved exactly, so
 //! no floating-point sum is ever re-associated and the results match
-//! the reference bit for bit. The skip rule is honoured by prescanning
-//! each A panel: panels without zeros take the branchless fast path (a
-//! skip could never fire), panels containing a zero fall back to the
-//! reference row loop. `crates/tensor/tests/kernel_diff.rs` asserts the
-//! equivalence differentially with `f32::to_bits`.
+//! the reference bit for bit. Every full A panel takes the branchless
+//! microkernel, which adds the `0·b` terms the reference skips. A chain
+//! that starts at `+0.0` never holds `-0.0`, so adding `0·b` with finite
+//! `b` changes nothing; only `0·(±∞ or NaN)` does, and it leaves NaN.
+//! A post-check therefore recomputes with the reference row loop just
+//! the rows that hold a NaN and whose A row holds a zero.
+//! `crates/tensor/tests/kernel_diff.rs` asserts the equivalence
+//! differentially with `f32::to_bits`.
 //!
 //! Besides `A·B`, `Aᵀ·B` and `A·Bᵀ` there is a segmented `A·Bᵀ`
 //! ([`matmul_a_bt_segmented`]): the sum of per-segment `A·Bᵀ` products,
@@ -155,8 +158,8 @@ pub fn matmul_reference(a: &Tensor, b: &Tensor) -> Tensor {
 }
 
 /// One output row of [`matmul_reference`]: `orow += Σ_k a[k]·B[k,:]`
-/// with the skip-on-zero rule. Shared with the blocked kernel's
-/// zero-panel fallback so both paths are the same code.
+/// with the skip-on-zero rule. Shared with the blocked kernels' ragged
+/// rows and [`restore_zero_skips`], so both paths are the same code.
 #[inline]
 fn matmul_row_reference(arow: &[f32], bv: &[f32], orow: &mut [f32]) {
     let n = orow.len();
@@ -229,13 +232,15 @@ pub fn matmul_a_bt_reference(a: &Tensor, b: &Tensor) -> Tensor {
 
 /// Blocked `C = A · B`, bit-identical to [`matmul_reference`].
 ///
-/// Works in `MR`-row panels. A panel whose `A` rows contain no zero is
-/// handed to a branchless microkernel (SIMD on x86-64, register-tiled
-/// scalar elsewhere) — the reference skip-on-zero could never fire on
-/// such a panel, so dropping the check reorders nothing. Panels
-/// containing a zero (and the ragged bottom rows) run the reference
-/// row loop itself. Within every output element the additions happen in
-/// strictly increasing k either way, so no sum is re-associated.
+/// Works in `MR`-row panels. Every full panel goes to a branchless
+/// microkernel (SIMD on x86-64, register-tiled scalar elsewhere), which
+/// adds the `0·b` terms the reference skips. Such a term can change an
+/// output row only by making it NaN (`0·∞`, `0·NaN`), so a post-check
+/// recomputes by the reference row loop each row that holds a NaN and
+/// whose A row holds a zero (DESIGN.md §10). The ragged bottom rows run
+/// the reference row loop itself. Within every output element the
+/// additions happen in strictly increasing k either way, so no sum is
+/// re-associated.
 ///
 /// # Panics
 ///
@@ -252,16 +257,9 @@ pub fn matmul_blocked(a: &Tensor, b: &Tensor) -> Tensor {
     while i0 < m {
         let mh = MR.min(m - i0);
         let apanel = &av[i0 * k..(i0 + mh) * k];
-        if mh == MR && !apanel.contains(&0.0) {
-            match isa {
-                #[cfg(target_arch = "x86_64")]
-                // SAFETY: `isa()` verified the feature at run time.
-                Isa::Avx512 => unsafe { x86::matmul_panel_avx512(apanel, bv, &mut out, i0, k, n) },
-                #[cfg(target_arch = "x86_64")]
-                // SAFETY: as above.
-                Isa::Avx2 => unsafe { x86::matmul_panel_avx2(apanel, bv, &mut out, i0, k, n) },
-                Isa::Portable => matmul_panel_portable(apanel, bv, &mut out, i0, k, n),
-            }
+        if mh == MR {
+            matmul_panel(isa, apanel, bv, &mut out, i0, k, n);
+            restore_zero_skips(apanel, bv, &mut out[i0 * n..(i0 + MR) * n], k);
         } else {
             for ii in 0..mh {
                 let i = i0 + ii;
@@ -273,7 +271,52 @@ pub fn matmul_blocked(a: &Tensor, b: &Tensor) -> Tensor {
     Tensor::from_vec(out, &[m, n])
 }
 
-/// Portable microkernel for one zero-free `MR`-row panel of
+/// Runs the widest microkernel `isa` offers on one full `MR`-row panel:
+/// rows `i0..i0 + MR` of `out` become `apanel · B`, every `0·b` term
+/// included.
+fn matmul_panel(
+    isa: Isa,
+    apanel: &[f32],
+    bv: &[f32],
+    out: &mut [f32],
+    i0: usize,
+    k: usize,
+    n: usize,
+) {
+    match isa {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `isa()` verified the feature at run time.
+        Isa::Avx512 => unsafe { x86::matmul_panel_avx512(apanel, bv, out, i0, k, n) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as above.
+        Isa::Avx2 => unsafe { x86::matmul_panel_avx2(apanel, bv, out, i0, k, n) },
+        Isa::Portable => matmul_panel_portable(apanel, bv, out, i0, k, n),
+    }
+}
+
+/// Gives a panel computed by [`matmul_panel`] the reference's
+/// skip-on-zero. `opanel` holds the panel's `MR` output rows.
+///
+/// A k-chain starts at `+0.0` and, under round-to-nearest, can never
+/// hold `-0.0` (a sum is `-0.0` only when both addends are). So adding
+/// a skipped `0·b` with finite `b`, which is `±0.0`, changes no chain.
+/// Only `0·(±∞ or NaN)` differs, and that term makes the chain NaN for
+/// good. A row whose output holds no NaN, or whose A row holds no zero,
+/// is therefore already the reference's; any other row is zeroed and
+/// recomputed by [`matmul_row_reference`].
+fn restore_zero_skips(apanel: &[f32], bv: &[f32], opanel: &mut [f32], k: usize) {
+    let n = opanel.len() / MR;
+    for ii in 0..MR {
+        let orow = &mut opanel[ii * n..(ii + 1) * n];
+        let arow = &apanel[ii * k..(ii + 1) * k];
+        if orow.iter().fold(false, |acc, v| acc | v.is_nan()) && arow.contains(&0.0) {
+            orow.fill(0.0);
+            matmul_row_reference(arow, bv, orow);
+        }
+    }
+}
+
+/// Portable microkernel for one `MR`-row panel of
 /// [`matmul_blocked`]: `MR × NR` output tiles accumulate in registers
 /// across the whole k-loop with no branches, which the compiler
 /// auto-vectorises at whatever width the target offers.
@@ -321,8 +364,8 @@ fn matmul_panel_portable(
 /// Blocked `C = Aᵀ · B`, bit-identical to [`matmul_at_b_reference`].
 ///
 /// Same panel strategy as [`matmul_blocked`]; the panel here is an
-/// `MR`-column block of `A` (contiguous per k-row), prescanned for
-/// zeros the same way.
+/// `MR`-column block of `A` (contiguous per k-row), staged row-major.
+/// Only a panel whose staged copy holds a zero needs the post-check.
 ///
 /// # Panics
 ///
@@ -350,16 +393,11 @@ pub fn matmul_at_b_blocked(a: &Tensor, b: &Tensor) -> Tensor {
                 staged[ii * k + kk] = v;
             }
         }
-        if mh == MR && !has_zero {
+        if mh == MR {
             let apanel = &staged[..MR * k];
-            match isa {
-                #[cfg(target_arch = "x86_64")]
-                // SAFETY: `isa()` verified the feature at run time.
-                Isa::Avx512 => unsafe { x86::matmul_panel_avx512(apanel, bv, &mut out, i0, k, n) },
-                #[cfg(target_arch = "x86_64")]
-                // SAFETY: as above.
-                Isa::Avx2 => unsafe { x86::matmul_panel_avx2(apanel, bv, &mut out, i0, k, n) },
-                Isa::Portable => matmul_panel_portable(apanel, bv, &mut out, i0, k, n),
+            matmul_panel(isa, apanel, bv, &mut out, i0, k, n);
+            if has_zero {
+                restore_zero_skips(apanel, bv, &mut out[i0 * n..(i0 + MR) * n], k);
             }
         } else {
             for ii in 0..mh {
@@ -384,7 +422,7 @@ pub fn matmul_at_b_blocked(a: &Tensor, b: &Tensor) -> Tensor {
 /// advances `MR × panel-width` independent accumulator chains per
 /// k-step — each chain is still one element's dot product fed in
 /// increasing k, so every sum keeps the reference association. The
-/// reference has no skip-on-zero, so no prescan is needed.
+/// reference has no skip-on-zero, so no zero check is needed.
 ///
 /// # Panics
 ///
@@ -653,8 +691,8 @@ mod x86 {
     /// # Safety
     ///
     /// Caller must ensure `avx512f` (and `avx2` for the narrow tile) is
-    /// available, `apanel.len() == MR*k`, `bv.len() >= k*n`,
-    /// `out.len() >= (i0+MR)*n`, and the panel contains no zeros.
+    /// available, `apanel.len() == MR*k`, `bv.len() >= k*n`, and
+    /// `out.len() >= (i0+MR)*n`.
     #[target_feature(enable = "avx512f,avx2")]
     pub unsafe fn matmul_panel_avx512(
         apanel: &[f32],
@@ -710,7 +748,7 @@ mod x86 {
     /// # Safety
     ///
     /// Caller must ensure `avx2` is available plus the slice bounds of
-    /// [`matmul_panel_avx512`], and the panel contains no zeros.
+    /// [`matmul_panel_avx512`].
     #[target_feature(enable = "avx2")]
     pub unsafe fn matmul_panel_avx2(
         apanel: &[f32],
@@ -760,8 +798,8 @@ mod x86 {
         matmul_panel_tail(apanel, bv, out, i0, j0, k, n);
     }
 
-    /// Scalar tail columns of a zero-free panel: per element one serial
-    /// k-chain (no skip can fire — the panel was prescanned).
+    /// Scalar tail columns of a panel: per element one serial k-chain,
+    /// every `0·b` term included, like the vector tiles.
     #[inline]
     fn matmul_panel_tail(
         apanel: &[f32],

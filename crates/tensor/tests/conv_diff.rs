@@ -5,7 +5,9 @@
 //! kept here as the oracle.
 //!
 //! Covered: every conv geometry the paper models use (3×3 pad 1 at
-//! stride 1 and 2, 1×1 pad 0), batch sizes 1, 3 and 16, spatial sizes
+//! stride 1 and 2, 1×1 pad 0), plus 5×5 pad 2 and 3×3 pad 0, whose tap
+//! runs cut two cells or none off each edge of the plane (odd sides
+//! included), batch sizes 1, 3 and 16, spatial sizes
 //! down to a single output pixel (the deep layers of the 8×8 models),
 //! and inputs, weights and output gradients salted with exact `+0.0` /
 //! `-0.0` (the zero-skip of the A-side kernels), `±∞` and NaN. 3×3 and
@@ -22,7 +24,7 @@ use adaptivefl_tensor::ops::{
 use adaptivefl_tensor::Tensor;
 use proptest::prelude::*;
 
-const GEOMETRIES: [ConvGeometry; 3] = [
+const GEOMETRIES: [ConvGeometry; 5] = [
     ConvGeometry {
         kh: 3,
         kw: 3,
@@ -41,9 +43,26 @@ const GEOMETRIES: [ConvGeometry; 3] = [
         stride: 1,
         pad: 0,
     },
+    ConvGeometry {
+        kh: 5,
+        kw: 5,
+        stride: 1,
+        pad: 2,
+    },
+    ConvGeometry {
+        kh: 3,
+        kw: 3,
+        stride: 1,
+        pad: 0,
+    },
 ];
 const BATCHES: [usize; 3] = [1, 3, 16];
 const SIDES: [usize; 5] = [1, 2, 3, 4, 8];
+
+/// The smallest plane side `geo` fits once padded.
+fn smallest_side(geo: ConvGeometry) -> usize {
+    geo.kh.saturating_sub(2 * geo.pad).max(1)
+}
 
 /// Per-sample im2col: one sample `[c, h, w]` → `[c·kh·kw, oh·ow]`.
 fn im2col(x: &[f32], c: usize, h: usize, w: usize, geo: ConvGeometry) -> Tensor {
@@ -274,13 +293,14 @@ proptest! {
     /// Random layers over every paper geometry, batch and salt level.
     #[test]
     fn batched_conv_is_bit_equal_to_per_sample(
-        shape in (0usize..3, 0usize..3, 1usize..=9, 1usize..=9, 0usize..5),
+        shape in (0..GEOMETRIES.len(), 0usize..3, 1usize..=9, 1usize..=9, 0usize..5),
         salts in (0usize..3, 0usize..3, 0usize..3),
         seed in 0u64..1 << 60,
     ) {
         let (g, b, c_in, c_out, s) = shape;
+        let geo = GEOMETRIES[g];
         let salts = [SALTS[salts.0], SALTS[salts.1], SALTS[salts.2]];
-        check(GEOMETRIES[g], BATCHES[b], c_in, c_out, SIDES[s], seed, salts);
+        check(geo, BATCHES[b], c_in, c_out, SIDES[s].max(smallest_side(geo)), seed, salts);
     }
 }
 
@@ -289,8 +309,13 @@ proptest! {
 #[test]
 fn deep_single_pixel_layers_are_bit_equal() {
     for (gi, &geo) in GEOMETRIES.iter().enumerate() {
-        // 3×3 pad 1 keeps 1×1; 3×3 stride 2 maps 2×2 to 1×1.
-        let side = if geo.stride == 2 { 2 } else { 1 };
+        // 3×3 pad 1 and 5×5 pad 2 keep 1×1; 3×3 stride 2 maps 2×2 and
+        // 3×3 pad 0 maps 3×3 to 1×1.
+        let side = if geo.stride == 2 {
+            2
+        } else {
+            smallest_side(geo)
+        };
         for &n in &BATCHES {
             for w_salt in SALTS {
                 for dy_salt in SALTS {

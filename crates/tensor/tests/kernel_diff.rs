@@ -2,8 +2,13 @@
 //! be **bit-equal** (`f32::to_bits`) to the naive reference kernels on
 //! every shape — including degenerate dims (1/2/3) and sizes that are
 //! not multiples of the register-tile size — and on inputs salted with
-//! `+0.0` / `-0.0` (the reference kernels skip zero `A` elements, so a
-//! kernel that drops the skip would diverge on signed zeros).
+//! `+0.0` / `-0.0`, `±∞` and NaN. The `A·B` and `Aᵀ·B` references skip
+//! zero `A` elements, while the blocked microkernels add every `0·b`.
+//! A chain that starts at `+0.0` never holds `-0.0`, so the two differ
+//! only where `0·∞` or `0·NaN` turns a chain NaN; the blocked kernels
+//! recompute such rows by the reference loop, and
+//! [`zero_panels_against_non_finite_b_match_bitwise`] checks that on
+//! full panels.
 
 use adaptivefl_tensor::ops::{
     matmul_a_bt_blocked, matmul_a_bt_reference, matmul_a_bt_segmented_blocked,
@@ -219,6 +224,54 @@ fn non_finite_values_match_bitwise() {
         &matmul_a_bt_segmented_reference(&a, &bt, 1),
         "matmul_a_bt_segmented inf",
     );
+}
+
+/// Finite values in `[-4, 4)`, with `A`'s column (or, transposed, row)
+/// `kk` set to `+0.0`, `-0.0` and a non-zero value in turn down the
+/// output rows, and one in seven other entries `±0.0`.
+fn zero_salted(rows: usize, cols: usize, kk: usize, transposed: bool) -> Tensor {
+    let mut t = matrix(rows, cols, 77 + kk as u64).map(|v| (v % 4.0).clamp(-4.0, 4.0));
+    let data = t.as_mut_slice();
+    for (idx, v) in data.iter_mut().enumerate() {
+        let (r, c) = (idx / cols, idx % cols);
+        let (i, k) = if transposed { (c, r) } else { (r, c) };
+        if k == kk {
+            *v = [0.0, -0.0, 1.5][i % 3];
+        } else if idx % 7 == 3 {
+            *v = if idx % 2 == 0 { 0.0 } else { -0.0 };
+        }
+    }
+    t
+}
+
+/// Full `MR`-row panels whose `A` holds `±0.0` against a `B` with one
+/// `+∞`, `-∞` or NaN in row `kk`: the microkernels form `0·∞ = NaN` or
+/// `0·NaN` where the reference skips the term, so only the blocked
+/// kernels' NaN post-check keeps them equal. `m = 13` gives three full
+/// panels and a ragged row; `n = 57` puts the non-finite column in the
+/// 32-, 16- and 8-wide SIMD tiles and the scalar tail.
+#[test]
+fn zero_panels_against_non_finite_b_match_bitwise() {
+    let (m, k, n) = (13, 9, 57);
+    for bad in [f32::INFINITY, f32::NEG_INFINITY, f32::NAN] {
+        for (kk, j) in [(0, 0), (3, 17), (4, 31), (5, 40), (8, 47), (2, 50), (7, 56)] {
+            let mut b = matrix(k, n, 5 + j as u64).map(|v| (v % 4.0).clamp(-4.0, 4.0));
+            b.as_mut_slice()[kk * n + j] = bad;
+            let what = format!("{bad} at B[{kk}, {j}]");
+            let a = zero_salted(m, k, kk, false);
+            assert_bits_equal(
+                &matmul_blocked(&a, &b),
+                &matmul_reference(&a, &b),
+                &format!("matmul, {what}"),
+            );
+            let at = zero_salted(k, m, kk, true);
+            assert_bits_equal(
+                &matmul_at_b_blocked(&at, &b),
+                &matmul_at_b_reference(&at, &b),
+                &format!("matmul_at_b, {what}"),
+            );
+        }
+    }
 }
 
 #[test]
