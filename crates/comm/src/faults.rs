@@ -74,14 +74,6 @@ impl FaultPlan {
         Self::default()
     }
 
-    /// `true` when no fault can ever fire.
-    pub fn is_clean(&self) -> bool {
-        self.upload_drop == 0.0
-            && self.straggler_prob == 0.0
-            && self.crash_prob == 0.0
-            && self.truncate_prob == 0.0
-    }
-
     /// Panics unless every probability is in `[0, 1]` and the
     /// straggler factor is at least 1.
     pub fn validate(&self) {
@@ -136,7 +128,6 @@ mod tests {
     #[test]
     fn clean_plan_never_fires() {
         let plan = FaultPlan::none();
-        assert!(plan.is_clean());
         for c in 0..50 {
             let d = plan.draw(1, 0, c);
             assert!(!d.crash && !d.straggle && !d.drop && d.truncate_at.is_none());

@@ -329,8 +329,9 @@ pub(crate) type Assignments = (Vec<(usize, usize)>, usize);
 pub(crate) trait RoundHooks {
     /// How a client fits the submodel it receives.
     const FIT: Fit;
-    /// ScaleFL's self-distillation `(weight, temperature)`: when set,
-    /// clients train every exit of their submodel.
+    /// ScaleFL's self-distillation `(weight, temperature)` from the
+    /// final exit into the earlier ones
+    /// ([`LocalTrainer::train`](crate::trainer::LocalTrainer::train)).
     const DISTILL: Option<(f32, f32)> = None;
 
     /// Picks this round's assignments; `tag` indexes the submodels of
@@ -422,17 +423,7 @@ pub(crate) fn play_round<M: RoundHooks>(
                 let mut net = arch.load(start, rng);
                 let data = env.data.client(client);
                 let local = &env.cfg.local;
-                let loss = match M::DISTILL {
-                    None => local.train_with_scratch(&mut net, data, rng, &env.scratch),
-                    Some((weight, temperature)) => local.train_multi_exit_with_scratch(
-                        &mut net,
-                        data,
-                        weight,
-                        temperature,
-                        rng,
-                        &env.scratch,
-                    ),
-                };
+                let loss = local.train(&mut net, data, M::DISTILL, rng, &env.scratch);
                 train_timer.stop(env.tracer());
                 if env.tracer().enabled() {
                     env.tracer().event(TraceEvent::ClientTrain {

@@ -49,13 +49,7 @@ impl LocalTrainer {
         }
     }
 
-    /// Trains the network on a client shard with plain cross-entropy
-    /// (single exit); returns the mean training loss.
-    ///
-    /// The optimizer's momentum buffers come from `scratch`, so
-    /// repeated training sessions reuse them instead of reallocating
-    /// per parameter per session; a fresh [`Scratch`] gives the same
-    /// bits.
+    /// [`LocalTrainer::train`] with plain cross-entropy at every exit.
     pub fn train_with_scratch(
         &self,
         net: &mut Network,
@@ -63,33 +57,28 @@ impl LocalTrainer {
         rng: &mut impl Rng,
         scratch: &Scratch,
     ) -> f32 {
-        let mut opt = Sgd::new(self.lr, self.momentum).with_scratch(scratch.clone());
-        let mut loss = RunningMean::new();
-        for _ in 0..self.epochs {
-            for batch in data.shuffled_batches(self.batch_size, rng) {
-                net.zero_grads();
-                let logits = net.forward(batch.x, true);
-                let out = softmax_cross_entropy(&logits, &batch.y);
-                let _ = net.backward(out.dlogits);
-                opt.step(net);
-                loss.add(out.loss, batch.y.len() as f32);
-            }
-        }
-        loss.mean()
+        self.train(net, data, None, rng, scratch)
     }
 
-    /// ScaleFL-style multi-exit local training: cross-entropy at every
-    /// active exit plus self-distillation (temperature-scaled KL) from
-    /// the final exit into each earlier exit. Returns the mean combined
-    /// loss. Optimizer buffers come from `scratch`, as in
-    /// [`LocalTrainer::train_with_scratch`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn train_multi_exit_with_scratch(
+    /// Trains the network on a client shard: cross-entropy at every
+    /// active exit and, with `distill = Some((weight, temperature))`,
+    /// ScaleFL's self-distillation (temperature-scaled KL) from the
+    /// final exit into each earlier one. Returns the mean combined
+    /// loss.
+    ///
+    /// A single-exit net trains on plain cross-entropy either way: its
+    /// loss `0.0 + ce` is `ce` bit for bit, since a cross-entropy chain
+    /// starts at `+0.0` and never yields `-0.0`.
+    ///
+    /// The optimizer's momentum buffers come from `scratch`, so
+    /// repeated training sessions reuse them instead of reallocating
+    /// per parameter per session; a fresh [`Scratch`] gives the same
+    /// bits.
+    pub fn train(
         &self,
         net: &mut Network,
         data: &InMemoryDataset,
-        kd_weight: f32,
-        kd_temperature: f32,
+        distill: Option<(f32, f32)>,
         rng: &mut impl Rng,
         scratch: &Scratch,
     ) -> f32 {
@@ -98,23 +87,21 @@ impl LocalTrainer {
         for _ in 0..self.epochs {
             for batch in data.shuffled_batches(self.batch_size, rng) {
                 net.zero_grads();
-                let outs = net.forward_multi(batch.x, true);
-                let (last_exit, final_logits) = outs
-                    .last()
-                    .map(|(e, l)| (*e, l.clone()))
-                    .expect("final exit");
+                let outs = net.forward_multi(batch.x);
+                let (last_exit, final_logits) = outs.last().expect("final exit");
                 let mut total = 0.0f32;
                 let mut grads = Vec::with_capacity(outs.len());
-                for (e, logits) in outs {
-                    let ce = softmax_cross_entropy(&logits, &batch.y);
+                for (e, logits) in &outs {
+                    let ce = softmax_cross_entropy(logits, &batch.y);
                     total += ce.loss;
                     let mut g = ce.dlogits;
-                    if e != last_exit && kd_weight > 0.0 {
-                        let kd = distillation_loss(&logits, &final_logits, kd_temperature);
-                        total += kd_weight * kd.loss;
-                        g.axpy(kd_weight, &kd.dlogits);
+                    let teacher = distill.filter(|&(w, _)| e != last_exit && w > 0.0);
+                    if let Some((weight, temperature)) = teacher {
+                        let kd = distillation_loss(logits, final_logits, temperature);
+                        total += weight * kd.loss;
+                        g.axpy(weight, &kd.dlogits);
                     }
-                    grads.push((e, g));
+                    grads.push((*e, g));
                 }
                 let _ = net.backward_multi(grads);
                 opt.step(net);
@@ -142,7 +129,7 @@ pub fn eval_batches(n: usize, batch_size: usize) -> impl Iterator<Item = Range<u
 /// running statistics across submodels of different widths poisons them
 /// (each width sees different activation distributions), which
 /// otherwise cripples deep BN models; every method is evaluated the
-/// same way. It runs [`Layer::infer`], which gives the logits of a
+/// same way. It runs `forward(x, false)`, which gives the logits of a
 /// training-mode forward bit for bit without caching activations or
 /// touching the running statistics.
 pub fn batch_accuracy(
@@ -152,7 +139,7 @@ pub fn batch_accuracy(
 ) -> (f32, f32) {
     let idx: Vec<usize> = batch.collect();
     let b = data.batch(&idx);
-    let logits = net.infer(b.x);
+    let logits = net.forward(b.x, false);
     (accuracy(&logits, &b.y), b.y.len() as f32)
 }
 
@@ -161,6 +148,7 @@ mod tests {
     use super::*;
     use adaptivefl_data::{FederatedDataset, Partition, SynthSpec};
     use adaptivefl_models::ModelConfig;
+    use adaptivefl_nn::layer::LayerExt;
     use adaptivefl_tensor::rng;
 
     /// Folds [`batch_accuracy`] over [`eval_batches`] into one
@@ -222,21 +210,57 @@ mod tests {
             epochs: 12,
             batch_size: 16,
         };
-        let loss = trainer.train_multi_exit_with_scratch(
+        let loss = trainer.train(
             &mut net,
             fed.client(0),
-            0.5,
-            2.0,
+            Some((0.5, 2.0)),
             &mut r,
             &Scratch::new(),
         );
         assert!(loss.is_finite());
         // Final-exit accuracy should be clearly above chance (0.25).
         let b = fed.test().full_batch();
-        let outs = net.forward_multi(b.x, false);
-        let (_, final_logits) = outs.last().expect("final exit");
-        let acc = adaptivefl_nn::metrics::accuracy(final_logits, &b.y);
+        let acc = accuracy(&net.forward(b.x, false), &b.y);
         assert!(acc > 0.5, "final exit accuracy {acc}");
+    }
+
+    /// Distillation needs an earlier exit: on a single-exit net,
+    /// `Some(..)` trains exactly as `None` does, loss and every
+    /// parameter bit for bit.
+    #[test]
+    fn distillation_is_a_no_op_on_a_single_exit_net() {
+        let fed =
+            FederatedDataset::synthesize(&SynthSpec::test_spec(4), 1, 40, 8, Partition::Iid, 76);
+        let cfg = ModelConfig {
+            input: (3, 8, 8),
+            ..ModelConfig::tiny(4)
+        };
+        let trainer = LocalTrainer {
+            epochs: 2,
+            ..LocalTrainer::fast()
+        };
+        let run = |distill| {
+            let mut net = cfg.build(&cfg.full_plan(), &mut rng::seeded(77));
+            let loss = trainer.train(
+                &mut net,
+                fed.client(0),
+                distill,
+                &mut rng::seeded(78),
+                &Scratch::new(),
+            );
+            let params: Vec<(String, Vec<u32>)> = net
+                .param_map()
+                .iter()
+                .map(|(n, t)| {
+                    (
+                        n.to_string(),
+                        t.as_slice().iter().map(|v| v.to_bits()).collect(),
+                    )
+                })
+                .collect();
+            (loss.to_bits(), params)
+        };
+        assert_eq!(run(Some((0.5, 2.0))), run(None));
     }
 
     #[test]

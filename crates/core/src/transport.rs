@@ -56,12 +56,6 @@ impl CommStats {
         self.crashes += other.crashes;
     }
 
-    /// Total faults that cost an upload (drops + deadline misses +
-    /// crashes).
-    pub fn lost_uploads(&self) -> usize {
-        self.drops + self.deadline_misses + self.crashes
-    }
-
     /// Appends the stats to a binary frame (big-endian) — the stable
     /// snapshot encoding.
     pub fn encode(&self, buf: &mut BytesMut) {
@@ -331,7 +325,7 @@ mod tests {
         assert_eq!(a.bytes_up, 90);
         assert_eq!(a.drops, 1);
         assert_eq!(a.stragglers, 2);
-        assert_eq!(a.lost_uploads(), 3);
+        assert_eq!((a.deadline_misses, a.crashes), (1, 1));
     }
 
     #[test]

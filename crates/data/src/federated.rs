@@ -121,12 +121,6 @@ impl FederatedDataset {
         &self.test
     }
 
-    /// Per-client training sample counts (the aggregation weights
-    /// `|d_c|`).
-    pub fn client_sizes(&self) -> Vec<usize> {
-        self.clients.iter().map(InMemoryDataset::len).collect()
-    }
-
     /// Input shape of the task.
     pub fn input_shape(&self) -> (usize, usize, usize) {
         self.test.input_shape()
@@ -148,7 +142,7 @@ mod tests {
         let fed =
             FederatedDataset::synthesize(&SynthSpec::test_spec(4), 8, 10, 40, Partition::Iid, 1);
         assert_eq!(fed.num_clients(), 8);
-        assert_eq!(fed.client_sizes(), vec![10; 8]);
+        assert!((0..8).all(|c| fed.client(c).len() == 10));
         assert_eq!(fed.test().len(), 40);
         assert_eq!(fed.classes(), 4);
     }

@@ -96,13 +96,6 @@ impl ConvSpec {
         let bn = if self.bn { 4 * self.out_c } else { 0 };
         conv + bn
     }
-
-    /// Trainable parameter count (excludes BN running statistics).
-    pub fn num_trainable(&self) -> usize {
-        let conv = self.weight_numel() + self.out_c;
-        let bn = if self.bn { 2 * self.out_c } else { 0 };
-        conv + bn
-    }
 }
 
 /// Specification of a fully connected layer (optionally with ReLU).
@@ -300,7 +293,6 @@ mod tests {
     fn conv_param_count() {
         if let Block::Conv(c) = conv("c", 3, 8, true) {
             assert_eq!(c.num_params(), 8 * 3 * 9 + 8 + 4 * 8);
-            assert_eq!(c.num_trainable(), 8 * 3 * 9 + 8 + 2 * 8);
         } else {
             unreachable!()
         }

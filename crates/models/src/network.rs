@@ -11,28 +11,6 @@ use rand::Rng;
 
 use crate::block::{Block, Blueprint};
 
-/// How a forward pass treats the layers.
-#[derive(Clone, Copy)]
-enum Pass {
-    /// Training mode: batch statistics, caches for the backward.
-    Train,
-    /// Evaluation mode: running statistics, no caches.
-    Eval,
-    /// sBN inference ([`Layer::infer`]): batch statistics, no caches,
-    /// running statistics untouched.
-    Infer,
-}
-
-impl Pass {
-    fn of(train: bool) -> Self {
-        if train {
-            Pass::Train
-        } else {
-            Pass::Eval
-        }
-    }
-}
-
 /// One runtime node: a layer, or a residual join of two sequences.
 enum Node {
     /// A layer and the name prefix of its parameters.
@@ -101,19 +79,15 @@ impl Node {
         }
     }
 
-    fn forward(&mut self, x: Tensor, pass: Pass) -> Tensor {
+    fn forward(&mut self, x: Tensor, train: bool) -> Tensor {
         match self {
-            Node::Leaf(_, layer) => match pass {
-                Pass::Train => layer.forward(x, true),
-                Pass::Eval => layer.forward(x, false),
-                Pass::Infer => layer.infer(x),
-            },
+            Node::Leaf(_, layer) => layer.forward(x, train),
             Node::Residual { main, shortcut } => {
                 let skip = match shortcut {
-                    Some(sc) => sc.forward(x.clone(), pass),
+                    Some(sc) => sc.forward(x.clone(), train),
                     None => x.clone(),
                 };
-                let mut h = main.forward(x, pass);
+                let mut h = main.forward(x, train);
                 h.add_assign(&skip);
                 h
             }
@@ -150,8 +124,8 @@ impl Seq {
         Seq { nodes }
     }
 
-    fn forward(&mut self, x: Tensor, pass: Pass) -> Tensor {
-        self.nodes.iter_mut().fold(x, |h, n| n.forward(h, pass))
+    fn forward(&mut self, x: Tensor, train: bool) -> Tensor {
+        self.nodes.iter_mut().fold(x, |h, n| n.forward(h, train))
     }
 
     fn backward(&mut self, dy: Tensor) -> Tensor {
@@ -191,8 +165,8 @@ impl Seq {
 /// An executable network with trunk segments and one or more exit
 /// heads, built from a [`Blueprint`].
 ///
-/// As a plain [`Layer`], `forward`/`backward` use only the final exit;
-/// ScaleFL-style multi-exit training uses
+/// As a plain [`Layer`], `forward`/`backward` use only the final exit
+/// and skip the earlier exit heads; multi-exit training uses
 /// [`Network::forward_multi`] / [`Network::backward_multi`].
 pub struct Network {
     segments: Vec<Seq>,
@@ -237,16 +211,15 @@ impl Network {
             .chain(self.exits.iter_mut().map(|(_, h)| h))
     }
 
-    /// Runs the trunk, evaluating every active exit; returns
-    /// `(segment index, logits)` per exit in ascending order.
-    pub fn forward_multi(&mut self, x: Tensor, train: bool) -> Vec<(usize, Tensor)> {
-        let pass = Pass::of(train);
+    /// Runs a training pass of the trunk and every active exit;
+    /// returns `(segment index, logits)` per exit in ascending order.
+    pub fn forward_multi(&mut self, x: Tensor) -> Vec<(usize, Tensor)> {
         let mut out = Vec::with_capacity(self.exits.len());
         let mut h = x;
         for (i, seg) in self.segments.iter_mut().enumerate() {
-            h = seg.forward(h, pass);
+            h = seg.forward(h, true);
             if let Some((_, head)) = self.exits.iter_mut().find(|(e, _)| *e == i) {
-                out.push((i, head.forward(h.clone(), pass)));
+                out.push((i, head.forward(h.clone(), true)));
             }
         }
         out
@@ -300,30 +273,20 @@ impl std::fmt::Debug for Network {
 }
 
 impl Layer for Network {
+    /// The final exit's logits. With `train` false this is the sBN
+    /// evaluation of DESIGN.md §7: the final logits of a training pass,
+    /// bit for bit, but no layer caches anything for a backward and the
+    /// running statistics stay as they are.
     fn forward(&mut self, x: Tensor, train: bool) -> Tensor {
-        let mut outs = self.forward_multi(x, train);
-        outs.pop().expect("network has a final exit").1
-    }
-
-    /// Inference at the final exit with BatchNorm on *batch* statistics
-    /// (the sBN evaluation of DESIGN.md §7): the final logits of
-    /// `forward(x, true)`, bit for bit, but no layer caches anything
-    /// for a backward, the running statistics stay as they are, and
-    /// earlier exit heads are skipped.
-    fn infer(&mut self, x: Tensor) -> Tensor {
-        let (last, head) = self.exits.last_mut().expect("network has a final exit");
-        let h = self.segments[..=*last]
+        let h = self
+            .segments
             .iter_mut()
-            .fold(x, |h, seg| seg.forward(h, Pass::Infer));
-        head.forward(h, Pass::Infer)
+            .fold(x, |h, seg| seg.forward(h, train));
+        let (_, head) = self.exits.last_mut().expect("network has a final exit");
+        head.forward(h, train)
     }
 
     fn backward(&mut self, dy: Tensor) -> Tensor {
-        assert_eq!(
-            self.exits.len(),
-            1,
-            "use backward_multi for multi-exit networks"
-        );
         let last = self.segments.len() - 1;
         self.backward_multi(vec![(last, dy)])
     }

@@ -175,7 +175,7 @@ fn multi_exit_training_works() {
     let x = init::normal(&[4, 3, 16, 16], 1.0, &mut r);
     let labels = [0usize, 1, 2, 3];
     net.zero_grads();
-    let outs = net.forward_multi(x, true);
+    let outs = net.forward_multi(x);
     assert_eq!(outs.len(), 3);
     for (_, logits) in &outs {
         assert_eq!(logits.shape(), &[4, 5]);
@@ -225,11 +225,11 @@ fn bits(map: &adaptivefl_nn::ParamMap) -> Vec<(String, Vec<u32>)> {
         .collect()
 }
 
-/// sBN inference (`Network::infer`) gives the final logits of a
-/// training-mode forward bit for bit, leaves every parameter (running
-/// statistics included) as it was, and caches nothing: a backward
-/// right after it finds no forward. Covers the paper models and a
-/// ScaleFL multi-exit blueprint, whose aux heads inference skips.
+/// sBN inference (`forward(x, false)`) gives the final logits of a
+/// training pass of every exit bit for bit, leaves every parameter
+/// (running statistics included) as it was, and caches nothing: a
+/// backward right after it finds no forward. Covers the paper models
+/// and a ScaleFL multi-exit blueprint, whose aux heads inference skips.
 #[test]
 fn inference_equals_training_forward_and_caches_nothing() {
     let mobilenet = ModelConfig {
@@ -269,7 +269,7 @@ fn inference_equals_training_forward_and_caches_nothing() {
         let (c, h, w) = cfg.input;
         let x = init::normal(&[6, c, h, w], 1.0, &mut r);
         let labels = [0usize, 1, 2, 3, 4, 0];
-        let outs = trained.forward_multi(x.clone(), true);
+        let outs = trained.forward_multi(x.clone());
         let grads = outs
             .iter()
             .map(|(e, l)| (*e, softmax_cross_entropy(l, &labels).dlogits))
@@ -281,10 +281,13 @@ fn inference_equals_training_forward_and_caches_nothing() {
         let x = init::normal(&[6, c, h, w], 1.0, &mut r);
         let mut reference = Network::build(&bp, &mut rng::seeded(1));
         reference.load_param_map(&params);
-        let want = reference.forward(x.clone(), true);
+        let (_, want) = reference
+            .forward_multi(x.clone())
+            .pop()
+            .expect("final exit");
         let mut net = Network::build(&bp, &mut rng::seeded(2));
         net.load_param_map(&params);
-        let got = net.infer(x);
+        let got = net.forward(x, false);
 
         assert_eq!(got.shape(), want.shape(), "{what}");
         let same = got
@@ -294,7 +297,7 @@ fn inference_equals_training_forward_and_caches_nothing() {
             .all(|(a, b)| a.to_bits() == b.to_bits());
         assert!(
             same,
-            "{what}: inference logits differ from forward(x, true)"
+            "{what}: inference logits differ from the training pass"
         );
         assert_eq!(
             bits(&net.param_map()),

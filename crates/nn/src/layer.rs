@@ -57,24 +57,20 @@ impl<F: FnMut(&str, ParamKind, &mut Tensor, &mut Tensor)> ParamVisitorMut for F 
 
 /// A differentiable network module.
 ///
-/// `forward` must cache whatever the matching `backward` needs;
-/// `backward` accumulates parameter gradients (it does **not** zero
-/// them) and returns the gradient w.r.t. the input.
+/// `forward(x, true)` must cache whatever the matching `backward`
+/// needs; `backward` accumulates parameter gradients (it does **not**
+/// zero them) and returns the gradient w.r.t. the input.
 ///
-/// `infer` is the sBN inference pass (DESIGN.md §7): the output of
-/// `forward(x, true)`, bit for bit, but nothing is cached for a
-/// backward and no state changes (BatchNorm's running statistics stay
-/// as they are). Only layers whose training-mode output differs from
-/// their evaluation-mode output override it.
+/// `forward(x, false)` is the sBN inference pass (DESIGN.md §7): the
+/// output of `forward(x, true)`, bit for bit, but it caches nothing,
+/// drops any training cache an earlier forward left, and changes no
+/// state (BatchNorm normalises with batch statistics and leaves its
+/// running statistics alone).
 pub trait Layer: Send {
-    /// Runs the layer on `x`. `train` selects training-mode behaviour
-    /// (batch-norm statistics, caching for backward).
+    /// Runs the layer on `x`. `train` selects a training pass (caching
+    /// for backward, BatchNorm running-statistics updates) over an
+    /// inference pass.
     fn forward(&mut self, x: Tensor, train: bool) -> Tensor;
-
-    /// Inference with batch statistics; defaults to `forward(x, false)`.
-    fn infer(&mut self, x: Tensor) -> Tensor {
-        self.forward(x, false)
-    }
 
     /// Back-propagates `dy` (gradient w.r.t. this layer's output),
     /// accumulating parameter gradients, and returns the gradient
@@ -82,8 +78,8 @@ pub trait Layer: Send {
     ///
     /// # Panics
     ///
-    /// Implementations may panic if called without a preceding
-    /// training-mode `forward`.
+    /// Panics if the last `forward` was an inference pass, or if there
+    /// was none.
     fn backward(&mut self, dy: Tensor) -> Tensor;
 
     /// Visits every parameter, prefixing names with `prefix`.
@@ -161,15 +157,16 @@ pub fn join_name(prefix: &str, local: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layers::{Conv2d, DepthwiseConv2d, Flatten, GlobalAvgPool, Linear, MaxPool2d, Relu};
+    use crate::layers::{
+        BatchNorm2d, Conv2d, DepthwiseConv2d, Flatten, GlobalAvgPool, Linear, MaxPool2d, Relu,
+    };
     use adaptivefl_tensor::{init, rng};
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
-    /// Every layer that keeps the default `infer`: it caches nothing,
-    /// so a following `backward` panics, and its output is
-    /// `forward(x, false)` bit for bit.
+    /// Every leaf layer: an eval forward drops the cache an earlier
+    /// training forward left, so a following `backward` panics.
     #[test]
-    fn default_infer_is_an_eval_forward_that_caches_nothing() {
+    fn backward_after_an_eval_forward_panics() {
         let mut r = rng::seeded(9);
         let image = init::normal(&[2, 3, 4, 4], 1.0, &mut r);
         let rows = init::normal(&[2, 5], 1.0, &mut r);
@@ -180,6 +177,7 @@ mod tests {
                 Box::new(DepthwiseConv2d::new(3, 3, 1, 1, &mut r)),
                 &image,
             ),
+            ("batchnorm", Box::new(BatchNorm2d::new(3)), &image),
             ("linear", Box::new(Linear::new(5, 2, &mut r)), &rows),
             ("relu", Box::new(Relu::new()), &image),
             ("maxpool", Box::new(MaxPool2d::new(2)), &image),
@@ -187,18 +185,13 @@ mod tests {
             ("flatten", Box::new(Flatten::new()), &image),
         ];
         for (what, mut layer, x) in cases {
-            let got = layer.infer(x.clone());
-            let dy = Tensor::ones(got.shape());
+            let _ = layer.forward(x.clone(), true);
+            let y = layer.forward(x.clone(), false);
+            let dy = Tensor::ones(y.shape());
             let backward = catch_unwind(AssertUnwindSafe(|| layer.backward(dy)));
-            assert!(backward.is_err(), "{what}: backward after infer must panic");
-            let want = layer.forward(x.clone(), false);
-            assert_eq!(got.shape(), want.shape(), "{what}");
             assert!(
-                got.as_slice()
-                    .iter()
-                    .zip(want.as_slice())
-                    .all(|(a, b)| a.to_bits() == b.to_bits()),
-                "{what}: infer differs from forward(x, false)"
+                backward.is_err(),
+                "{what}: backward after an eval forward must panic"
             );
         }
     }

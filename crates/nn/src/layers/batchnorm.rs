@@ -10,10 +10,10 @@ use crate::layer::{join_name, Layer, ParamKind, ParamVisitor, ParamVisitorMut};
 
 /// Batch normalisation over the channel axis of NCHW input.
 ///
-/// Training mode normalises with batch statistics and updates the
-/// running estimates; evaluation mode uses the running estimates;
-/// [`Layer::infer`] normalises with batch statistics like training mode
-/// but caches and updates nothing.
+/// Both modes normalise with batch statistics (sBN, DESIGN.md §7).
+/// Training mode also updates the running estimates, which are only
+/// exchanged and aggregated, and caches `x̂` for the backward;
+/// evaluation mode caches and updates nothing.
 ///
 /// The forward pass writes `x̂` over the input it owns (in evaluation
 /// mode, `y` itself), and the backward pass writes `dX` over `dY`; the
@@ -72,31 +72,6 @@ impl BatchNorm2d {
         assert_eq!(s.len(), 4, "BatchNorm2d expects NCHW");
         assert_eq!(s[1], self.channels(), "BatchNorm2d channel mismatch");
         (s[0], s[1], s[2] * s[3])
-    }
-
-    fn inv_std(&self, var: &[f32]) -> Vec<f32> {
-        var.iter().map(|&v| 1.0 / (v + self.eps).sqrt()).collect()
-    }
-
-    /// Writes `γ·((x − mean)·inv_std) + β` over `x` in place — the same
-    /// expression, in the same order, as the training branch's
-    /// `x̂ = (x − mean)·inv_std` then `γ·x̂ + β`.
-    fn normalize(
-        &self,
-        x: &mut Tensor,
-        (_, c, hw): (usize, usize, usize),
-        mean: &[f32],
-        inv_std: &[f32],
-    ) {
-        let g = self.gamma.as_slice();
-        let b = self.beta.as_slice();
-        for (i, plane) in x.as_mut_slice().chunks_exact_mut(hw).enumerate() {
-            let ci = i % c;
-            let (m, is, g, b) = (mean[ci], inv_std[ci], g[ci], b[ci]);
-            for v in plane {
-                *v = g * ((*v - m) * is) + b;
-            }
-        }
     }
 }
 
@@ -163,24 +138,31 @@ fn sum_block<const L: usize, const M: usize>(
 
 impl Layer for BatchNorm2d {
     fn forward(&mut self, mut x: Tensor, train: bool) -> Tensor {
-        let dims = self.check_input(&x);
+        let dims @ (_, c, hw) = self.check_input(&x);
+        let (mean, var) = batch_stats(&x, dims);
+        let inv_std: Vec<f32> = var.iter().map(|&v| 1.0 / (v + self.eps).sqrt()).collect();
+        let g = self.gamma.as_slice();
+        let b = self.beta.as_slice();
         if !train {
-            let inv_std = self.inv_std(self.running_var.as_slice());
-            self.normalize(&mut x, dims, self.running_mean.as_slice(), &inv_std);
+            // `γ·((x − mean)·inv_std) + β` over `x`: the training
+            // branch's `x̂` then `γ·x̂ + β`, in the same order.
+            self.cache = None;
+            for (i, plane) in x.as_mut_slice().chunks_exact_mut(hw).enumerate() {
+                let ci = i % c;
+                let (m, is, g, b) = (mean[ci], inv_std[ci], g[ci], b[ci]);
+                for v in plane {
+                    *v = g * ((*v - m) * is) + b;
+                }
+            }
             return x;
         }
-        let (mean, var) = batch_stats(&x, dims);
         let rm = self.running_mean.as_mut_slice();
         let rv = self.running_var.as_mut_slice();
-        for ci in 0..dims.1 {
+        for ci in 0..c {
             rm[ci] = (1.0 - self.momentum) * rm[ci] + self.momentum * mean[ci];
             rv[ci] = (1.0 - self.momentum) * rv[ci] + self.momentum * var[ci];
         }
 
-        let inv_std = self.inv_std(&var);
-        let (c, hw) = (dims.1, dims.2);
-        let g = self.gamma.as_slice();
-        let b = self.beta.as_slice();
         let mut y = Vec::with_capacity(x.numel());
         for (i, plane) in x.as_mut_slice().chunks_exact_mut(hw).enumerate() {
             let ci = i % c;
@@ -193,15 +175,6 @@ impl Layer for BatchNorm2d {
         let shape = x.shape().to_vec();
         self.cache = Some(BnCache { x_hat: x, inv_std });
         Tensor::from_vec(y, &shape)
-    }
-
-    /// Normalises with batch statistics, as training mode does, but
-    /// caches nothing and leaves the running statistics alone.
-    fn infer(&mut self, mut x: Tensor) -> Tensor {
-        let dims = self.check_input(&x);
-        let (mean, var) = batch_stats(&x, dims);
-        self.normalize(&mut x, dims, &mean, &self.inv_std(&var));
-        x
     }
 
     fn backward(&mut self, mut dy: Tensor) -> Tensor {
@@ -324,17 +297,6 @@ mod tests {
             let var: f32 = vals.iter().map(|v| (v - mean).powi(2)).sum::<f32>() / vals.len() as f32;
             assert!(mean.abs() < 1e-3, "mean {mean}");
             assert!((var - 1.0).abs() < 1e-2, "var {var}");
-        }
-    }
-
-    #[test]
-    fn eval_uses_running_stats() {
-        let mut bn = BatchNorm2d::new(1);
-        // Without any training, running stats are (0, 1): identity.
-        let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[1, 1, 2, 2]);
-        let y = bn.forward(x.clone(), false);
-        for (a, b) in x.as_slice().iter().zip(y.as_slice()) {
-            assert!((a - b).abs() < 1e-3);
         }
     }
 

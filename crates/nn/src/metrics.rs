@@ -61,11 +61,6 @@ impl RunningMean {
             (self.sum / self.weight) as f32
         }
     }
-
-    /// Total accumulated weight.
-    pub fn total_weight(&self) -> f32 {
-        self.weight as f32
-    }
 }
 
 #[cfg(test)]
@@ -90,6 +85,5 @@ mod tests {
         m.add(1.0, 1.0);
         m.add(0.0, 3.0);
         assert!((m.mean() - 0.25).abs() < 1e-6);
-        assert_eq!(m.total_weight(), 4.0);
     }
 }

@@ -8,11 +8,11 @@
 //! 1, 3 and 5 at stride 1 and 2 with padding 0 to 2, and inputs,
 //! weights and gradients salted with exact `+0.0` / `-0.0`, `±∞` and
 //! NaN. Every case runs two training steps (forward + backward) onto
-//! gradient buffers that start salted too, then one batch-statistics
-//! inference (`BatchNorm2d`'s `Layer::infer` against the training-mode
-//! oracle, running statistics unchanged) and one eval forward, so
-//! the gradient accumulation order across minibatches and any buffer a
-//! layer keeps between calls are checked as well. A NaN matches any NaN
+//! gradient buffers that start salted too, then one eval forward (for
+//! `BatchNorm2d`, sBN inference: the training-mode oracle's output with
+//! the running statistics unchanged), so the gradient accumulation
+//! order across minibatches and any buffer a layer keeps between calls
+//! are checked as well. A NaN matches any NaN
 //! (DESIGN.md §10); every other value must match bit for bit. Run it
 //! with `TENSOR_NAIVE=1` as well.
 
@@ -223,48 +223,43 @@ struct BnCache {
 
 impl BnOracle {
     #[allow(clippy::needless_range_loop)]
-    fn forward(&mut self, x: &Tensor, train: bool) -> (Tensor, BnCache) {
+    fn forward(&mut self, x: &Tensor) -> (Tensor, BnCache) {
         let s = x.shape().to_vec();
         let (n, c, h, w) = (s[0], s[1], s[2], s[3]);
         let cnt = (n * h * w) as f32;
         let xv = x.as_slice();
 
-        let (mean, var): (Vec<f32>, Vec<f32>) = if train {
-            let mut mean = vec![0.0f32; c];
-            let mut var = vec![0.0f32; c];
-            for ni in 0..n {
-                for ci in 0..c {
-                    let base = (ni * c + ci) * h * w;
-                    for &v in &xv[base..base + h * w] {
-                        mean[ci] += v;
-                    }
-                }
-            }
-            for m in &mut mean {
-                *m /= cnt;
-            }
-            for ni in 0..n {
-                for ci in 0..c {
-                    let base = (ni * c + ci) * h * w;
-                    for &v in &xv[base..base + h * w] {
-                        let d = v - mean[ci];
-                        var[ci] += d * d;
-                    }
-                }
-            }
-            for v in &mut var {
-                *v /= cnt;
-            }
+        let mut mean = vec![0.0f32; c];
+        let mut var = vec![0.0f32; c];
+        for ni in 0..n {
             for ci in 0..c {
-                let rm = &mut self.running_mean[ci];
-                *rm = (1.0 - self.momentum) * *rm + self.momentum * mean[ci];
-                let rv = &mut self.running_var[ci];
-                *rv = (1.0 - self.momentum) * *rv + self.momentum * var[ci];
+                let base = (ni * c + ci) * h * w;
+                for &v in &xv[base..base + h * w] {
+                    mean[ci] += v;
+                }
             }
-            (mean, var)
-        } else {
-            (self.running_mean.clone(), self.running_var.clone())
-        };
+        }
+        for m in &mut mean {
+            *m /= cnt;
+        }
+        for ni in 0..n {
+            for ci in 0..c {
+                let base = (ni * c + ci) * h * w;
+                for &v in &xv[base..base + h * w] {
+                    let d = v - mean[ci];
+                    var[ci] += d * d;
+                }
+            }
+        }
+        for v in &mut var {
+            *v /= cnt;
+        }
+        for ci in 0..c {
+            let rm = &mut self.running_mean[ci];
+            *rm = (1.0 - self.momentum) * *rm + self.momentum * mean[ci];
+            let rv = &mut self.running_var[ci];
+            *rv = (1.0 - self.momentum) * *rv + self.momentum * var[ci];
+        }
 
         let inv_std: Vec<f32> = var.iter().map(|&v| 1.0 / (v + self.eps).sqrt()).collect();
         let mut x_hat = vec![0.0f32; xv.len()];
@@ -463,7 +458,7 @@ fn check_batchnorm(n: usize, c: usize, h: usize, w: usize, seed: u64, salt: Salt
     for step in 0..2u64 {
         let x = fill(&[n, c, h, w], seed ^ (10 + step), salt.x);
         let y = layer.forward(x.clone(), true);
-        let (y_ref, cache) = oracle.forward(&x, true);
+        let (y_ref, cache) = oracle.forward(&x);
         assert_bits_equal(y.as_slice(), y_ref.as_slice(), &format!("y: {what}"));
         check_stats(&layer, &oracle, "after train forward");
 
@@ -478,17 +473,11 @@ fn check_batchnorm(n: usize, c: usize, h: usize, w: usize, seed: u64, salt: Salt
     }
     // sBN inference: the training-mode output, bit for bit, with the
     // running statistics left alone.
-    let x = fill(&[n, c, h, w], seed ^ 40, salt.x);
-    let y = layer.infer(x.clone());
-    let stats = (oracle.running_mean.clone(), oracle.running_var.clone());
-    let (y_ref, _) = oracle.forward(&x, true);
-    (oracle.running_mean, oracle.running_var) = stats;
-    assert_bits_equal(y.as_slice(), y_ref.as_slice(), &format!("infer y: {what}"));
-    check_stats(&layer, &oracle, "after inference");
-
     let x = fill(&[n, c, h, w], seed ^ 30, salt.x);
     let y = layer.forward(x.clone(), false);
-    let (y_ref, _) = oracle.forward(&x, false);
+    let stats = (oracle.running_mean.clone(), oracle.running_var.clone());
+    let (y_ref, _) = oracle.forward(&x);
+    (oracle.running_mean, oracle.running_var) = stats;
     assert_bits_equal(y.as_slice(), y_ref.as_slice(), &format!("eval y: {what}"));
     check_stats(&layer, &oracle, "after eval forward");
 }

@@ -9,8 +9,8 @@
 //! # Determinism contract
 //!
 //! Buffers leave the arena in a content-defined state: [`Scratch::take`]
-//! returns an all-zero buffer and [`Scratch::take_copy`] a full copy of
-//! the source, regardless of what a recycled buffer previously held.
+//! returns an all-zero buffer, regardless of what a recycled buffer
+//! previously held.
 //! Parallel client jobs may therefore take and recycle in any
 //! interleaving — results never depend on which buffer was handed out,
 //! so a run sharing one arena is bit-identical to a run allocating
@@ -51,22 +51,9 @@ impl Scratch {
         buf
     }
 
-    /// Takes a buffer initialised to a copy of `src`.
-    pub fn take_copy(&self, src: &[f32]) -> Vec<f32> {
-        let mut buf = self.pop(src.len());
-        buf.clear();
-        buf.extend_from_slice(src);
-        buf
-    }
-
     /// Takes a zeroed tensor of the given shape.
     pub fn take_tensor(&self, shape: &[usize]) -> Tensor {
         Tensor::from_vec(self.take(shape.iter().product()), shape)
-    }
-
-    /// Takes a tensor initialised to a copy of `src`.
-    pub fn take_tensor_copy(&self, src: &Tensor) -> Tensor {
-        Tensor::from_vec(self.take_copy(src.as_slice()), src.shape())
     }
 
     /// Returns a buffer to the arena for reuse.
@@ -143,15 +130,6 @@ mod tests {
     }
 
     #[test]
-    fn take_copy_fully_overwrites() {
-        let s = Scratch::new();
-        let mut b = s.take(3);
-        b.fill(7.0);
-        s.recycle(b);
-        assert_eq!(s.take_copy(&[1.0, 2.0]), vec![1.0, 2.0]);
-    }
-
-    #[test]
     fn reuse_is_counted() {
         let s = Scratch::new();
         let b = s.take(8);
@@ -179,8 +157,8 @@ mod tests {
         assert_eq!(t.shape(), &[2, 3]);
         assert!(t.as_slice().iter().all(|&x| x == 0.0));
         s.recycle_tensor(t);
-        let u = s.take_tensor_copy(&Tensor::ones(&[6]));
-        assert_eq!(u.as_slice(), &[1.0; 6]);
+        let u = s.take_tensor(&[6]);
+        assert_eq!(u.as_slice(), &[0.0; 6]);
         assert_eq!(s.reuses(), 1);
     }
 }

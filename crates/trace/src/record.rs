@@ -109,18 +109,6 @@ impl RecordingTracer {
             .collect()
     }
 
-    /// Event counts keyed by [`TraceEvent::kind`], sorted by kind.
-    pub fn counts_by_kind(&self) -> Vec<(&'static str, usize)> {
-        let guard = self.inner.lock().expect("tracer poisoned");
-        let mut map: HashMap<&'static str, usize> = HashMap::new();
-        for e in &guard.events {
-            *map.entry(e.kind()).or_default() += 1;
-        }
-        let mut out: Vec<_> = map.into_iter().collect();
-        out.sort_unstable();
-        out
-    }
-
     /// The duration histogram of one phase (`None` if never timed).
     pub fn histogram(&self, phase: Phase) -> Option<DurationHistogram> {
         self.inner
@@ -203,7 +191,6 @@ mod tests {
         t.phase(Phase::Eval, 50);
 
         assert_eq!(t.event_count(), 3);
-        assert_eq!(t.counts_by_kind(), vec![("eval", 1), ("round_start", 2)]);
         let h = t.histogram(Phase::Round).unwrap();
         assert_eq!(h.count(), 2);
         assert_eq!(h.total_nanos(), 400);
