@@ -1,14 +1,18 @@
 //! CI gate + perf record for the blocked matmul kernels.
 //!
 //! Times the reference (naive) kernels against the register-blocked
-//! ones over a ladder of shapes, plus the Linear backward shapes with
-//! about half of `A` exact zeros (a ReLU output's `dY`, which the
-//! reference's zero-skip and the blocked kernels' post-check meet),
-//! verifies bit-identity per shape, then
-//! times one heterogeneous aggregation round and one full local
+//! ones on the products training runs: `A·B` over a ladder of shapes;
+//! the Linear backward shapes with about half of `A` exact zeros (a
+//! ReLU output's `dY`, which the reference's zero-skip and the blocked
+//! kernel's post-check meet), `dW = dYᵀ·X` being `matmul` on a
+//! transposed `dY`; the Linear forward `X·Wᵀ` of VGG16-fast; and the
+//! segmented `A·Bᵀ` of the conv weight gradient at one and sixteen
+//! pixels per sample. Each shape is bit-checked against the reference,
+//! then one heterogeneous aggregation round and one full local
 //! training session each of TinyCnn, VGG16-fast (the fig3 model) and
-//! MobileNetV2 ×0.5 (the fig6 test-bed model). Results land in a JSON
-//! report (default `BENCH_KERNELS.json`, override with `--out PATH`).
+//! MobileNetV2 ×0.5 (the fig6 test-bed model) are timed. Results land
+//! in a JSON report (default `BENCH_KERNELS.json`, override with
+//! `--out PATH`).
 //!
 //! Exits non-zero when the blocked kernel is not measurably faster
 //! than the reference on the largest matmul shape
@@ -29,7 +33,8 @@ use adaptivefl_data::{SynthSpec, SynthTask};
 use adaptivefl_models::ModelConfig;
 use adaptivefl_nn::layer::LayerExt;
 use adaptivefl_tensor::ops::{
-    matmul_at_b_blocked, matmul_at_b_reference, matmul_blocked, matmul_reference,
+    matmul_a_bt_blocked, matmul_a_bt_reference, matmul_a_bt_segmented_blocked,
+    matmul_a_bt_segmented_reference, matmul_blocked, matmul_reference, transpose,
 };
 use adaptivefl_tensor::{rng, Scratch, Tensor};
 use serde::Serialize;
@@ -41,6 +46,8 @@ const REPS: usize = 7;
 #[derive(Debug, Serialize)]
 struct ShapeReport {
     op: String,
+    /// Segment width of `matmul_a_bt_segmented`.
+    seg: Option<usize>,
     m: usize,
     k: usize,
     n: usize,
@@ -104,35 +111,68 @@ fn half_zeros(t: Tensor) -> Tensor {
     t.map(|v| if v.abs() < cut { 0.0 } else { v })
 }
 
-fn bench_shape(op: &str, m: usize, k: usize, n: usize, sparse_a: bool) -> ShapeReport {
-    // `matmul` takes a [m,k]·[k,n]; `matmul_at_b` takes aᵀ as [k,m].
-    let (a, b, reference, blocked): (Tensor, Tensor, fn(&Tensor, &Tensor) -> Tensor, _) = match op {
-        "matmul" => (
-            matrix(m, k, 11 + m as u64),
-            matrix(k, n, 13 + n as u64),
-            matmul_reference,
-            matmul_blocked as fn(&Tensor, &Tensor) -> Tensor,
-        ),
-        "matmul_at_b" => (
-            matrix(k, m, 17 + m as u64),
-            matrix(k, n, 19 + n as u64),
-            matmul_at_b_reference,
-            matmul_at_b_blocked,
-        ),
-        other => panic!("unknown op {other}"),
+/// A timed product; `A` is `[m, k]` and the output `[m, n]` unless
+/// noted.
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    /// `A·B`, `B [k, n]`.
+    Matmul,
+    /// `Aᵀ·B` as `matmul` on `transpose(A)`, with `A [k, m]`,
+    /// `B [k, n]`: Linear's `dW = dYᵀ·X`.
+    TransposeMatmul,
+    /// `A·Bᵀ`, `B [n, k]`: Linear's forward.
+    ABt,
+    /// `matmul_a_bt_segmented` at this segment width: the conv `dW`.
+    ABtSegmented(usize),
+}
+
+impl Op {
+    fn name(self) -> &'static str {
+        match self {
+            Op::Matmul => "matmul",
+            Op::TransposeMatmul => "transpose_matmul",
+            Op::ABt => "matmul_a_bt",
+            Op::ABtSegmented(_) => "matmul_a_bt_segmented",
+        }
+    }
+
+    /// The reference (`naive`) or blocked kernel on `a`, `b`.
+    fn run(self, naive: bool, a: &Tensor, b: &Tensor) -> Tensor {
+        match (self, naive) {
+            (Op::Matmul, true) => matmul_reference(a, b),
+            (Op::Matmul, false) => matmul_blocked(a, b),
+            (Op::TransposeMatmul, true) => matmul_reference(&transpose(a), b),
+            (Op::TransposeMatmul, false) => matmul_blocked(&transpose(a), b),
+            (Op::ABt, true) => matmul_a_bt_reference(a, b),
+            (Op::ABt, false) => matmul_a_bt_blocked(a, b),
+            (Op::ABtSegmented(s), true) => matmul_a_bt_segmented_reference(a, b, s),
+            (Op::ABtSegmented(s), false) => matmul_a_bt_segmented_blocked(a, b, s),
+        }
+    }
+}
+
+fn bench_shape(op: Op, m: usize, k: usize, n: usize, sparse_a: bool) -> ShapeReport {
+    let (a, b) = match op {
+        Op::Matmul => (matrix(m, k, 11 + m as u64), matrix(k, n, 13 + n as u64)),
+        Op::TransposeMatmul => (matrix(k, m, 17 + m as u64), matrix(k, n, 19 + n as u64)),
+        Op::ABt | Op::ABtSegmented(_) => (matrix(m, k, 23 + m as u64), matrix(n, k, 29 + n as u64)),
     };
     let a = if sparse_a { half_zeros(a) } else { a };
     let a_zero_share =
         a.as_slice().iter().filter(|&&v| v == 0.0).count() as f64 / a.numel().max(1) as f64;
-    let (reference_ns, want) = time_min(|| reference(&a, &b));
-    let (blocked_ns, got) = time_min(|| blocked(&a, &b));
+    let (reference_ns, want) = time_min(|| op.run(true, &a, &b));
+    let (blocked_ns, got) = time_min(|| op.run(false, &a, &b));
     let bit_identical = want
         .as_slice()
         .iter()
         .zip(got.as_slice())
         .all(|(x, y)| x.to_bits() == y.to_bits());
     ShapeReport {
-        op: op.to_string(),
+        op: op.name().to_string(),
+        seg: match op {
+            Op::ABtSegmented(s) => Some(s),
+            _ => None,
+        },
         m,
         k,
         n,
@@ -251,19 +291,34 @@ fn main() -> ExitCode {
         (128, 128, 128),
         (256, 256, 256),
     ];
-    // Linear backward at batch 16 over 512 features, `dY` half zeros:
-    // `dX = dY·W` and `dW = dYᵀ·X`.
-    let sparse: &[(&str, usize, usize, usize)] =
-        &[("matmul", 16, 512, 512), ("matmul_at_b", 512, 16, 512)];
-    let runs = ["matmul", "matmul_at_b"]
-        .into_iter()
-        .flat_map(|op| ladder.iter().map(move |&(m, k, n)| (op, m, k, n, false)))
-        .chain(sparse.iter().map(|&(op, m, k, n)| (op, m, k, n, true)));
+    // At batch 16 on VGG16-fast: the Linear backward over 512 features
+    // with `dY` half zeros (`dX = dY·W`, `dW = dYᵀ·X`); the Linear
+    // forwards 64→512, 512→512 and 512→10; the conv `dW` of the 1×1-plane
+    // layers (one pixel per sample, centre tap only) and of a 16→16
+    // 3×3 layer on the 4×4 plane (sixteen pixels per sample).
+    let sparse = [
+        (Op::Matmul, 16, 512, 512),
+        (Op::TransposeMatmul, 512, 16, 512),
+    ];
+    let dense = [
+        (Op::ABt, 16, 64, 512),
+        (Op::ABt, 16, 512, 512),
+        (Op::ABt, 16, 512, 10),
+        (Op::ABtSegmented(1), 64, 16, 64),
+        (Op::ABtSegmented(16), 16, 256, 144),
+    ];
+    let runs = ladder
+        .iter()
+        .map(|&(m, k, n)| (Op::Matmul, m, k, n, false))
+        .chain(sparse.map(|(op, m, k, n)| (op, m, k, n, true)))
+        .chain(dense.map(|(op, m, k, n)| (op, m, k, n, false)));
     let mut shapes = Vec::new();
     for (op, m, k, n, sparse_a) in runs {
         let rep = bench_shape(op, m, k, n, sparse_a);
         println!(
-            "{op} {m}x{k}x{n}{}: reference {:.2}ms, blocked {:.2}ms, speedup {:.2}x{}",
+            "{} {m}x{k}x{n}{}{}: reference {:.2}ms, blocked {:.2}ms, speedup {:.2}x{}",
+            rep.op,
+            rep.seg.map(|s| format!(" (seg {s})")).unwrap_or_default(),
             if sparse_a { " (A half zeros)" } else { "" },
             rep.reference_ns as f64 / 1e6,
             rep.blocked_ns as f64 / 1e6,

@@ -124,13 +124,6 @@ impl MemorySink {
     pub fn latest(&self) -> Option<&ServerSnapshot> {
         self.snapshots.last()
     }
-
-    /// The snapshot taken after `completed_rounds` rounds, if any.
-    pub fn at_round(&self, completed_rounds: usize) -> Option<&ServerSnapshot> {
-        self.snapshots
-            .iter()
-            .find(|s| s.completed_rounds == completed_rounds)
-    }
 }
 
 impl SnapshotSink for MemorySink {
@@ -185,9 +178,8 @@ mod tests {
             sink.save(&snapshot(r, Vec::new()))
                 .expect("memory sink is infallible");
         }
-        assert_eq!(sink.snapshots.len(), 2);
+        let rounds: Vec<usize> = sink.snapshots.iter().map(|s| s.completed_rounds).collect();
+        assert_eq!(rounds, [2, 4]);
         assert_eq!(sink.latest().expect("latest").completed_rounds, 4);
-        assert_eq!(sink.at_round(2).expect("found").completed_rounds, 2);
-        assert!(sink.at_round(3).is_none());
     }
 }

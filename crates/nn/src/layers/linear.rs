@@ -1,6 +1,6 @@
 //! Fully connected layer.
 
-use adaptivefl_tensor::ops::{matmul_a_bt, matmul_at_b};
+use adaptivefl_tensor::ops::{matmul_a_bt, transpose};
 use adaptivefl_tensor::{init, Tensor};
 use rand::Rng;
 
@@ -73,7 +73,7 @@ impl Layer for Linear {
     fn backward(&mut self, dy: Tensor) -> Tensor {
         let x = self.cache.take().expect("linear backward without forward");
         // dW = dyᵀ · x ; dx = dy · W ; db = column sums of dy.
-        let dw = matmul_at_b(&dy, &x);
+        let dw = transpose(&dy).matmul(&x);
         self.dweight.add_assign(&dw);
         let (n, o) = (dy.shape()[0], dy.shape()[1]);
         let dyv = dy.as_slice();

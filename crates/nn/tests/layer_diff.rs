@@ -1,23 +1,24 @@
-//! Differential suite for the per-channel layers: `DepthwiseConv2d`,
-//! `BatchNorm2d` and `Relu` must be **bit-equal** (`f32::to_bits`) to
-//! the straightforward loops they replaced, which are kept here
-//! verbatim as oracles.
+//! Differential suite for the per-channel layers and `Linear`:
+//! `DepthwiseConv2d`, `BatchNorm2d`, `Relu` and `Linear` must be
+//! **bit-equal** (`f32::to_bits`) to straightforward loops, which are
+//! kept here as oracles (for the first three, verbatim the loops they
+//! replaced).
 //!
 //! Covered: batch, channel and plane sizes down to 1×1 planes and
 //! planes smaller than the kernel (which fit only once padded), kernels
-//! 1, 3 and 5 at stride 1 and 2 with padding 0 to 2, and inputs,
-//! weights and gradients salted with exact `+0.0` / `-0.0`, `±∞` and
-//! NaN. Every case runs two training steps (forward + backward) onto
-//! gradient buffers that start salted too, then one eval forward (for
-//! `BatchNorm2d`, sBN inference: the training-mode oracle's output with
-//! the running statistics unchanged), so the gradient accumulation
-//! order across minibatches and any buffer a layer keeps between calls
-//! are checked as well. A NaN matches any NaN
-//! (DESIGN.md §10); every other value must match bit for bit. Run it
-//! with `TENSOR_NAIVE=1` as well.
+//! 1, 3 and 5 at stride 1 and 2 with padding 0 to 2, `Linear` widths
+//! from 1 to the VGG16-fast classifier's, and inputs, weights and
+//! gradients salted with exact `+0.0` / `-0.0`, `±∞` and NaN. Every case
+//! runs two training steps (forward + backward) onto gradient buffers
+//! that start salted too, then one eval forward (for `BatchNorm2d`, sBN
+//! inference: the training-mode oracle's output with the running
+//! statistics unchanged), so the gradient accumulation order across
+//! minibatches and any buffer a layer keeps between calls are checked
+//! as well. A NaN matches any NaN (DESIGN.md §10); every other value
+//! must match bit for bit. Run it with `TENSOR_NAIVE=1` as well.
 
 use adaptivefl_nn::layer::{Layer, ParamKind};
-use adaptivefl_nn::layers::{BatchNorm2d, DepthwiseConv2d, Relu};
+use adaptivefl_nn::layers::{BatchNorm2d, DepthwiseConv2d, Linear, Relu};
 use adaptivefl_tensor::{rng, Tensor};
 use proptest::prelude::*;
 
@@ -332,6 +333,75 @@ fn relu_oracle_backward(mask: &[bool], dy: &Tensor) -> Tensor {
     dx
 }
 
+/// `y = x·Wᵀ + b` with `W [out, in]`, as plain loops.
+struct LinearOracle {
+    weight: Vec<f32>,
+    bias: Vec<f32>,
+    dweight: Vec<f32>,
+    dbias: Vec<f32>,
+    in_f: usize,
+    out_f: usize,
+}
+
+impl LinearOracle {
+    /// Each `y[r][o]` is a dot product from `+0.0`, then `+ b[o]`.
+    fn forward(&self, x: &Tensor) -> Tensor {
+        let (n, fi, fo) = (x.shape()[0], self.in_f, self.out_f);
+        let xv = x.as_slice();
+        let mut y = vec![0.0f32; n * fo];
+        for r in 0..n {
+            for o in 0..fo {
+                let mut acc = 0.0f32;
+                for i in 0..fi {
+                    acc += xv[r * fi + i] * self.weight[o * fi + i];
+                }
+                y[r * fo + o] = acc + self.bias[o];
+            }
+        }
+        Tensor::from_vec(y, &[n, fo])
+    }
+
+    /// `dW += dyᵀ·x` (k-outer, skipping `dy == 0`), `db +=` column sums
+    /// of `dy` in row order, and `dx = dy·W` skipping `dy == 0`.
+    fn backward(&mut self, x: &Tensor, dy: &Tensor) -> Tensor {
+        let (n, fi, fo) = (x.shape()[0], self.in_f, self.out_f);
+        let (xv, dyv) = (x.as_slice(), dy.as_slice());
+        let mut dw = vec![0.0f32; fo * fi];
+        for r in 0..n {
+            for o in 0..fo {
+                let g = dyv[r * fo + o];
+                if g == 0.0 {
+                    continue;
+                }
+                for i in 0..fi {
+                    dw[o * fi + i] += g * xv[r * fi + i];
+                }
+            }
+        }
+        for (d, v) in self.dweight.iter_mut().zip(dw) {
+            *d += v;
+        }
+        for r in 0..n {
+            for o in 0..fo {
+                self.dbias[o] += dyv[r * fo + o];
+            }
+        }
+        let mut dx = vec![0.0f32; n * fi];
+        for r in 0..n {
+            for o in 0..fo {
+                let g = dyv[r * fo + o];
+                if g == 0.0 {
+                    continue;
+                }
+                for i in 0..fi {
+                    dx[r * fi + i] += g * self.weight[o * fi + i];
+                }
+            }
+        }
+        Tensor::from_vec(dx, &[n, fi])
+    }
+}
+
 // ---------------------------------------------------------------------
 // Cases.
 // ---------------------------------------------------------------------
@@ -501,6 +571,58 @@ fn check_relu(shape: &[usize], seed: u64, salt: Salts) {
     assert_bits_equal(y.as_slice(), y_ref.as_slice(), &format!("eval y: {what}"));
 }
 
+fn check_linear(n: usize, in_f: usize, out_f: usize, seed: u64, salt: Salts) {
+    let what = format!("linear n={n} {in_f}->{out_f} {salt:?}");
+    let mut layer = Linear::new(in_f, out_f, &mut rng::seeded(seed));
+    let mut oracle = LinearOracle {
+        weight: fill(&[out_f, in_f], seed ^ 1, salt.param).into_vec(),
+        bias: fill(&[out_f], seed ^ 2, salt.param).into_vec(),
+        dweight: fill(&[out_f, in_f], seed ^ 3, Salt::Zeros).into_vec(),
+        dbias: fill(&[out_f], seed ^ 4, Salt::Zeros).into_vec(),
+        in_f,
+        out_f,
+    };
+    let t = |v: &[f32], s: &[usize]| Tensor::from_vec(v.to_vec(), s);
+    set_params(
+        &mut layer,
+        &[
+            (
+                "weight",
+                &t(&oracle.weight, &[out_f, in_f]),
+                &t(&oracle.dweight, &[out_f, in_f]),
+            ),
+            (
+                "bias",
+                &t(&oracle.bias, &[out_f]),
+                &t(&oracle.dbias, &[out_f]),
+            ),
+        ],
+    );
+    for step in 0..2u64 {
+        let x = fill(&[n, in_f], seed ^ (10 + step), salt.x);
+        let y = layer.forward(x.clone(), true);
+        let y_ref = oracle.forward(&x);
+        assert_eq!(y.shape(), y_ref.shape(), "y shape: {what}");
+        assert_bits_equal(y.as_slice(), y_ref.as_slice(), &format!("y: {what}"));
+
+        let dy = fill(&[n, out_f], seed ^ (20 + step), salt.dy);
+        let dx = layer.backward(dy.clone());
+        let dx_ref = oracle.backward(&x, &dy);
+        assert_bits_equal(dx.as_slice(), dx_ref.as_slice(), &format!("dx: {what}"));
+        let (_, dweight) = param(&layer, "weight");
+        let (_, dbias) = param(&layer, "bias");
+        assert_bits_equal(&dweight, &oracle.dweight, &format!("dweight: {what}"));
+        assert_bits_equal(&dbias, &oracle.dbias, &format!("dbias: {what}"));
+    }
+    let x = fill(&[n, in_f], seed ^ 30, salt.x);
+    let y = layer.forward(x.clone(), false);
+    assert_bits_equal(
+        y.as_slice(),
+        oracle.forward(&x).as_slice(),
+        &format!("eval y: {what}"),
+    );
+}
+
 const KERNELS: [usize; 3] = [1, 3, 5];
 
 proptest! {
@@ -547,6 +669,18 @@ proptest! {
         let dims = if flat == 1 { vec![n, c * h * w] } else { vec![n, c, h, w] };
         check_relu(&dims, seed, salts(salt));
     }
+
+    /// Random `Linear` layers straddling the 4-row panels and the 8-,
+    /// 16- and 32-wide tiles of the matmul kernels.
+    #[test]
+    fn linear_is_bit_equal_to_oracle(
+        n in 1usize..=9,
+        features in (1usize..=37, 1usize..=37),
+        salt in 0usize..27,
+        seed in 0u64..1 << 60,
+    ) {
+        check_linear(n, features.0, features.1, seed, salts(salt));
+    }
 }
 
 /// The MobileNetV2 ×0.5 shapes of the fig6 test-bed at training batch
@@ -568,6 +702,16 @@ fn mobilenet_shapes_are_bit_equal() {
             check_depthwise(8, c, side, side, 3, stride, 1, seed, salts(s));
             check_batchnorm(8, c, side, side, seed, salts(s));
             check_relu(&[8, c, side, side], seed, salts(s));
+        }
+    }
+}
+
+/// The VGG16-fast classifier at training batch 16: 64 → 512 → 512 → 10.
+#[test]
+fn vgg16_linear_shapes_are_bit_equal() {
+    for (i, &(in_f, out_f)) in [(64, 512), (512, 512), (512, 10)].iter().enumerate() {
+        for s in [0, 4, 13, 26] {
+            check_linear(16, in_f, out_f, 200 + i as u64, salts(s));
         }
     }
 }

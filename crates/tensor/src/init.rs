@@ -36,16 +36,6 @@ pub fn uniform(shape: &[usize], lo: f32, hi: f32, rng: &mut impl Rng) -> Tensor 
     Tensor::from_vec((0..numel).map(|_| dist.sample(rng)).collect(), shape)
 }
 
-/// Conv/linear fan-in for a weight shape: product of all axes except the
-/// first (output) axis; 1 for vectors.
-pub fn fan_in_of(shape: &[usize]) -> usize {
-    if shape.len() <= 1 {
-        1
-    } else {
-        shape[1..].iter().product()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -67,13 +57,6 @@ mod tests {
         let mut r1 = ChaCha8Rng::seed_from_u64(42);
         let mut r2 = ChaCha8Rng::seed_from_u64(42);
         assert_eq!(normal(&[10], 0.1, &mut r1), normal(&[10], 0.1, &mut r2));
-    }
-
-    #[test]
-    fn fan_in_shapes() {
-        assert_eq!(fan_in_of(&[64, 32, 3, 3]), 32 * 9);
-        assert_eq!(fan_in_of(&[10, 100]), 100);
-        assert_eq!(fan_in_of(&[10]), 1);
     }
 
     #[test]

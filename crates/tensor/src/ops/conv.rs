@@ -20,7 +20,7 @@
 //! the padding taps' only observable effect, NaN from `∞·0`, is applied
 //! as a row rule (DESIGN.md §10, "Taps that read only padding").
 
-use crate::ops::matmul::{matmul, matmul_a_bt_segmented, matmul_at_b};
+use crate::ops::matmul::{matmul, matmul_a_bt_segmented, transpose};
 use crate::Tensor;
 
 /// Static geometry of a convolution: kernel, stride, padding and the
@@ -435,7 +435,7 @@ pub fn conv2d_backward(
     let dyg = Tensor::from_vec(dyg, &[c_out, np]);
 
     // dcols = W₂dᵀ · dY in one product, then one fold for the batch.
-    let dcols = matmul_at_b(&w2d, &dyg); // [K, n·P]
+    let dcols = matmul(&transpose(&w2d), &dyg); // [K, n·P]
     let mut dx = vec![0.0f32; n * c_in * h * w];
     TapRuns::new(h, w, lgeo).col2im(dcols.as_slice(), n, c_in, &mut dx);
 

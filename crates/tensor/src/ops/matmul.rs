@@ -1,7 +1,7 @@
 //! Dense matrix multiplication kernels.
 //!
-//! Each product ships in two implementations that are **bit-identical**
-//! by construction (see DESIGN.md §10):
+//! Two products, `A·B` and `A·Bᵀ`, each ship in two implementations
+//! that are **bit-identical** by construction (see DESIGN.md §10):
 //!
 //! * a *reference* kernel — the original scalar loops, kept verbatim as
 //!   the semantic ground truth;
@@ -14,21 +14,24 @@
 //!
 //! Blocking only reorders work **across independent output elements**;
 //! for every single output element the k-accumulation order (and the
-//! skip-on-zero rule of the reference kernels) is preserved exactly, so
+//! skip-on-zero rule of the `A·B` reference) is preserved exactly, so
 //! no floating-point sum is ever re-associated and the results match
 //! the reference bit for bit. Every full A panel takes the branchless
 //! microkernel, which adds the `0·b` terms the reference skips. A chain
 //! that starts at `+0.0` never holds `-0.0`, so adding `0·b` with finite
 //! `b` changes nothing; only `0·(±∞ or NaN)` does, and it leaves NaN.
 //! A post-check therefore recomputes with the reference row loop just
-//! the rows that hold a NaN and whose A row holds a zero.
+//! the rows whose A row holds a zero and whose output holds a NaN.
 //! `crates/tensor/tests/kernel_diff.rs` asserts the equivalence
 //! differentially with `f32::to_bits`.
 //!
-//! Besides `A·B`, `Aᵀ·B` and `A·Bᵀ` there is a segmented `A·Bᵀ`
-//! ([`matmul_a_bt_segmented`]): the sum of per-segment `A·Bᵀ` products,
-//! each restarted from `0.0`, which the batched convolution uses for its
-//! weight gradient.
+//! `Aᵀ·B` is [`matmul`] on a [`transpose`]d copy of `A`: every output
+//! element is the same increasing-k chain, with the same skip on
+//! `a[k][i] == 0`, as a k-outer loop over the rows of `A` and `B`. The
+//! segmented `A·Bᵀ` ([`matmul_a_bt_segmented`]) is the sum of
+//! per-segment `A·Bᵀ` products, each restarted from `0.0`, which the
+//! batched convolution uses for its weight gradient; the blocked plain
+//! `A·Bᵀ` is its one-segment case.
 //!
 //! Setting `TENSOR_NAIVE=1` in the environment forces the reference
 //! kernels at run time (read once per process).
@@ -108,21 +111,6 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
     }
 }
 
-/// `C = Aᵀ · B` without materialising the transpose.
-///
-/// Dispatches like [`matmul`].
-///
-/// # Panics
-///
-/// Panics if the operands are not 2-D or `A.rows != B.rows`.
-pub fn matmul_at_b(a: &Tensor, b: &Tensor) -> Tensor {
-    if naive_kernels_forced() {
-        matmul_at_b_reference(a, b)
-    } else {
-        matmul_at_b_blocked(a, b)
-    }
-}
-
 /// `C = A · Bᵀ` without materialising the transpose.
 ///
 /// Dispatches like [`matmul`].
@@ -136,6 +124,29 @@ pub fn matmul_a_bt(a: &Tensor, b: &Tensor) -> Tensor {
     } else {
         matmul_a_bt_blocked(a, b)
     }
+}
+
+/// `Aᵀ` of a row-major 2-D tensor, as a copy: element `(j, i)` of the
+/// result holds the bits of `a[i][j]`.
+///
+/// `matmul(&transpose(a), b)` is `Aᵀ·B`.
+///
+/// # Panics
+///
+/// Panics if `a` is not 2-D.
+pub fn transpose(a: &Tensor) -> Tensor {
+    let (m, n) = dims2(a, "transpose");
+    let mut out = vec![0.0f32; m * n];
+    // Eight rows of `a` at a time, so each output row takes eight
+    // contiguous writes per pass.
+    for (blk, rows) in a.as_slice().chunks(8 * n.max(1)).enumerate() {
+        for j in 0..n {
+            for (ii, row) in rows.chunks_exact(n).enumerate() {
+                out[j * m + 8 * blk + ii] = row[j];
+            }
+        }
+    }
+    Tensor::from_vec(out, &[n, m])
 }
 
 /// Reference `C = A · B`: the original cache-friendly `i-k-j` scalar
@@ -174,34 +185,6 @@ fn matmul_row_reference(arow: &[f32], bv: &[f32], orow: &mut [f32]) {
     }
 }
 
-/// Reference `C = Aᵀ · B`: the original `k`-outer scalar loops.
-///
-/// # Panics
-///
-/// See [`matmul_at_b`].
-pub fn matmul_at_b_reference(a: &Tensor, b: &Tensor) -> Tensor {
-    let (k, m) = dims2(a, "matmul_at_b lhs");
-    let (k2, n) = dims2(b, "matmul_at_b rhs");
-    assert_eq!(k, k2, "matmul_at_b shared dim {k} vs {k2}");
-    let mut out = vec![0.0f32; m * n];
-    let av = a.as_slice();
-    let bv = b.as_slice();
-    for kk in 0..k {
-        let arow = &av[kk * m..(kk + 1) * m];
-        let brow = &bv[kk * n..(kk + 1) * n];
-        for (i, &aki) in arow.iter().enumerate() {
-            if aki == 0.0 {
-                continue;
-            }
-            let orow = &mut out[i * n..(i + 1) * n];
-            for (o, &bkj) in orow.iter_mut().zip(brow.iter()) {
-                *o += aki * bkj;
-            }
-        }
-    }
-    Tensor::from_vec(out, &[m, n])
-}
-
 /// Reference `C = A · Bᵀ`: the original `i-j-k` dot-product loops. Note
 /// this kernel has **no** skip-on-zero — the blocked variant must not
 /// introduce one.
@@ -236,11 +219,11 @@ pub fn matmul_a_bt_reference(a: &Tensor, b: &Tensor) -> Tensor {
 /// microkernel (SIMD on x86-64, register-tiled scalar elsewhere), which
 /// adds the `0·b` terms the reference skips. Such a term can change an
 /// output row only by making it NaN (`0·∞`, `0·NaN`), so a post-check
-/// recomputes by the reference row loop each row that holds a NaN and
-/// whose A row holds a zero (DESIGN.md §10). The ragged bottom rows run
-/// the reference row loop itself. Within every output element the
-/// additions happen in strictly increasing k either way, so no sum is
-/// re-associated.
+/// recomputes by the reference row loop each row whose A row holds a
+/// zero and whose output holds a NaN (DESIGN.md §10). The ragged bottom
+/// rows run the reference row loop itself. Within every output element
+/// the additions happen in strictly increasing k either way, so no sum
+/// is re-associated.
 ///
 /// # Panics
 ///
@@ -301,15 +284,16 @@ fn matmul_panel(
 /// hold `-0.0` (a sum is `-0.0` only when both addends are). So adding
 /// a skipped `0·b` with finite `b`, which is `±0.0`, changes no chain.
 /// Only `0·(±∞ or NaN)` differs, and that term makes the chain NaN for
-/// good. A row whose output holds no NaN, or whose A row holds no zero,
+/// good. A row whose A row holds no zero, or whose output holds no NaN,
 /// is therefore already the reference's; any other row is zeroed and
-/// recomputed by [`matmul_row_reference`].
+/// recomputed by [`matmul_row_reference`]. The A row is tested first,
+/// so a panel without zeros never scans its output.
 fn restore_zero_skips(apanel: &[f32], bv: &[f32], opanel: &mut [f32], k: usize) {
     let n = opanel.len() / MR;
     for ii in 0..MR {
         let orow = &mut opanel[ii * n..(ii + 1) * n];
         let arow = &apanel[ii * k..(ii + 1) * k];
-        if orow.iter().fold(false, |acc, v| acc | v.is_nan()) && arow.contains(&0.0) {
+        if arow.contains(&0.0) && orow.iter().fold(false, |acc, v| acc | v.is_nan()) {
             orow.fill(0.0);
             matmul_row_reference(arow, bv, orow);
         }
@@ -332,24 +316,12 @@ fn matmul_panel_portable(
     while j0 < n {
         let nw = NR.min(n - j0);
         let mut acc = [[0.0f32; NR]; MR];
-        if nw == NR {
-            for kk in 0..k {
-                let brow = &bv[kk * n + j0..kk * n + j0 + NR];
-                for (ii, arow) in acc.iter_mut().enumerate() {
-                    let aik = apanel[ii * k + kk];
-                    for (o, &bkj) in arow.iter_mut().zip(brow.iter()) {
-                        *o += aik * bkj;
-                    }
-                }
-            }
-        } else {
-            for kk in 0..k {
-                let brow = &bv[kk * n + j0..kk * n + j0 + nw];
-                for (ii, arow) in acc.iter_mut().enumerate() {
-                    let aik = apanel[ii * k + kk];
-                    for (o, &bkj) in arow.iter_mut().zip(brow.iter()) {
-                        *o += aik * bkj;
-                    }
+        for kk in 0..k {
+            let brow = &bv[kk * n + j0..kk * n + j0 + nw];
+            for (ii, arow) in acc.iter_mut().enumerate() {
+                let aik = apanel[ii * k + kk];
+                for (o, &bkj) in arow.iter_mut().zip(brow.iter()) {
+                    *o += aik * bkj;
                 }
             }
         }
@@ -361,68 +333,11 @@ fn matmul_panel_portable(
     }
 }
 
-/// Blocked `C = Aᵀ · B`, bit-identical to [`matmul_at_b_reference`].
-///
-/// Same panel strategy as [`matmul_blocked`]; the panel here is an
-/// `MR`-column block of `A` (contiguous per k-row), staged row-major.
-/// Only a panel whose staged copy holds a zero needs the post-check.
-///
-/// # Panics
-///
-/// See [`matmul_at_b`].
-pub fn matmul_at_b_blocked(a: &Tensor, b: &Tensor) -> Tensor {
-    let (k, m) = dims2(a, "matmul_at_b lhs");
-    let (k2, n) = dims2(b, "matmul_at_b rhs");
-    assert_eq!(k, k2, "matmul_at_b shared dim {k} vs {k2}");
-    let mut out = vec![0.0f32; m * n];
-    let av = a.as_slice();
-    let bv = b.as_slice();
-    let isa = isa();
-    // The panel's A values (columns i0..i0+MR) are strided; stage them
-    // contiguously once per panel so the microkernels are shared with
-    // `matmul_blocked` (pure copy — no arithmetic, no reordering).
-    let mut staged = vec![0.0f32; MR.max(1) * k];
-    let mut i0 = 0;
-    while i0 < m {
-        let mh = MR.min(m - i0);
-        let mut has_zero = false;
-        for kk in 0..k {
-            for ii in 0..mh {
-                let v = av[kk * m + i0 + ii];
-                has_zero |= v == 0.0;
-                staged[ii * k + kk] = v;
-            }
-        }
-        if mh == MR {
-            let apanel = &staged[..MR * k];
-            matmul_panel(isa, apanel, bv, &mut out, i0, k, n);
-            if has_zero {
-                restore_zero_skips(apanel, bv, &mut out[i0 * n..(i0 + MR) * n], k);
-            }
-        } else {
-            for ii in 0..mh {
-                let i = i0 + ii;
-                matmul_row_reference(
-                    &staged[ii * k..(ii + 1) * k],
-                    bv,
-                    &mut out[i * n..(i + 1) * n],
-                );
-            }
-        }
-        i0 += MR;
-    }
-    Tensor::from_vec(out, &[m, n])
-}
-
 /// Blocked `C = A · Bᵀ`, bit-identical to [`matmul_a_bt_reference`].
 ///
-/// The reference computes each output element as one serial dot
-/// product. Here a `Bᵀ` column panel is transposed into a contiguous
-/// staging buffer once (a pure copy), after which each `MR`-row tile
-/// advances `MR × panel-width` independent accumulator chains per
-/// k-step — each chain is still one element's dot product fed in
-/// increasing k, so every sum keeps the reference association. The
-/// reference has no skip-on-zero, so no zero check is needed.
+/// The segmented kernel with one segment spanning the shared dimension:
+/// its `+0.0 + acc` is `acc`, because a chain that starts at `+0.0` never
+/// holds `-0.0`; an empty shared dimension gives zeros.
 ///
 /// # Panics
 ///
@@ -431,7 +346,7 @@ pub fn matmul_a_bt_blocked(a: &Tensor, b: &Tensor) -> Tensor {
     let (_, k) = dims2(a, "matmul_a_bt lhs");
     let (_, k2) = dims2(b, "matmul_a_bt rhs");
     assert_eq!(k, k2, "matmul_a_bt shared dim {k} vs {k2}");
-    a_bt_blocked(a, b, None)
+    a_bt_blocked(a, b, k.max(1))
 }
 
 /// `C = Σₛ Aₛ · Bₛᵀ`, where `Aₛ`, `Bₛ` are the `seg`-wide column
@@ -468,33 +383,22 @@ pub fn matmul_a_bt_segmented_reference(a: &Tensor, b: &Tensor, seg: usize) -> Te
     let (n, _) = dims2(b, "matmul_a_bt_segmented rhs");
     check_segments(a, b, seg);
     let mut out = vec![0.0f32; m * n];
-    a_bt_rows_reference(
-        a.as_slice(),
-        b.as_slice(),
-        &mut out,
-        0,
-        m,
-        0,
-        n,
-        k,
-        n,
-        Some(seg),
-    );
+    a_bt_rows_reference(a.as_slice(), b.as_slice(), &mut out, 0, m, 0, n, k, n, seg);
     Tensor::from_vec(out, &[m, n])
 }
 
 /// Blocked [`matmul_a_bt_segmented`], bit-identical to
-/// [`matmul_a_bt_segmented_reference`]: the panel scheme of
-/// [`matmul_a_bt_blocked`] with a second bank of register accumulators
-/// holding the running totals, so the per-segment partial products are
-/// never written out.
+/// [`matmul_a_bt_segmented_reference`]: each `MR × NR` tile keeps a bank
+/// of register accumulators for the running totals beside the one for
+/// the current segment, so the per-segment partial products are never
+/// written out.
 ///
 /// # Panics
 ///
 /// See [`matmul_a_bt_segmented`].
 pub fn matmul_a_bt_segmented_blocked(a: &Tensor, b: &Tensor, seg: usize) -> Tensor {
     check_segments(a, b, seg);
-    a_bt_blocked(a, b, Some(seg))
+    a_bt_blocked(a, b, seg)
 }
 
 fn check_segments(a: &Tensor, b: &Tensor, seg: usize) {
@@ -507,9 +411,9 @@ fn check_segments(a: &Tensor, b: &Tensor, seg: usize) {
     );
 }
 
-/// Shared panel loop of the blocked `A·Bᵀ` kernels: plain when `seg` is
-/// `None`, segmented (see [`matmul_a_bt_segmented`]) otherwise.
-fn a_bt_blocked(a: &Tensor, b: &Tensor, seg: Option<usize>) -> Tensor {
+/// Panel loop of the blocked `A·Bᵀ` kernels: every full `MR × NR` tile
+/// runs on [`a_bt_seg_tile`], the ragged edges on the reference order.
+fn a_bt_blocked(a: &Tensor, b: &Tensor, seg: usize) -> Tensor {
     let (m, k) = (a.shape()[0], a.shape()[1]);
     let n = b.shape()[0];
     let mut out = vec![0.0f32; m * n];
@@ -533,25 +437,7 @@ fn a_bt_blocked(a: &Tensor, b: &Tensor, seg: Option<usize>) -> Tensor {
                 let mh = MR.min(m - i0);
                 if mh == MR {
                     let apanel = &av[i0 * k..(i0 + MR) * k];
-                    let t = &tbuf;
-                    let o = &mut out;
-                    match (isa, seg) {
-                        #[cfg(target_arch = "x86_64")]
-                        // SAFETY: `isa()` verified the feature at run time
-                        // (AVX-512 implies AVX2; `NR == 8` fits one ymm).
-                        (Isa::Avx512 | Isa::Avx2, None) => unsafe {
-                            x86::a_bt_tile_avx2(apanel, t, o, i0, j0, k, n)
-                        },
-                        #[cfg(target_arch = "x86_64")]
-                        // SAFETY: as above.
-                        (Isa::Avx512 | Isa::Avx2, Some(s)) => unsafe {
-                            x86::a_bt_seg_tile_avx2(apanel, t, o, i0, j0, k, n, s)
-                        },
-                        (Isa::Portable, None) => a_bt_tile_portable(apanel, t, o, i0, j0, k, n),
-                        (Isa::Portable, Some(s)) => {
-                            a_bt_seg_tile_portable(apanel, t, o, i0, j0, k, n, s)
-                        }
-                    }
+                    a_bt_seg_tile(isa, apanel, &tbuf, &mut out, i0, j0, k, n, seg);
                 } else {
                     a_bt_rows_reference(av, bv, &mut out, i0, mh, j0, nw, k, n, seg);
                 }
@@ -565,9 +451,33 @@ fn a_bt_blocked(a: &Tensor, b: &Tensor, seg: Option<usize>) -> Tensor {
     Tensor::from_vec(out, &[m, n])
 }
 
-/// Reference-order serial dot products for an `A·Bᵀ` edge block
-/// (segmented like [`matmul_a_bt_segmented_reference`] when `seg` is
-/// set).
+/// Runs the segmented `A·Bᵀ` tile `isa` offers: output rows
+/// `i0..i0 + MR`, columns `j0..j0 + NR` from a k-major B panel `tbuf`.
+#[allow(clippy::too_many_arguments)]
+fn a_bt_seg_tile(
+    isa: Isa,
+    apanel: &[f32],
+    tbuf: &[f32],
+    out: &mut [f32],
+    i0: usize,
+    j0: usize,
+    k: usize,
+    n: usize,
+    seg: usize,
+) {
+    match isa {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `isa()` verified the feature at run time (AVX-512
+        // implies AVX2; `NR == 8` fits one ymm).
+        Isa::Avx512 | Isa::Avx2 => unsafe {
+            x86::a_bt_seg_tile_avx2(apanel, tbuf, out, i0, j0, k, n, seg)
+        },
+        Isa::Portable => a_bt_seg_tile_portable(apanel, tbuf, out, i0, j0, k, n, seg),
+    }
+}
+
+/// Reference-order serial dot products for a block of the segmented
+/// `A·Bᵀ`, as [`matmul_a_bt_segmented_reference`] forms them.
 #[inline]
 #[allow(clippy::too_many_arguments)]
 fn a_bt_rows_reference(
@@ -580,66 +490,28 @@ fn a_bt_rows_reference(
     nw: usize,
     k: usize,
     n: usize,
-    seg: Option<usize>,
+    seg: usize,
 ) {
     for i in i0..i0 + mh {
         let arow = &av[i * k..(i + 1) * k];
         for j in j0..j0 + nw {
             let brow = &bv[j * k..(j + 1) * k];
-            out[i * n + j] = match seg {
-                None => {
-                    let mut acc = 0.0f32;
-                    for (&x, &y) in arow.iter().zip(brow.iter()) {
-                        acc += x * y;
-                    }
-                    acc
+            let mut total = 0.0f32;
+            for (aseg, bseg) in arow.chunks_exact(seg).zip(brow.chunks_exact(seg)) {
+                let mut acc = 0.0f32;
+                for (&x, &y) in aseg.iter().zip(bseg.iter()) {
+                    acc += x * y;
                 }
-                Some(seg) => {
-                    let mut total = 0.0f32;
-                    for (aseg, bseg) in arow.chunks_exact(seg).zip(brow.chunks_exact(seg)) {
-                        let mut acc = 0.0f32;
-                        for (&x, &y) in aseg.iter().zip(bseg.iter()) {
-                            acc += x * y;
-                        }
-                        total += acc;
-                    }
-                    total
-                }
-            };
-        }
-    }
-}
-
-/// Portable `MR × NR` tile of [`matmul_a_bt_blocked`] over the
-/// transposed panel: branchless, auto-vectorisable.
-fn a_bt_tile_portable(
-    apanel: &[f32],
-    tbuf: &[f32],
-    out: &mut [f32],
-    i0: usize,
-    j0: usize,
-    k: usize,
-    n: usize,
-) {
-    let mut acc = [[0.0f32; NR]; MR];
-    for kk in 0..k {
-        let brow = &tbuf[kk * NR..(kk + 1) * NR];
-        for (ii, arow) in acc.iter_mut().enumerate() {
-            let aik = apanel[ii * k + kk];
-            for (o, &bkj) in arow.iter_mut().zip(brow.iter()) {
-                *o += aik * bkj;
+                total += acc;
             }
+            out[i * n + j] = total;
         }
-    }
-    for (ii, arow) in acc.iter().enumerate() {
-        let off = (i0 + ii) * n + j0;
-        out[off..off + NR].copy_from_slice(arow);
     }
 }
 
-/// Portable segmented `MR × NR` tile of
-/// [`matmul_a_bt_segmented_blocked`]: per segment a fresh accumulator
-/// tile, added onto the running totals at the segment's end.
+/// Portable segmented `MR × NR` tile of the blocked `A·Bᵀ`: per segment
+/// a fresh accumulator tile, added onto the running totals at the
+/// segment's end. Branchless and auto-vectorisable.
 #[allow(clippy::too_many_arguments)]
 fn a_bt_seg_tile_portable(
     apanel: &[f32],
@@ -821,46 +693,16 @@ mod x86 {
         }
     }
 
-    /// AVX2 `MR × NR` tile of the `A·Bᵀ` kernel over a transposed B
-    /// panel (also used by the AVX-512 path — `NR == 8` fits one ymm).
+    /// AVX2 `MR × NR` tile of the blocked `A·Bᵀ` kernels over a
+    /// transposed B panel (also used by the AVX-512 path — `NR == 8`
+    /// fits one ymm): a fresh accumulator per `seg`-long stretch of k,
+    /// added onto `MR` running-total registers at each segment's end.
     ///
     /// # Safety
     ///
     /// Caller must ensure `avx2` is available, `apanel.len() == MR*k`,
-    /// `tbuf.len() >= k*NR`, and `out.len() >= (i0+MR)*n` with
-    /// `j0 + NR <= n`.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn a_bt_tile_avx2(
-        apanel: &[f32],
-        tbuf: &[f32],
-        out: &mut [f32],
-        i0: usize,
-        j0: usize,
-        k: usize,
-        n: usize,
-    ) {
-        let ap = apanel.as_ptr();
-        let tp = tbuf.as_ptr();
-        let mut acc = [_mm256_setzero_ps(); MR];
-        for kk in 0..k {
-            let b0 = _mm256_loadu_ps(tp.add(kk * NR));
-            for (ii, c) in acc.iter_mut().enumerate() {
-                let a = _mm256_set1_ps(*ap.add(ii * k + kk));
-                *c = _mm256_add_ps(*c, _mm256_mul_ps(a, b0));
-            }
-        }
-        for (ii, c) in acc.iter().enumerate() {
-            _mm256_storeu_ps(out.as_mut_ptr().add((i0 + ii) * n + j0), *c);
-        }
-    }
-
-    /// AVX2 segmented `MR × NR` tile of the segmented `A·Bᵀ` kernel: a
-    /// fresh accumulator per `seg`-long stretch of k, added onto `MR`
-    /// running-total registers at each segment's end.
-    ///
-    /// # Safety
-    ///
-    /// As [`a_bt_tile_avx2`], plus `seg > 0` dividing `k`.
+    /// `tbuf.len() >= k*NR`, `out.len() >= (i0+MR)*n` with
+    /// `j0 + NR <= n`, and `seg > 0` dividing `k`.
     #[target_feature(enable = "avx2")]
     #[allow(clippy::too_many_arguments)]
     pub unsafe fn a_bt_seg_tile_avx2(
@@ -935,27 +777,29 @@ mod tests {
     fn transposed_variants_agree() {
         let a = Tensor::from_vec((0..12).map(|x| x as f32).collect(), &[3, 4]);
         let b = Tensor::from_vec((0..12).map(|x| x as f32 + 1.0).collect(), &[3, 4]);
-        // Aᵀ·B : [4,3]·[3,4] -> [4,4]
-        let c1 = matmul_at_b(&a, &b);
-        // Compare against explicit transpose.
         let mut at = Tensor::zeros(&[4, 3]);
         for i in 0..3 {
             for j in 0..4 {
                 *at.at_mut(&[j, i]) = a.at(&[i, j]);
             }
         }
-        let c2 = matmul(&at, &b);
+        assert_eq!(transpose(&a), at);
+
+        // Aᵀ·B : [4,3]·[3,4] -> [4,4], against the k-outer loop.
+        let c1 = matmul(&transpose(&a), &b);
+        let mut c2 = Tensor::zeros(&[4, 4]);
+        for kk in 0..3 {
+            for i in 0..4 {
+                for j in 0..4 {
+                    *c2.at_mut(&[i, j]) += a.at(&[kk, i]) * b.at(&[kk, j]);
+                }
+            }
+        }
         assert_eq!(c1, c2);
 
         // A·Bᵀ : [3,4]·[4,3] -> [3,3]
         let d1 = matmul_a_bt(&a, &b);
-        let mut bt = Tensor::zeros(&[4, 3]);
-        for i in 0..3 {
-            for j in 0..4 {
-                *bt.at_mut(&[j, i]) = b.at(&[i, j]);
-            }
-        }
-        let d2 = matmul(&a, &bt);
+        let d2 = matmul(&a, &transpose(&b));
         for (x, y) in d1.as_slice().iter().zip(d2.as_slice()) {
             assert!((x - y).abs() < 1e-5);
         }
@@ -979,12 +823,15 @@ mod tests {
             assert_eq!(c, matmul_reference(&a, &b));
         }
         // Aᵀ·B and A·Bᵀ with an empty shared dim produce all-zero output.
-        let a = Tensor::zeros(&[0, 2]);
+        let at = transpose(&Tensor::zeros(&[0, 2]));
         let b = Tensor::zeros(&[0, 3]);
-        assert_eq!(matmul_at_b_blocked(&a, &b), matmul_at_b_reference(&a, &b));
-        let a = Tensor::zeros(&[2, 0]);
-        let b = Tensor::zeros(&[3, 0]);
-        assert_eq!(matmul_a_bt_blocked(&a, &b), matmul_a_bt_reference(&a, &b));
+        assert_eq!(at.shape(), &[2, 0]);
+        assert_eq!(matmul_blocked(&at, &b), Tensor::zeros(&[2, 3]));
+        // [MR, 0]·[NR + 1, 0]ᵀ reaches a full tile and the edge.
+        let a = Tensor::zeros(&[MR, 0]);
+        let b = Tensor::zeros(&[NR + 1, 0]);
+        assert_eq!(matmul_a_bt_blocked(&a, &b), Tensor::zeros(&[MR, NR + 1]));
+        assert_eq!(matmul_a_bt_reference(&a, &b), Tensor::zeros(&[MR, NR + 1]));
     }
 
     fn fill(rows: usize, cols: usize, seed: u64) -> Tensor {
@@ -1058,6 +905,119 @@ mod tests {
             let want = matmul_a_bt_segmented_reference(&a, &b, seg);
             for (x, y) in out.iter().zip(want.as_slice()) {
                 assert_eq!(x.to_bits(), y.to_bits(), "seg {seg} x {segs}");
+            }
+        }
+    }
+    /// Every microkernel the host can run.
+    fn host_isas() -> Vec<Isa> {
+        #[allow(unused_mut)]
+        let mut isas = vec![Isa::Portable];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx2") {
+                isas.push(Isa::Avx2);
+                if std::arch::is_x86_feature_detected!("avx512f") {
+                    isas.push(Isa::Avx512);
+                }
+            }
+        }
+        isas
+    }
+
+    /// [`fill`] with `+0.0` or `-0.0` where `(r + c) % 3 == 0` in the
+    /// even rows; the odd rows hold no zero.
+    fn with_zeros(rows: usize, cols: usize, seed: u64) -> Tensor {
+        let mut t = fill(rows, cols, seed);
+        for (idx, v) in t.as_mut_slice().iter_mut().enumerate() {
+            let (r, c) = (idx / cols, idx % cols);
+            if r % 2 == 0 && (r + c) % 3 == 0 {
+                *v = if c % 2 == 0 { 0.0 } else { -0.0 };
+            }
+        }
+        t
+    }
+
+    /// [`fill`] with one `+∞`, `-∞` or NaN in three of every four lines
+    /// (columns when `by_column`, rows otherwise), so no output chain
+    /// meets two non-finite values.
+    fn with_non_finite(rows: usize, cols: usize, seed: u64, by_column: bool) -> Tensor {
+        let mut t = fill(rows, cols, seed);
+        let (lines, len) = if by_column {
+            (cols, rows)
+        } else {
+            (rows, cols)
+        };
+        for l in (0..lines).filter(|l| l % 4 != 3) {
+            let p = (l * 5) % len;
+            let idx = if by_column {
+                p * cols + l
+            } else {
+                l * cols + p
+            };
+            t.as_mut_slice()[idx] = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN][l % 4];
+        }
+        t
+    }
+
+    fn assert_bits(got: &[f32], want: &Tensor, what: &str) {
+        for (i, (x, y)) in got.iter().zip(want.as_slice()).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "{what}: element {i}: {x} vs {y}");
+        }
+    }
+
+    #[test]
+    fn every_host_isa_matches_reference_bitwise() {
+        // Widths reach the 32-, 16- and 8-wide tiles and the scalar
+        // tail of every microkernel. Zeros in A meet a finite B, where
+        // the panels must match as computed, and a B with ±∞/NaN, where
+        // the post-check must restore the skipped terms.
+        let m = 2 * MR;
+        for isa in host_isas() {
+            for k in [1, 5, 9] {
+                for n in [1, 7, 8, 9, 16, 17, 32, 33, 48, 57] {
+                    let a = with_zeros(m, k, 5);
+                    for (bs, b) in [
+                        ("finite", fill(k, n, 6)),
+                        ("±∞/NaN", with_non_finite(k, n, 6, true)),
+                    ] {
+                        let (av, bv) = (a.as_slice(), b.as_slice());
+                        let mut out = vec![0.0f32; m * n];
+                        for i0 in (0..m).step_by(MR) {
+                            let apanel = &av[i0 * k..(i0 + MR) * k];
+                            matmul_panel(isa, apanel, bv, &mut out, i0, k, n);
+                            restore_zero_skips(apanel, bv, &mut out[i0 * n..(i0 + MR) * n], k);
+                        }
+                        let what = format!("{isa:?} matmul {m}x{k}x{n}, {bs} B");
+                        assert_bits(&out, &matmul_reference(&a, &b), &what);
+                    }
+                }
+            }
+            for (seg, segs) in [(1, 16), (3, 3), (16, 2), (9, 1)] {
+                let (k, n) = (seg * segs, 2 * NR);
+                let a = with_zeros(m, k, 7);
+                for (bs, b) in [
+                    ("finite", fill(n, k, 8)),
+                    ("±∞/NaN", with_non_finite(n, k, 8, false)),
+                ] {
+                    let mut out = vec![0.0f32; m * n];
+                    let mut tbuf = vec![0.0f32; k * NR];
+                    for j0 in (0..n).step_by(NR) {
+                        for kk in 0..k {
+                            for jj in 0..NR {
+                                tbuf[kk * NR + jj] = b.as_slice()[(j0 + jj) * k + kk];
+                            }
+                        }
+                        for i0 in (0..m).step_by(MR) {
+                            let apanel = &a.as_slice()[i0 * k..(i0 + MR) * k];
+                            a_bt_seg_tile(isa, apanel, &tbuf, &mut out, i0, j0, k, n, seg);
+                        }
+                    }
+                    let what = format!("{isa:?} a_bt seg {seg} x {segs}, {bs} B");
+                    assert_bits(&out, &matmul_a_bt_segmented_reference(&a, &b, seg), &what);
+                    if segs == 1 {
+                        assert_bits(&out, &matmul_a_bt_reference(&a, &b), &what);
+                    }
+                }
             }
         }
     }

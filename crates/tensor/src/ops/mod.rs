@@ -13,9 +13,8 @@ mod softmax;
 pub use conv::{conv2d_backward, conv2d_forward, Conv2dGrads, ConvGeometry};
 pub use matmul::{
     matmul, matmul_a_bt, matmul_a_bt_blocked, matmul_a_bt_reference, matmul_a_bt_segmented,
-    matmul_a_bt_segmented_blocked, matmul_a_bt_segmented_reference, matmul_at_b,
-    matmul_at_b_blocked, matmul_at_b_reference, matmul_blocked, matmul_reference,
-    naive_kernels_forced,
+    matmul_a_bt_segmented_blocked, matmul_a_bt_segmented_reference, matmul_blocked,
+    matmul_reference, naive_kernels_forced, transpose,
 };
 pub use pool::{
     avg_pool2d_backward, avg_pool2d_forward, global_avg_pool_backward, global_avg_pool_forward,

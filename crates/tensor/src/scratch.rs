@@ -74,11 +74,6 @@ impl Scratch {
         self.lock().takes
     }
 
-    /// Number of takes that could not be served from a recycled buffer.
-    pub fn fresh_allocs(&self) -> u64 {
-        self.lock().fresh
-    }
-
     /// Number of takes served from a recycled buffer.
     pub fn reuses(&self) -> u64 {
         let p = self.lock();
@@ -136,7 +131,6 @@ mod tests {
         s.recycle(b);
         let _ = s.take(8);
         assert_eq!(s.takes(), 2);
-        assert_eq!(s.fresh_allocs(), 1);
         assert_eq!(s.reuses(), 1);
     }
 

@@ -19,7 +19,7 @@
 //! must match bit for bit.
 
 use adaptivefl_tensor::ops::{
-    conv2d_backward, conv2d_forward, matmul, matmul_a_bt, matmul_at_b, ConvGeometry,
+    conv2d_backward, conv2d_forward, matmul, matmul_a_bt, transpose, ConvGeometry,
 };
 use adaptivefl_tensor::Tensor;
 use proptest::prelude::*;
@@ -190,7 +190,7 @@ fn oracle_backward(
                 .sum();
             db.as_mut_slice()[co] += s;
         }
-        let dcols = matmul_at_b(&w2d, &dyn_);
+        let dcols = matmul(&transpose(&w2d), &dyn_);
         let dxi = col2im(&dcols, c_in, h, w, geo);
         dx[ni * c_in * h * w..(ni + 1) * c_in * h * w].copy_from_slice(&dxi);
     }

@@ -2,18 +2,18 @@
 //! be **bit-equal** (`f32::to_bits`) to the naive reference kernels on
 //! every shape — including degenerate dims (1/2/3) and sizes that are
 //! not multiples of the register-tile size — and on inputs salted with
-//! `+0.0` / `-0.0`, `±∞` and NaN. The `A·B` and `Aᵀ·B` references skip
-//! zero `A` elements, while the blocked microkernels add every `0·b`.
-//! A chain that starts at `+0.0` never holds `-0.0`, so the two differ
-//! only where `0·∞` or `0·NaN` turns a chain NaN; the blocked kernels
-//! recompute such rows by the reference loop, and
+//! `+0.0` / `-0.0`, `±∞` and NaN. The `A·B` reference skips zero `A`
+//! elements, while the blocked microkernels add every `0·b`. A chain
+//! that starts at `+0.0` never holds `-0.0`, so the two differ only
+//! where `0·∞` or `0·NaN` turns a chain NaN; the blocked kernel
+//! recomputes such rows by the reference loop, and
 //! [`zero_panels_against_non_finite_b_match_bitwise`] checks that on
-//! full panels.
+//! full panels. `Aᵀ·B` is `matmul_blocked` on `transpose(A)`, checked
+//! against the k-outer loop [`at_b_reference`].
 
 use adaptivefl_tensor::ops::{
     matmul_a_bt_blocked, matmul_a_bt_reference, matmul_a_bt_segmented_blocked,
-    matmul_a_bt_segmented_reference, matmul_at_b_blocked, matmul_at_b_reference, matmul_blocked,
-    matmul_reference,
+    matmul_a_bt_segmented_reference, matmul_blocked, matmul_reference, transpose,
 };
 use adaptivefl_tensor::Tensor;
 use proptest::prelude::*;
@@ -33,6 +33,27 @@ fn assert_bits_equal(blocked: &Tensor, reference: &Tensor, what: &str) {
             y.to_bits()
         );
     }
+}
+
+/// `Aᵀ·B` for `A [k, m]`, `B [k, n]` as a k-outer loop that skips
+/// `a[k][i] == 0`: each output element is one increasing-k chain from
+/// `+0.0`.
+fn at_b_reference(a: &Tensor, b: &Tensor) -> Tensor {
+    let (k, m) = (a.shape()[0], a.shape()[1]);
+    let n = b.shape()[1];
+    let mut out = vec![0.0f32; m * n];
+    for kk in 0..k {
+        let brow = &b.as_slice()[kk * n..(kk + 1) * n];
+        for (i, &aki) in a.as_slice()[kk * m..(kk + 1) * m].iter().enumerate() {
+            if aki == 0.0 {
+                continue;
+            }
+            for (o, &bkj) in out[i * n..(i + 1) * n].iter_mut().zip(brow) {
+                *o += aki * bkj;
+            }
+        }
+    }
+    Tensor::from_vec(out, &[m, n])
 }
 
 /// Deterministic salted matrix fill: mostly smooth values, mixed with
@@ -72,17 +93,18 @@ proptest! {
         assert_bits_equal(&matmul_blocked(&a, &b), &matmul_reference(&a, &b), "matmul");
     }
 
-    /// `Aᵀ·B` over randomized shapes.
+    /// `Aᵀ·B` as `matmul_blocked` on `transpose(A)`, over randomized
+    /// shapes.
     #[test]
-    fn matmul_at_b_blocked_is_bit_equal(
+    fn transposed_matmul_is_bit_equal(
         m in 1usize..=19, k in 1usize..=19, n in 1usize..=19, seed in 0u64..1 << 60,
     ) {
         let a = matrix(k, m, seed);
         let b = matrix(k, n, seed ^ 0xabcd);
         assert_bits_equal(
-            &matmul_at_b_blocked(&a, &b),
-            &matmul_at_b_reference(&a, &b),
-            "matmul_at_b",
+            &matmul_blocked(&transpose(&a), &b),
+            &at_b_reference(&a, &b),
+            "matmul on transpose",
         );
     }
 
@@ -168,9 +190,9 @@ fn degenerate_and_off_tile_shapes_are_bit_equal() {
                 assert_bits_equal(&matmul_blocked(&a, &b), &matmul_reference(&a, &b), "matmul");
                 let at = matrix(k, m, 5);
                 assert_bits_equal(
-                    &matmul_at_b_blocked(&at, &b),
-                    &matmul_at_b_reference(&at, &b),
-                    "matmul_at_b",
+                    &matmul_blocked(&transpose(&at), &b),
+                    &at_b_reference(&at, &b),
+                    "matmul on transpose",
                 );
                 let bt = matrix(n, k, 9);
                 assert_bits_equal(
@@ -191,7 +213,7 @@ fn degenerate_and_off_tile_shapes_are_bit_equal() {
 }
 
 /// Non-finite values propagate identically (the zero-skip means `0 · ∞`
-/// produces NaN in neither A-side kernel, and a dropped skip would).
+/// produces NaN in neither `A·B` nor `Aᵀ·B`, and a dropped skip would).
 #[test]
 fn non_finite_values_match_bitwise() {
     let a = Tensor::from_vec(
@@ -209,9 +231,9 @@ fn non_finite_values_match_bitwise() {
         &[3, 2],
     );
     assert_bits_equal(
-        &matmul_at_b_blocked(&at, &b),
-        &matmul_at_b_reference(&at, &b),
-        "matmul_at_b inf",
+        &matmul_blocked(&transpose(&at), &b),
+        &at_b_reference(&at, &b),
+        "matmul on transpose inf",
     );
     let bt = Tensor::from_vec(vec![f32::INFINITY, 0.0, 2.0, -1.0, f32::NAN, -0.0], &[2, 3]);
     assert_bits_equal(
@@ -266,9 +288,9 @@ fn zero_panels_against_non_finite_b_match_bitwise() {
             );
             let at = zero_salted(k, m, kk, true);
             assert_bits_equal(
-                &matmul_at_b_blocked(&at, &b),
-                &matmul_at_b_reference(&at, &b),
-                &format!("matmul_at_b, {what}"),
+                &matmul_blocked(&transpose(&at), &b),
+                &at_b_reference(&at, &b),
+                &format!("matmul on transpose, {what}"),
             );
         }
     }
