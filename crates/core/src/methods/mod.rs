@@ -30,6 +30,7 @@ use adaptivefl_models::{Blueprint, ModelConfig, Network, PruneSpec, WidthPlan};
 use adaptivefl_nn::layer::LayerExt;
 use adaptivefl_nn::metrics::RunningMean;
 use adaptivefl_nn::ParamMap;
+use adaptivefl_tensor::Tensor;
 use rand::seq::SliceRandom;
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
@@ -295,9 +296,19 @@ impl Arch {
         }
     }
 
-    /// Builds the network on `rng` and loads it from `weights`.
+    /// Builds the network from `weights`, leaving `rng` where
+    /// [`Network::build`] on it would: that build draws one word per
+    /// weight element (`init::kaiming_uniform`), so the build here
+    /// starts from zeros, counts the elements and skips that many
+    /// words (DESIGN.md §5, rule 3).
     fn load(&self, weights: &ParamMap, rng: &mut ChaCha8Rng) -> Network {
-        let mut net = Network::build(&self.blueprint, rng);
+        let mut drawn = 0u64;
+        let mut net = Network::build_with(&self.blueprint, |shape, _| {
+            let zeros = Tensor::zeros(shape);
+            drawn += zeros.numel() as u64;
+            zeros
+        });
+        rng.skip_words(drawn);
         match &self.prune {
             Some(prune) => net.load_param_map(&prune.extract(weights)),
             None => net.load_param_map(weights),
@@ -437,7 +448,7 @@ pub(crate) fn play_round<M: RoundHooks>(
                 }
                 LocalOutcome {
                     upload: Some(Upload {
-                        params: net.param_map(),
+                        params: net.into_param_map(),
                         weight: data.len() as f32,
                     }),
                     loss,
@@ -597,5 +608,110 @@ pub(crate) fn evaluate_levels<'a>(
             .zip(accs)
             .map(|((arch, _), acc)| (arch.name.clone(), acc))
             .collect(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use adaptivefl_data::{Partition, SynthSpec};
+    use adaptivefl_nn::layer::Layer;
+    use adaptivefl_tensor::{init, rng};
+    use rand::RngCore;
+
+    use crate::sim::{SimConfig, Simulation};
+
+    /// The load that `Arch::load` must match: a Kaiming build on `rng`,
+    /// then every weight overwritten from the server's.
+    fn reference_load(arch: &Arch, weights: &ParamMap, rng: &mut ChaCha8Rng) -> Network {
+        let mut net = Network::build(&arch.blueprint, rng);
+        match &arch.prune {
+            Some(prune) => net.load_param_map(&prune.extract(weights)),
+            None => net.load_param_map(weights),
+        }
+        net
+    }
+
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Loads `arch` both ways from a job RNG `skew` words into its
+    /// stream, and compares the weights, the sBN logits and the RNG
+    /// state the two leave.
+    fn assert_load_matches(env: &Env, arch: &Arch, weights: &ParamMap, skew: usize) {
+        let mut job = rng::seeded(41);
+        for _ in 0..skew {
+            job.next_u32();
+        }
+        let mut reference_rng = job.clone();
+        let mut net = arch.load(weights, &mut job);
+        let mut reference = reference_load(arch, weights, &mut reference_rng);
+        let what = format!("{:?} {}", env.cfg.model.kind, arch.name);
+        assert_eq!(
+            job.state_words(),
+            reference_rng.state_words(),
+            "{what}: RNG state"
+        );
+        let (got, want) = (net.param_map(), reference.param_map());
+        let names = |m: &ParamMap| m.names().map(str::to_string).collect::<Vec<_>>();
+        assert_eq!(names(&got), names(&want), "{what}: parameter names");
+        for ((name, g), (_, w)) in got.iter().zip(want.iter()) {
+            assert_eq!(g.shape(), w.shape(), "{what}: {name} shape");
+            assert_eq!(bits(g.as_slice()), bits(w.as_slice()), "{what}: {name}");
+        }
+        let (c, h, w) = env.cfg.model.input;
+        let x = init::normal(&[3, c, h, w], 1.0, &mut rng::seeded(skew as u64));
+        assert_eq!(
+            bits(net.forward(x.clone(), false).as_slice()),
+            bits(reference.forward(x, false).as_slice()),
+            "{what}: logits"
+        );
+    }
+
+    /// Every submodel `method` dispatches, with the weights it starts
+    /// from.
+    fn assert_method_loads_match(env: &Env, method: &mut impl RoundHooks) {
+        let (archs, weights) = method.parts();
+        for (tag, arch) in archs.iter().enumerate() {
+            let start = &weights[if weights.len() == 1 { 0 } else { tag }];
+            assert_load_matches(env, arch, start, 3 * tag);
+        }
+    }
+
+    #[test]
+    fn load_matches_a_kaiming_build_that_is_overwritten() {
+        use adaptivefl_models::ModelConfig;
+        for model in [
+            ModelConfig::vgg16_fast(4),
+            ModelConfig::resnet18_fast(4),
+            ModelConfig::mobilenet_v2_fast(4),
+            ModelConfig::tiny(4),
+        ] {
+            let mut cfg = SimConfig::quick_test(5);
+            cfg.model = model;
+            let mut spec = SynthSpec::test_spec(4);
+            spec.input = model.input;
+            let sim = Simulation::prepare(&cfg, &spec, Partition::Iid);
+            let env = sim.env();
+
+            let mut adaptive = AdaptiveFl::new(
+                env,
+                SelectionStrategy::CuriosityAndResource,
+                false,
+                PAPER_REWARD_CAP,
+            );
+            assert_eq!(adaptive.parts().0.len(), env.pool.entries().len());
+            assert_method_loads_match(env, &mut adaptive);
+            assert_method_loads_match(env, &mut Decoupled::new(env));
+
+            // ScaleFL's levels, then the complete multi-exit model its
+            // evaluation loads.
+            let mut scalefl = ScaleFl::new(env);
+            assert_method_loads_match(env, &mut scalefl);
+            let bp = model.blueprint(&model.full_plan(), model.max_depth(), true);
+            let full = Arch::new(env, "full".into(), bp, None);
+            assert_load_matches(env, &full, &scalefl.parts().1[0], 17);
+        }
     }
 }

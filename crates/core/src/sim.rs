@@ -161,9 +161,9 @@ impl Env {
             .param_map()
     }
 
-    /// RNG for evaluation-time network scaffolding (weights are always
-    /// overwritten by a load, so the stream only needs to be cheap and
-    /// deterministic).
+    /// RNG for evaluation-time loads. A load takes every weight from
+    /// the server and draws nothing; it only skips this stream by the
+    /// element count, as a client job's load skips the job RNG.
     pub fn eval_rng(&self) -> ChaCha8Rng {
         adaptivefl_tensor::rng::derived(self.cfg.seed, "eval-scaffold")
     }

@@ -6,7 +6,7 @@ use adaptivefl_nn::layer::{Layer, ParamVisitor, ParamVisitorMut};
 use adaptivefl_nn::layers::{
     BatchNorm2d, Conv2d, DepthwiseConv2d, Flatten, GlobalAvgPool, Linear, MaxPool2d, Relu,
 };
-use adaptivefl_tensor::Tensor;
+use adaptivefl_tensor::{init, Tensor};
 use rand::Rng;
 
 use crate::block::{Block, Blueprint};
@@ -25,9 +25,9 @@ impl Node {
         Node::Leaf(prefix.to_string(), Box::new(layer))
     }
 
-    /// Appends the nodes of `block` to `seq`, drawing weights from
-    /// `rng` in block order.
-    fn build(block: &Block, rng: &mut impl Rng, seq: &mut Vec<Node>) {
+    /// Appends the nodes of `block` to `seq`, taking each weight from
+    /// `init` in block order.
+    fn build(block: &Block, init: &mut impl FnMut(&[usize], usize) -> Tensor, seq: &mut Vec<Node>) {
         match block {
             Block::Conv(c) => {
                 seq.push(if c.depthwise {
@@ -36,15 +36,14 @@ impl Node {
                         "depthwise conv {} needs in_c == out_c",
                         c.name
                     );
+                    let weight = init(&[c.out_c, 1, c.k, c.k], c.k * c.k);
                     Node::leaf(
                         &c.name,
-                        DepthwiseConv2d::new(c.out_c, c.k, c.stride, c.pad, rng),
+                        DepthwiseConv2d::from_weight(weight, c.stride, c.pad),
                     )
                 } else {
-                    Node::leaf(
-                        &c.name,
-                        Conv2d::new(c.in_c, c.out_c, c.k, c.stride, c.pad, rng),
-                    )
+                    let weight = init(&[c.out_c, c.in_c, c.k, c.k], c.in_c * c.k * c.k);
+                    Node::leaf(&c.name, Conv2d::from_weight(weight, c.stride, c.pad))
                 });
                 if c.bn {
                     seq.push(Node::leaf(
@@ -57,7 +56,8 @@ impl Node {
                 }
             }
             Block::Linear(l) => {
-                seq.push(Node::leaf(&l.name, Linear::new(l.in_f, l.out_f, rng)));
+                let weight = init(&[l.out_f, l.in_f], l.in_f);
+                seq.push(Node::leaf(&l.name, Linear::from_weight(weight)));
                 if l.relu {
                     seq.push(Node::leaf("", Relu::new()));
                 }
@@ -67,13 +67,13 @@ impl Node {
             Block::Flatten => seq.push(Node::leaf("", Flatten::new())),
             Block::Residual { main, shortcut } => {
                 seq.push(Node::Residual {
-                    main: Seq::build(main, rng),
-                    shortcut: shortcut.as_ref().map(|sc| Seq::build(sc, rng)),
+                    main: Seq::build(main, init),
+                    shortcut: shortcut.as_ref().map(|sc| Seq::build(sc, init)),
                 });
                 seq.push(Node::leaf("", Relu::new()));
             }
             Block::LinearResidual { main } => seq.push(Node::Residual {
-                main: Seq::build(main, rng),
+                main: Seq::build(main, init),
                 shortcut: None,
             }),
         }
@@ -116,10 +116,10 @@ struct Seq {
 }
 
 impl Seq {
-    fn build(blocks: &[Block], rng: &mut impl Rng) -> Self {
+    fn build(blocks: &[Block], init: &mut impl FnMut(&[usize], usize) -> Tensor) -> Self {
         let mut nodes = Vec::new();
         for b in blocks {
-            Node::build(b, rng, &mut nodes);
+            Node::build(b, init, &mut nodes);
         }
         Seq { nodes }
     }
@@ -175,19 +175,37 @@ pub struct Network {
 }
 
 impl Network {
-    /// Instantiates a blueprint with freshly initialised weights.
+    /// Instantiates a blueprint with Kaiming-uniform weights drawn
+    /// from `rng` in parameter order, and zero biases.
     ///
     /// # Panics
     ///
     /// Panics if the blueprint is structurally invalid.
     pub fn build(bp: &Blueprint, rng: &mut impl Rng) -> Self {
+        Self::build_with(bp, |shape, fan_in| {
+            init::kaiming_uniform(shape, fan_in, rng)
+        })
+    }
+
+    /// Instantiates a blueprint with each conv and linear weight taken
+    /// from `init(shape, fan_in)`, which must return a tensor of that
+    /// shape, in parameter order; biases are zero.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the blueprint is structurally invalid.
+    pub fn build_with(bp: &Blueprint, mut init: impl FnMut(&[usize], usize) -> Tensor) -> Self {
         bp.validate();
-        let segments = bp.segments.iter().map(|s| Seq::build(s, rng)).collect();
+        let segments = bp
+            .segments
+            .iter()
+            .map(|s| Seq::build(s, &mut init))
+            .collect();
         let mut active = bp.active_exits.clone();
         active.sort_unstable();
         let exits = active
             .into_iter()
-            .map(|e| (e, Seq::build(&bp.exits[e], rng)))
+            .map(|e| (e, Seq::build(&bp.exits[e], &mut init)))
             .collect();
         Network { segments, exits }
     }

@@ -106,6 +106,22 @@ pub trait LayerExt: Layer {
         map
     }
 
+    /// [`LayerExt::param_map`] without the copies: consumes the layer
+    /// and moves every parameter tensor into the map.
+    fn into_param_map(mut self) -> ParamMap
+    where
+        Self: Sized,
+    {
+        let mut map = ParamMap::new();
+        self.visit_params_mut(
+            "",
+            &mut |name: &str, _kind: ParamKind, value: &mut Tensor, _grad: &mut Tensor| {
+                map.insert(name, std::mem::replace(value, Tensor::zeros(&[0])));
+            },
+        );
+        map
+    }
+
     /// Loads parameter values from a [`ParamMap`].
     ///
     /// # Panics
@@ -194,6 +210,14 @@ mod tests {
                 "{what}: backward after an eval forward must panic"
             );
         }
+    }
+
+    #[test]
+    fn into_param_map_moves_what_param_map_copies() {
+        let mut r = rng::seeded(10);
+        let conv = Conv2d::new(2, 3, 3, 1, 1, &mut r);
+        let copied = conv.param_map();
+        assert_eq!(conv.into_param_map(), copied);
     }
 
     #[test]

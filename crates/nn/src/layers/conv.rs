@@ -54,14 +54,28 @@ impl Conv2d {
         pad: usize,
         rng: &mut impl Rng,
     ) -> Self {
+        let weight = init::kaiming_uniform(&[out_c, in_c, k, k], in_c * k * k, rng);
+        Self::from_weight(weight, stride, pad)
+    }
+
+    /// Creates a convolution with the given `[out_c, in_c, k, k]`
+    /// weight and zero bias.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the weight is not a square 4-D kernel, or if `k == 0`
+    /// or `stride == 0`.
+    pub fn from_weight(weight: Tensor, stride: usize, pad: usize) -> Self {
+        let &[out_c, _, k, kw] = weight.shape() else {
+            panic!("conv weight must be [out_c, in_c, k, k]");
+        };
+        assert_eq!(k, kw, "conv kernel must be square");
         assert!(
             k > 0 && stride > 0,
             "conv kernel and stride must be positive"
         );
-        let shape = [out_c, in_c, k, k];
-        let weight = init::kaiming_uniform(&shape, in_c * k * k, rng);
         Conv2d {
-            dweight: Tensor::zeros(&shape),
+            dweight: Tensor::zeros(weight.shape()),
             dbias: Tensor::zeros(&[out_c]),
             bias: Tensor::zeros(&[out_c]),
             weight,

@@ -30,21 +30,36 @@ pub struct DepthwiseConv2d {
 
 impl DepthwiseConv2d {
     /// Creates a depthwise convolution over `c` channels with a `k×k`
-    /// kernel.
+    /// kernel, Kaiming-uniform weights and zero bias.
     ///
     /// # Panics
     ///
     /// Panics if `k == 0` or `stride == 0`.
     pub fn new(c: usize, k: usize, stride: usize, pad: usize, rng: &mut impl Rng) -> Self {
+        let weight = init::kaiming_uniform(&[c, 1, k, k], k * k, rng);
+        Self::from_weight(weight, stride, pad)
+    }
+
+    /// Creates a depthwise convolution with the given `[c, 1, k, k]`
+    /// weight and zero bias.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the weight is not one square kernel per channel, or
+    /// if `k == 0` or `stride == 0`.
+    pub fn from_weight(weight: Tensor, stride: usize, pad: usize) -> Self {
+        let &[c, 1, k, kw] = weight.shape() else {
+            panic!("depthwise weight must be [c, 1, k, k]");
+        };
+        assert_eq!(k, kw, "depthwise kernel must be square");
         assert!(
             k > 0 && stride > 0,
             "conv kernel and stride must be positive"
         );
-        let shape = [c, 1, k, k];
         DepthwiseConv2d {
-            weight: init::kaiming_uniform(&shape, k * k, rng),
+            dweight: Tensor::zeros(weight.shape()),
+            weight,
             bias: Tensor::zeros(&[c]),
-            dweight: Tensor::zeros(&shape),
             dbias: Tensor::zeros(&[c]),
             geo: ConvGeometry {
                 kh: k,

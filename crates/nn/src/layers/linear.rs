@@ -33,10 +33,23 @@ impl Linear {
     /// Creates a layer `in_f → out_f` with Kaiming-uniform weights and
     /// zero bias.
     pub fn new(in_f: usize, out_f: usize, rng: &mut impl Rng) -> Self {
+        Self::from_weight(init::kaiming_uniform(&[out_f, in_f], in_f, rng))
+    }
+
+    /// Creates a layer with the given `[out_f, in_f]` weight and zero
+    /// bias.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the weight is not a matrix.
+    pub fn from_weight(weight: Tensor) -> Self {
+        let &[out_f, _] = weight.shape() else {
+            panic!("linear weight must be [out_f, in_f]");
+        };
         Linear {
-            weight: init::kaiming_uniform(&[out_f, in_f], in_f, rng),
+            dweight: Tensor::zeros(weight.shape()),
+            weight,
             bias: Tensor::zeros(&[out_f]),
-            dweight: Tensor::zeros(&[out_f, in_f]),
             dbias: Tensor::zeros(&[out_f]),
             cache: None,
         }

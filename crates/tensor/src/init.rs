@@ -12,6 +12,12 @@ use crate::Tensor;
 /// `U(−√(6/fan_in), √(6/fan_in))`.
 ///
 /// `fan_in` for a conv weight `[out, in, kh, kw]` is `in·kh·kw`.
+///
+/// It draws exactly one `next_u32` word per element, in element order.
+/// That is a contract: a network loaded from server weights builds
+/// with zeros and skips the job RNG by the element count instead of
+/// drawing (`ChaCha8Rng::skip_words`), and ends in the same stream
+/// position as a Kaiming build.
 pub fn kaiming_uniform(shape: &[usize], fan_in: usize, rng: &mut impl Rng) -> Tensor {
     let bound = (6.0 / fan_in.max(1) as f32).sqrt();
     uniform(shape, -bound, bound, rng)
@@ -39,7 +45,7 @@ pub fn uniform(shape: &[usize], lo: f32, hi: f32, rng: &mut impl Rng) -> Tensor 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
     #[test]
@@ -50,6 +56,21 @@ mod tests {
         assert!(t.as_slice().iter().all(|&x| x.abs() <= bound + 1e-6));
         // Not degenerate.
         assert!(t.as_slice().iter().any(|&x| x.abs() > bound * 0.1));
+    }
+
+    #[test]
+    fn kaiming_draws_one_word_per_element() {
+        let shapes: [&[usize]; 6] = [&[0], &[1], &[7], &[10, 3], &[16, 3, 3, 3], &[5, 1, 3, 3]];
+        for (skew, shape) in shapes.into_iter().enumerate() {
+            let mut drawn = ChaCha8Rng::seed_from_u64(skew as u64);
+            for _ in 0..skew * 5 {
+                drawn.next_u32();
+            }
+            let mut skipped = drawn.clone();
+            let t = kaiming_uniform(shape, 9, &mut drawn);
+            skipped.skip_words(t.numel() as u64);
+            assert_eq!(drawn.state_words(), skipped.state_words(), "{shape:?}");
+        }
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub fn derived(seed: u64, stream: &str) -> ChaCha8Rng {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::Rng;
+    use rand::{Rng, RngCore};
 
     #[test]
     fn derived_streams_differ() {
@@ -55,5 +55,52 @@ mod tests {
         let mut a = derived(5, "selection");
         let mut b = derived(5, "selection");
         assert_eq!(a.gen::<u64>(), b.gen::<u64>());
+    }
+
+    /// Asserts that skipping `n` words leaves `rng` in exactly the
+    /// state of `n` draws, buffered block and index included.
+    fn assert_skip_matches_draws(rng: &ChaCha8Rng, n: u64) {
+        let mut drawn = rng.clone();
+        for _ in 0..n {
+            drawn.next_u32();
+        }
+        let mut skipped = rng.clone();
+        skipped.skip_words(n);
+        assert_eq!(
+            skipped.state_words(),
+            drawn.state_words(),
+            "skip of {n} from {:?}",
+            rng.state_words()
+        );
+    }
+
+    #[test]
+    fn skip_words_equals_draws_from_every_offset() {
+        let mut rng = seeded(17);
+        for _start in 0..40 {
+            for n in 0..100 {
+                assert_skip_matches_draws(&rng, n);
+            }
+            rng.next_u32();
+        }
+    }
+
+    #[test]
+    fn skip_words_carries_the_block_counter() {
+        let base = seeded(23).state_words();
+        for hi in [0, u32::MAX] {
+            for lo in u32::MAX - 3..=u32::MAX {
+                for idx in [0, 5, 16] {
+                    let mut words = base;
+                    words[12] = lo;
+                    words[13] = hi;
+                    words[32] = idx;
+                    let rng = ChaCha8Rng::from_state_words(&words).expect("valid index");
+                    for n in 0..100 {
+                        assert_skip_matches_draws(&rng, n);
+                    }
+                }
+            }
+        }
     }
 }
