@@ -7,19 +7,23 @@
 //! kernel's post-check meet), `dW = dYᵀ·X` being `matmul` on a
 //! transposed `dY`; the Linear forward `X·Wᵀ` of VGG16-fast; and the
 //! segmented `A·Bᵀ` of the conv weight gradient at one and sixteen
-//! pixels per sample. Each shape is bit-checked against the reference,
-//! then one heterogeneous aggregation round and one full local
-//! training session each of TinyCnn, VGG16-fast (the fig3 model) and
-//! MobileNetV2 ×0.5 (the fig6 test-bed model) are timed. Results land
-//! in a JSON report (default `BENCH_KERNELS.json`, override with
-//! `--out PATH`).
+//! pixels per sample. Each shape is bit-checked against the reference.
+//! Then the depthwise forward and backward of every depthwise layer of
+//! MobileNetV2 ×0.5 (the fig6 test-bed model) at training batch 16, one
+//! heterogeneous aggregation round and one full local training session
+//! each of TinyCnn, VGG16-fast (the fig3 model) and MobileNetV2 ×0.5
+//! are timed. Results land in a JSON report (default
+//! `BENCH_KERNELS.json`, override with `--out PATH`).
 //!
 //! Exits non-zero when the blocked kernel is not measurably faster
 //! than the reference on the largest matmul shape
 //! (`speedup < MIN_SPEEDUP`) — the kernels exist to be faster; if they
 //! regress to parity the optimisation is dead code.
 //!
-//! Takes the minimum over several repetitions to shed scheduler noise.
+//! Every figure is the median of [`REPS`] repetitions. The two kernels
+//! of a shape alternate within each repetition, and so do the timed
+//! sessions, so a slow spell of a shared host hits every side alike. A
+//! minimum over a few runs was not stable at sub-millisecond shapes.
 
 use std::process::ExitCode;
 use std::time::Instant;
@@ -30,18 +34,20 @@ use adaptivefl_core::pool::{ModelPool, DEFAULT_RATIOS};
 use adaptivefl_core::trace::NoopTracer;
 use adaptivefl_core::trainer::LocalTrainer;
 use adaptivefl_data::{SynthSpec, SynthTask};
-use adaptivefl_models::ModelConfig;
+use adaptivefl_models::{Block, ModelConfig};
 use adaptivefl_nn::layer::LayerExt;
 use adaptivefl_tensor::ops::{
-    matmul_a_bt_blocked, matmul_a_bt_reference, matmul_a_bt_segmented_blocked,
-    matmul_a_bt_segmented_reference, matmul_blocked, matmul_reference, transpose,
+    depthwise_backward, depthwise_forward, matmul_a_bt_blocked, matmul_a_bt_reference,
+    matmul_a_bt_segmented_blocked, matmul_a_bt_segmented_reference, matmul_blocked,
+    matmul_reference, transpose, ConvGeometry,
 };
-use adaptivefl_tensor::{rng, Scratch, Tensor};
+use adaptivefl_tensor::{init, rng, Scratch, Tensor};
 use serde::Serialize;
 
 /// Gate: the largest shape must beat the reference by at least this.
 const MIN_SPEEDUP: f64 = 1.25;
-const REPS: usize = 7;
+/// Timed repetitions per figure, after one untimed warm-up.
+const REPS: usize = 21;
 
 #[derive(Debug, Serialize)]
 struct ShapeReport {
@@ -59,6 +65,18 @@ struct ShapeReport {
     bit_identical: bool,
 }
 
+/// One depthwise layer of the fig6 model.
+#[derive(Debug, Serialize)]
+struct DepthwiseReport {
+    batch: usize,
+    channels: usize,
+    /// Side of the square input plane.
+    side: usize,
+    stride: usize,
+    forward_ns: u64,
+    backward_ns: u64,
+}
+
 #[derive(Debug, Serialize)]
 struct SessionReport {
     model: String,
@@ -69,8 +87,11 @@ struct SessionReport {
 #[derive(Debug, Serialize)]
 struct Report {
     min_speedup_gate: f64,
+    /// Repetitions behind each median.
+    reps: usize,
     largest_shape_speedup: f64,
     shapes: Vec<ShapeReport>,
+    depthwise: Vec<DepthwiseReport>,
     aggregation_round_us: u64,
     sessions: Vec<SessionReport>,
 }
@@ -90,16 +111,29 @@ fn matrix(rows: usize, cols: usize, seed: u64) -> Tensor {
     Tensor::from_vec(data, &[rows, cols])
 }
 
-fn time_min<F: FnMut() -> Tensor>(mut f: F) -> (u64, Tensor) {
-    let mut best = u64::MAX;
-    let mut out = f(); // warm-up + canonical result
-    for _ in 0..REPS {
-        let start = Instant::now();
-        let r = std::hint::black_box(f());
-        best = best.min(start.elapsed().as_nanos() as u64);
-        out = r;
+fn median(mut v: Vec<u64>) -> u64 {
+    v.sort_unstable();
+    v[v.len() / 2]
+}
+
+/// Nanoseconds `f` takes.
+fn time_ns<T>(f: impl FnOnce() -> T) -> u64 {
+    let start = Instant::now();
+    std::hint::black_box(f());
+    start.elapsed().as_nanos() as u64
+}
+
+/// Median times of `fs`, run in turn [`REPS`] times after a warm-up,
+/// the first to run rotating each repetition.
+fn time_interleaved<const N: usize>(mut fs: [&mut dyn FnMut(); N]) -> [u64; N] {
+    fs.iter_mut().for_each(|f| f());
+    let mut ns = [(); N].map(|()| Vec::with_capacity(REPS));
+    for rep in 0..REPS {
+        for i in (0..N).map(|i| (i + rep) % N) {
+            ns[i].push(time_ns(&mut fs[i]));
+        }
     }
-    (best, out)
+    ns.map(median)
 }
 
 /// `t` with every element below the median of its absolute values
@@ -160,8 +194,11 @@ fn bench_shape(op: Op, m: usize, k: usize, n: usize, sparse_a: bool) -> ShapeRep
     let a = if sparse_a { half_zeros(a) } else { a };
     let a_zero_share =
         a.as_slice().iter().filter(|&&v| v == 0.0).count() as f64 / a.numel().max(1) as f64;
-    let (reference_ns, want) = time_min(|| op.run(true, &a, &b));
-    let (blocked_ns, got) = time_min(|| op.run(false, &a, &b));
+    let [reference_ns, blocked_ns] = time_interleaved([
+        &mut || drop(std::hint::black_box(op.run(true, &a, &b))),
+        &mut || drop(std::hint::black_box(op.run(false, &a, &b))),
+    ]);
+    let (want, got) = (op.run(true, &a, &b), op.run(false, &a, &b));
     let bit_identical = want
         .as_slice()
         .iter()
@@ -199,74 +236,161 @@ fn bench_aggregation_round() -> u64 {
         })
         .collect();
     let scratch = Scratch::new();
-    let mut best = u64::MAX;
-    for _ in 0..=REPS {
+    let us = (0..=REPS).map(|_| {
         let mut g = global.clone();
-        let start = Instant::now();
-        aggregate_with_scratch(
-            std::hint::black_box(&mut g),
-            &uploads,
-            &NoopTracer,
-            0,
-            &scratch,
-        );
-        best = best.min(start.elapsed().as_micros() as u64);
-    }
-    best
+        let ns = time_ns(|| {
+            aggregate_with_scratch(
+                std::hint::black_box(&mut g),
+                &uploads,
+                &NoopTracer,
+                0,
+                &scratch,
+            )
+        });
+        ns / 1000
+    });
+    median(us.skip(1).collect())
 }
 
-/// Samples per timed local session.
-const SESSION_SAMPLES: usize = 64;
-
-/// One full local training session (LocalTrainer::fast) of `cfg` on a
-/// synthetic shard of `spec` — the per-client unit of work of every
-/// round. Best of several runs, in milliseconds.
-fn bench_session(name: &str, cfg: ModelConfig, spec: SynthSpec) -> SessionReport {
-    let mut r = rng::seeded(61);
-    let task = SynthTask::new(spec, 2, &mut r);
-    let data = task.dataset_uniform(SESSION_SAMPLES, &mut r);
-    let trainer = LocalTrainer::fast();
-    let scratch = Scratch::new();
-    let mut best = f64::INFINITY;
-    for rep in 0..=3u64 {
-        let mut net = cfg.build(&cfg.full_plan(), &mut rng::seeded(62));
-        let mut train_rng = rng::seeded(63 + rep);
-        let start = Instant::now();
-        let loss = trainer.train_with_scratch(
-            std::hint::black_box(&mut net),
-            &data,
-            &mut train_rng,
-            &scratch,
-        );
-        best = best.min(start.elapsed().as_secs_f64() * 1e3);
-        assert!(loss.is_finite(), "{name}: training diverged");
-    }
-    SessionReport {
-        model: name.to_string(),
-        samples: SESSION_SAMPLES,
-        session_ms: best,
-    }
-}
-
-/// The timed sessions: TinyCnn on the unit-test task, then the models
-/// the fig3 and fig6 experiments train, on their datasets.
-fn bench_sessions() -> Vec<SessionReport> {
-    let mut tiny_spec = SynthSpec::test_spec(4);
-    tiny_spec.input = (3, 8, 8);
-    let cifar = syn_cifar10();
-    let [(_, vgg16), (_, resnet18)] = paper_models(cifar.classes, cifar.input);
+/// The fig6 test-bed model: MobileNetV2 ×0.5 on SynWidar.
+fn fig6_mobilenet() -> (ModelConfig, SynthSpec) {
     let widar = syn_widar();
-    let mobilenet = ModelConfig {
+    let model = ModelConfig {
         classes: widar.classes,
         input: widar.input,
         width_mult: 0.5,
         ..ModelConfig::mobilenet_v2_fast(widar.classes)
     };
+    (model, widar)
+}
+
+/// Appends `(channels, side, stride)` of each depthwise conv in
+/// `blocks` on a `side`² input plane; returns the output side.
+fn depthwise_layers(
+    blocks: &[Block],
+    mut side: usize,
+    out: &mut Vec<(usize, usize, usize)>,
+) -> usize {
+    for b in blocks {
+        match b {
+            Block::Conv(c) => {
+                if c.depthwise {
+                    out.push((c.out_c, side, c.stride));
+                }
+                side = (side + 2 * c.pad - c.k) / c.stride + 1;
+            }
+            Block::Residual { main, .. } | Block::LinearResidual { main } => {
+                side = depthwise_layers(main, side, out);
+            }
+            _ => {}
+        }
+    }
+    side
+}
+
+/// Depthwise forward and backward of every depthwise layer of the fig6
+/// model at training batch 16.
+fn bench_depthwise() -> Vec<DepthwiseReport> {
+    let (model, _) = fig6_mobilenet();
+    let mut layers = Vec::new();
+    let mut side = model.input.1;
+    for seg in &model.full_blueprint(&model.full_plan()).segments {
+        side = depthwise_layers(seg, side, &mut layers);
+    }
+    let batch = 16;
+    let mut r = rng::seeded(64);
+    layers
+        .into_iter()
+        .map(|(c, side, stride)| {
+            let geo = ConvGeometry {
+                kh: 3,
+                kw: 3,
+                stride,
+                pad: 1,
+            };
+            let w = init::normal(&[c, 1, 3, 3], 0.5, &mut r);
+            let b = init::normal(&[c], 0.5, &mut r);
+            let x = init::normal(&[batch, c, side, side], 1.0, &mut r);
+            let y = depthwise_forward(&x, &w, &b, geo);
+            let dy = init::normal(y.shape(), 1.0, &mut r);
+            let (mut dw, mut db) = (Tensor::zeros(w.shape()), Tensor::zeros(&[c]));
+            let [forward_ns, backward_ns] = time_interleaved([
+                &mut || drop(std::hint::black_box(depthwise_forward(&x, &w, &b, geo))),
+                &mut || {
+                    let dx = depthwise_backward(&x, &dy, &w, geo, &mut dw, &mut db);
+                    drop(std::hint::black_box(dx));
+                },
+            ]);
+            DepthwiseReport {
+                batch,
+                channels: c,
+                side,
+                stride,
+                forward_ns,
+                backward_ns,
+            }
+        })
+        .collect()
+}
+
+/// Samples per timed local session.
+const SESSION_SAMPLES: usize = 64;
+
+/// Full local training sessions (`LocalTrainer::fast`) of each model
+/// on a synthetic shard of its dataset — the per-client unit of work of
+/// every round. The models take turns within each repetition; each
+/// figure is the median, in milliseconds.
+fn bench_sessions(models: &[(&str, ModelConfig, SynthSpec)]) -> Vec<SessionReport> {
+    let scratch = Scratch::new();
+    let trainer = LocalTrainer::fast();
+    let shards: Vec<_> = models
+        .iter()
+        .map(|(_, _, spec)| {
+            let mut r = rng::seeded(61);
+            let task = SynthTask::new(*spec, 2, &mut r);
+            task.dataset_uniform(SESSION_SAMPLES, &mut r)
+        })
+        .collect();
+    let mut ms = vec![Vec::with_capacity(REPS); models.len()];
+    for rep in 0..=REPS {
+        for i in (0..models.len()).map(|i| (i + rep) % models.len()) {
+            let (name, cfg, _) = &models[i];
+            let mut net = cfg.build(&cfg.full_plan(), &mut rng::seeded(62));
+            let mut train_rng = rng::seeded(63 + rep as u64);
+            let mut loss = f32::NAN;
+            let ns = time_ns(|| {
+                loss = trainer.train_with_scratch(&mut net, &shards[i], &mut train_rng, &scratch);
+            });
+            assert!(loss.is_finite(), "{name}: training diverged");
+            if rep > 0 {
+                ms[i].push(ns);
+            }
+        }
+    }
+    models
+        .iter()
+        .zip(ms)
+        .map(|((name, _, _), ns)| SessionReport {
+            model: name.to_string(),
+            samples: SESSION_SAMPLES,
+            session_ms: median(ns) as f64 / 1e6,
+        })
+        .collect()
+}
+
+/// The timed sessions: TinyCnn on the unit-test task, then the models
+/// the fig3 and fig6 experiments train, on their datasets.
+fn session_models() -> Vec<(&'static str, ModelConfig, SynthSpec)> {
+    let mut tiny_spec = SynthSpec::test_spec(4);
+    tiny_spec.input = (3, 8, 8);
+    let cifar = syn_cifar10();
+    let [(_, vgg16), (_, resnet18)] = paper_models(cifar.classes, cifar.input);
+    let (mobilenet, widar) = fig6_mobilenet();
     vec![
-        bench_session("tiny", ModelConfig::tiny(4), tiny_spec),
-        bench_session("vgg16_fast", vgg16, cifar),
-        bench_session("resnet18_fast", resnet18, cifar),
-        bench_session("mobilenetv2_x0.5", mobilenet, widar),
+        ("tiny", ModelConfig::tiny(4), tiny_spec),
+        ("vgg16_fast", vgg16, cifar),
+        ("resnet18_fast", resnet18, cifar),
+        ("mobilenetv2_x0.5", mobilenet, widar),
     ]
 }
 
@@ -332,9 +456,29 @@ fn main() -> ExitCode {
         shapes.push(rep);
     }
 
+    let depthwise = bench_depthwise();
+    for d in &depthwise {
+        println!(
+            "depthwise {}x{}x{s}x{s} stride {}: forward {:.3}ms, backward {:.3}ms",
+            d.batch,
+            d.channels,
+            d.stride,
+            d.forward_ns as f64 / 1e6,
+            d.backward_ns as f64 / 1e6,
+            s = d.side,
+        );
+    }
+    let total = |f: fn(&DepthwiseReport) -> u64| depthwise.iter().map(f).sum::<u64>() as f64 / 1e6;
+    println!(
+        "depthwise, all {} fig6 layers: forward {:.2}ms, backward {:.2}ms",
+        depthwise.len(),
+        total(|d| d.forward_ns),
+        total(|d| d.backward_ns),
+    );
+
     let aggregation_round_us = bench_aggregation_round();
     println!("aggregation round (tiny, 3 uploads): {aggregation_round_us}us");
-    let sessions = bench_sessions();
+    let sessions = bench_sessions(&session_models());
     for s in &sessions {
         println!(
             "local training session ({}, {} samples): {:.1}ms",
@@ -352,8 +496,10 @@ fn main() -> ExitCode {
 
     let report = Report {
         min_speedup_gate: MIN_SPEEDUP,
+        reps: REPS,
         largest_shape_speedup: largest,
         shapes,
+        depthwise,
         aggregation_round_us,
         sessions,
     };

@@ -300,7 +300,9 @@ impl Arch {
     /// [`Network::build`] on it would: that build draws one word per
     /// weight element (`init::kaiming_uniform`), so the build here
     /// starts from zeros, counts the elements and skips that many
-    /// words (DESIGN.md §5, rule 3).
+    /// words (DESIGN.md §5, rule 3). Each weight, or its pruned block,
+    /// is then copied into the zero-built tensor, so every parameter is
+    /// allocated once.
     fn load(&self, weights: &ParamMap, rng: &mut ChaCha8Rng) -> Network {
         let mut drawn = 0u64;
         let mut net = Network::build_with(&self.blueprint, |shape, _| {
@@ -310,7 +312,7 @@ impl Arch {
         });
         rng.skip_words(drawn);
         match &self.prune {
-            Some(prune) => net.load_param_map(&prune.extract(weights)),
+            Some(prune) => prune.extract_into(weights, &mut net),
             None => net.load_param_map(weights),
         }
         net

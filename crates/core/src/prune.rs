@@ -2,8 +2,9 @@
 //! `W^k_{r_w} = W^k_g[:d_k·r_w][:n_k·r_w]` of paper §3.2, applied map-wide.
 
 use adaptivefl_models::{ModelConfig, WidthPlan};
+use adaptivefl_nn::layer::Layer;
 use adaptivefl_nn::{ParamKind, ParamMap};
-use adaptivefl_tensor::SliceSpec;
+use adaptivefl_tensor::{SliceSpec, Tensor};
 
 /// A precomputed extraction table for one submodel configuration: the
 /// per-parameter prefix [`SliceSpec`]s of the paper's §3.2 width-wise
@@ -72,6 +73,50 @@ impl PrunePlan {
         }
         out
     }
+
+    /// [`PrunePlan::extract`] straight into the parameters of `net`, a
+    /// network built for this submodel: each block is copied into the
+    /// same-named tensor, and no tensor is allocated.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the plan lacks one of `net`'s parameters, if the
+    /// global map lacks one of the plan's, or on any shape that does
+    /// not match or nest.
+    pub fn extract_into(&self, global: &ParamMap, net: &mut dyn Layer) {
+        // The plan lists parameters in blueprint order, which is
+        // usually `net`'s visit order: try the next entry first.
+        let mut next = 0;
+        net.visit_params_mut(
+            "",
+            &mut |name: &str, _, value: &mut Tensor, _: &mut Tensor| {
+                let at = match self.specs.get(next) {
+                    Some((n, _)) if n == name => next,
+                    _ => self
+                        .specs
+                        .iter()
+                        .position(|(n, _)| n == name)
+                        .unwrap_or_else(|| panic!("parameter {name} missing from plan")),
+                };
+                next = at + 1;
+                let spec = &self.specs[at].1;
+                let full = global
+                    .get(name)
+                    .unwrap_or_else(|| panic!("global model missing parameter {name}"));
+                assert!(
+                    spec.fits_in(full.shape()),
+                    "plan shape {spec} does not nest in global {:?} for {name}",
+                    full.shape()
+                );
+                assert_eq!(
+                    spec.dims(),
+                    value.shape(),
+                    "parameter {name} shape mismatch"
+                );
+                spec.extract_into(full, value);
+            },
+        );
+    }
 }
 
 #[cfg(test)]
@@ -121,6 +166,37 @@ mod tests {
         let mut net = cfg.build(&e.plan, &mut r);
         net.load_param_map(&sub); // panics on any shape mismatch
         assert_eq!(net.param_map(), sub);
+    }
+
+    #[test]
+    fn extract_into_writes_what_extract_returns() {
+        for cfg in [
+            ModelConfig::vgg16_fast(10),
+            ModelConfig::resnet18_fast(10),
+            ModelConfig::mobilenet_v2_fast(10),
+            ModelConfig::tiny(10),
+        ] {
+            let pool = ModelPool::split(&cfg, 3, DEFAULT_RATIOS);
+            let mut r = rng::seeded(54);
+            let global = cfg.build(&cfg.full_plan(), &mut r).param_map();
+            for e in pool.entries() {
+                let plan = PrunePlan::new(&cfg, &e.plan);
+                let mut net = cfg.build(&e.plan, &mut r);
+                plan.extract_into(&global, &mut net);
+                assert_eq!(net.param_map(), plan.extract(&global), "{}", e.name());
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "missing from plan")]
+    fn extract_into_rejects_a_parameter_the_plan_lacks() {
+        let cfg = ModelConfig::tiny(10);
+        let global = cfg
+            .build(&cfg.full_plan(), &mut rng::seeded(55))
+            .param_map();
+        let mut net = cfg.build(&cfg.full_plan(), &mut rng::seeded(56));
+        PrunePlan::from_shapes(&[]).extract_into(&global, &mut net);
     }
 
     #[test]

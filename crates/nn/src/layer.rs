@@ -141,7 +141,7 @@ pub trait LayerExt: Layer {
                     value.shape(),
                     "parameter {name} shape mismatch"
                 );
-                *value = src.clone();
+                value.as_mut_slice().copy_from_slice(src.as_slice());
             },
         );
     }

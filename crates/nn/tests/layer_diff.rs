@@ -5,8 +5,9 @@
 //! replaced).
 //!
 //! Covered: batch, channel and plane sizes down to 1×1 planes and
-//! planes smaller than the kernel (which fit only once padded), kernels
-//! 1, 3 and 5 at stride 1 and 2 with padding 0 to 2, `Linear` widths
+//! planes smaller than the kernel (which fit only once padded), 1 to 11
+//! channels (the vectorized channel loops' remainders), kernels 1 to 5
+//! at strides 1 to 3 with padding 0 to 2, `Linear` widths
 //! from 1 to the VGG16-fast classifier's, and inputs, weights and
 //! gradients salted with exact `+0.0` / `-0.0`, `±∞` and NaN. Every case
 //! runs two training steps (forward + backward) onto gradient buffers
@@ -15,10 +16,13 @@
 //! statistics unchanged), so the gradient accumulation order across
 //! minibatches and any buffer a layer keeps between calls are checked
 //! as well. A NaN matches any NaN (DESIGN.md §10); every other value
-//! must match bit for bit. Run it with `TENSOR_NAIVE=1` as well.
+//! must match bit for bit. `suite_passes_with_reference_kernels` reruns
+//! the suite under `TENSOR_NAIVE=1`, so one `cargo test` checks both
+//! kernel modes.
 
 use adaptivefl_nn::layer::{Layer, ParamKind};
 use adaptivefl_nn::layers::{BatchNorm2d, DepthwiseConv2d, Linear, Relu};
+use adaptivefl_tensor::ops::naive_kernels_forced;
 use adaptivefl_tensor::{rng, Tensor};
 use proptest::prelude::*;
 
@@ -623,22 +627,20 @@ fn check_linear(n: usize, in_f: usize, out_f: usize, seed: u64, salt: Salts) {
     );
 }
 
-const KERNELS: [usize; 3] = [1, 3, 5];
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// Random depthwise layers over every kernel, stride and padding.
     #[test]
     fn depthwise_is_bit_equal_to_oracle(
-        nc in (1usize..=3, 1usize..=4),
+        nc in (1usize..=3, 1usize..=11),
         hw in (1usize..=9, 1usize..=9),
-        geo in (0usize..3, 1usize..=2, 0usize..=2),
+        geo in (1usize..=5, 1usize..=3, 0usize..=2),
         salt in 0usize..27,
         seed in 0u64..1 << 60,
     ) {
         let (n, c) = nc;
-        let (k, stride, pad) = (KERNELS[geo.0], geo.1, geo.2);
+        let (k, stride, pad) = geo;
         // Planes smaller than the kernel are drawn as long as they fit
         // once padded; the geometry guard rejects the rest.
         let fit = k.saturating_sub(2 * pad);
@@ -683,15 +685,19 @@ proptest! {
     }
 }
 
-/// The MobileNetV2 ×0.5 shapes of the fig6 test-bed at training batch
-/// 8: 3×3 depthwise at stride 1 and 2 on 16×16 down to 1×1 planes.
+/// MobileNetV2 shapes at training batch 8: 3×3 depthwise at stride 1
+/// and 2 on 16×16 down to 1×1 planes. The 4×4 and 2×2 stride-1 planes
+/// are most of the fig6 test-bed's depthwise layers; their channel
+/// counts are odd, so the vectorized channel loops run a remainder.
 #[test]
 fn mobilenet_shapes_are_bit_equal() {
     for (i, &(c, side, stride)) in [
         (16, 16, 1),
         (48, 16, 2),
         (72, 8, 1),
+        (99, 4, 1),
         (96, 4, 2),
+        (195, 2, 1),
         (160, 1, 1),
     ]
     .iter()
@@ -714,4 +720,26 @@ fn vgg16_linear_shapes_are_bit_equal() {
             check_linear(16, in_f, out_f, 200 + i as u64, salts(s));
         }
     }
+}
+
+/// A plain `cargo test` runs this suite with the default kernels. This
+/// test reruns it once under `TENSOR_NAIVE=1`, so the reference kernels
+/// are checked by the same cases.
+#[test]
+fn suite_passes_with_reference_kernels() {
+    if naive_kernels_forced() {
+        return; // this process is the reference-kernel run
+    }
+    let me = "suite_passes_with_reference_kernels";
+    let out = std::process::Command::new(std::env::current_exe().expect("test binary path"))
+        .env("TENSOR_NAIVE", "1")
+        .args(["--skip", me])
+        .output()
+        .expect("rerun the suite");
+    assert!(
+        out.status.success(),
+        "suite failed under TENSOR_NAIVE=1:\n{}{}",
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr)
+    );
 }

@@ -120,10 +120,10 @@ fn any_non_finite(v: &[f32]) -> bool {
 /// output columns `p..p + len` read input cells `q, q + stride, …` of
 /// the sample's plane.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Run {
-    p: usize,
-    q: usize,
-    len: usize,
+pub(super) struct Run {
+    pub(super) p: usize,
+    pub(super) q: usize,
+    pub(super) len: usize,
 }
 
 /// The im2col map of one `(h, w, geo)`, as runs per tap `(ki, kj)` in
@@ -131,9 +131,10 @@ struct Run {
 /// matrix or input gradient that starts zeroed keeps `+0.0` there.
 /// Runs that continue each other (one output row's end meets the next
 /// row's start, in the output and in the input) are merged, so a
-/// pointwise layer's single tap is one run over the whole plane.
+/// pointwise layer's single tap is one run over the whole plane. The
+/// depthwise kernels ([`super::depthwise`]) walk the same map.
 #[derive(Debug)]
-struct TapRuns {
+pub(super) struct TapRuns {
     runs: Vec<Run>,
     /// Tap `t` owns `runs[starts[t]..starts[t + 1]]`.
     starts: Vec<usize>,
@@ -145,7 +146,7 @@ struct TapRuns {
 }
 
 impl TapRuns {
-    fn new(h: usize, w: usize, geo: ConvGeometry) -> Self {
+    pub(super) fn new(h: usize, w: usize, geo: ConvGeometry) -> Self {
         let (oh, ow) = geo.out_hw(h, w);
         let s = geo.stride;
         // Outputs `lo..hi` of a tap at kernel offset `k` read inside an
@@ -197,7 +198,7 @@ impl TapRuns {
         self.starts.len() - 1
     }
 
-    fn tap(&self, t: usize) -> &[Run] {
+    pub(super) fn tap(&self, t: usize) -> &[Run] {
         &self.runs[self.starts[t]..self.starts[t + 1]]
     }
 
@@ -477,7 +478,7 @@ pub fn conv2d_backward(
     }
 }
 
-fn nchw(t: &Tensor) -> (usize, usize, usize, usize) {
+pub(super) fn nchw(t: &Tensor) -> (usize, usize, usize, usize) {
     let s = t.shape();
     assert_eq!(s.len(), 4, "expected NCHW tensor, got {:?}", s);
     (s[0], s[1], s[2], s[3])

@@ -137,16 +137,22 @@ pub fn matmul_a_bt(a: &Tensor, b: &Tensor) -> Tensor {
 pub fn transpose(a: &Tensor) -> Tensor {
     let (m, n) = dims2(a, "transpose");
     let mut out = vec![0.0f32; m * n];
-    // Eight rows of `a` at a time, so each output row takes eight
+    transpose_into(a.as_slice(), m, n, &mut out);
+    Tensor::from_vec(out, &[n, m])
+}
+
+/// Writes the row-major `[rows, cols]` matrix `src` into `dst` as
+/// `[cols, rows]`.
+pub(super) fn transpose_into(src: &[f32], rows: usize, cols: usize, dst: &mut [f32]) {
+    // Eight rows of `src` at a time, so each output row takes eight
     // contiguous writes per pass.
-    for (blk, rows) in a.as_slice().chunks(8 * n.max(1)).enumerate() {
-        for j in 0..n {
-            for (ii, row) in rows.chunks_exact(n).enumerate() {
-                out[j * m + 8 * blk + ii] = row[j];
+    for (blk, band) in src[..rows * cols].chunks(8 * cols.max(1)).enumerate() {
+        for j in 0..cols {
+            for (ii, row) in band.chunks_exact(cols).enumerate() {
+                dst[j * rows + 8 * blk + ii] = row[j];
             }
         }
     }
-    Tensor::from_vec(out, &[n, m])
 }
 
 /// Reference `C = A · B`: the original cache-friendly `i-k-j` scalar

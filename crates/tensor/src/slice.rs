@@ -6,7 +6,8 @@
 //! block (one length per axis) and supports the three primitives the
 //! federated engine needs:
 //!
-//! * [`SliceSpec::extract`] — copy the prefix block out of a full tensor,
+//! * [`SliceSpec::extract`] — copy the prefix block out of a full tensor
+//!   (or, with [`SliceSpec::extract_into`], into an existing one),
 //! * [`SliceSpec::embed`] — write a block back into a full tensor,
 //! * [`SliceSpec::scatter_add`] — accumulate a weighted block and bump a
 //!   per-element coverage count (Algorithm 2 of the paper).
@@ -136,6 +137,21 @@ impl SliceSpec {
             out.extend_from_slice(&src[off..off + len]);
         });
         Tensor::from_vec(out, &self.dims)
+    }
+
+    /// [`SliceSpec::extract`] into the existing tensor `block`,
+    /// overwriting it and allocating nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `block`'s shape differs from the spec or the spec does
+    /// not fit inside `full`.
+    pub fn extract_into(&self, full: &Tensor, block: &mut Tensor) {
+        assert_eq!(block.shape(), self.dims.as_slice(), "block shape mismatch");
+        let (src, dst) = (full.as_slice(), block.as_mut_slice());
+        self.for_each_row(full.shape(), |at, off, len| {
+            dst[at..at + len].copy_from_slice(&src[off..off + len]);
+        });
     }
 
     /// Writes `block` into the prefix region of `full`, overwriting it.

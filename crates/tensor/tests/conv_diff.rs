@@ -13,13 +13,16 @@
 //! `-0.0` (the zero-skip of the A-side kernels), `±∞` and NaN. 3×3 and
 //! 5×5 kernels over a 1×1 plane, which run as their centre tap's
 //! pointwise conv, are checked with non-finite values placed where only
-//! the skipped padding taps would meet them. Run it with
-//! `TENSOR_NAIVE=1` as well to check the reference kernels underneath.
+//! the skipped padding taps would meet them.
+//! `suite_passes_with_reference_kernels` reruns the suite under
+//! `TENSOR_NAIVE=1`, so one `cargo test` checks the reference kernels
+//! underneath as well.
 //! A NaN matches any NaN (see [`assert_bits_equal`]); every other value
 //! must match bit for bit.
 
 use adaptivefl_tensor::ops::{
-    conv2d_backward, conv2d_forward, matmul, matmul_a_bt, transpose, ConvGeometry,
+    conv2d_backward, conv2d_forward, matmul, matmul_a_bt, naive_kernels_forced, transpose,
+    ConvGeometry,
 };
 use adaptivefl_tensor::Tensor;
 use proptest::prelude::*;
@@ -411,4 +414,26 @@ fn wide_early_layer_is_bit_equal() {
     check(GEOMETRIES[0], 16, 8, 16, 8, 11, [Zeros, Clean, Zeros]);
     check(GEOMETRIES[1], 16, 8, 16, 8, 12, [Zeros; 3]);
     check(GEOMETRIES[0], 16, 8, 16, 8, 13, [Clean; 3]);
+}
+
+/// A plain `cargo test` runs this suite with the default kernels. This
+/// test reruns it once under `TENSOR_NAIVE=1`, so the reference kernels
+/// are checked by the same cases.
+#[test]
+fn suite_passes_with_reference_kernels() {
+    if naive_kernels_forced() {
+        return; // this process is the reference-kernel run
+    }
+    let me = "suite_passes_with_reference_kernels";
+    let out = std::process::Command::new(std::env::current_exe().expect("test binary path"))
+        .env("TENSOR_NAIVE", "1")
+        .args(["--skip", me])
+        .output()
+        .expect("rerun the suite");
+    assert!(
+        out.status.success(),
+        "suite failed under TENSOR_NAIVE=1:\n{}{}",
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr)
+    );
 }
