@@ -25,6 +25,8 @@
 //! sessions, so a slow spell of a shared host hits every side alike. A
 //! minimum over a few runs was not stable at sub-millisecond shapes.
 
+#![forbid(unsafe_code)]
+
 use std::process::ExitCode;
 use std::time::Instant;
 

@@ -9,6 +9,8 @@
 //! cargo run --release -p adaptivefl-bench --bin summarize [--sweep <dir>]
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::fs;
 use std::path::PathBuf;
 use std::process::ExitCode;

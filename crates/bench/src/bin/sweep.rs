@@ -29,6 +29,8 @@
 //! trace per job into `DIR` (render them with the `trace_report` bin).
 //! A malformed flag exits with status 2.
 
+#![forbid(unsafe_code)]
+
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicUsize, Ordering};

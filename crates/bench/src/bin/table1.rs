@@ -8,6 +8,8 @@
 //! cargo run --release -p adaptivefl-bench --bin table1
 //! ```
 
+#![forbid(unsafe_code)]
+
 use adaptivefl_core::pool::{ModelPool, DEFAULT_RATIOS};
 use adaptivefl_models::cost::cost_of;
 use adaptivefl_models::ModelConfig;

@@ -12,6 +12,8 @@
 //! scheduler noise. Exits non-zero when
 //! `min(noop) > min(recording) * (1 + TOLERANCE)`.
 
+#![forbid(unsafe_code)]
+
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};

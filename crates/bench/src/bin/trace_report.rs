@@ -9,6 +9,8 @@
 //! breakdown plus the per-layer Algorithm-2 coverage table); `--merge`
 //! folds every file into one combined report instead.
 
+#![forbid(unsafe_code)]
+
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 

@@ -10,6 +10,8 @@
 //! The default fast mode is calibrated for a single CPU core; the
 //! `sweep` binary's own docs list its flags.
 
+#![forbid(unsafe_code)]
+
 pub mod sweep;
 
 use std::fs;

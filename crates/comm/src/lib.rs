@@ -22,6 +22,8 @@
 //! is opt-in via
 //! [`Simulation::run_with_transport`](adaptivefl_core::sim::Simulation::run_with_transport).
 
+#![forbid(unsafe_code)]
+
 pub mod executor;
 pub mod faults;
 pub mod transport;

@@ -59,6 +59,8 @@
 //! println!("final accuracy: {:.2}%", 100.0 * result.final_full_accuracy());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod aggregate;
 pub mod checkpoint;
 pub mod compress;

@@ -8,12 +8,11 @@
 //! level (paper Table 1).
 
 use adaptivefl_models::{ModelConfig, PruneSpec, WidthPlan};
-use serde::{Deserialize, Serialize};
 
 use crate::prune::PrunePlan;
 
 /// The paper's three model levels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Level {
     /// Small (`r_w ≈ 0.40`).
     Small,
@@ -51,7 +50,7 @@ impl std::fmt::Display for Level {
 }
 
 /// One submodel configuration in the pool.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PoolEntry {
     /// Position in the pool, ascending by size (0 = smallest,
     /// `2p` = the full model `L_1`).
@@ -80,22 +79,11 @@ impl PoolEntry {
 ///
 /// Each entry carries a precomputed [`PrunePlan`] (index-aligned with
 /// `entries`) so per-round extraction never rebuilds the shape table.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ModelPool {
     entries: Vec<PoolEntry>,
     p: usize,
-    /// Derived extraction cache (defaults to empty for pools
-    /// serialized before the cache existed).
-    #[serde(default)]
     plans: Vec<PrunePlan>,
-}
-
-impl PartialEq for ModelPool {
-    /// Equality over the defining data (`entries`, `p`) only — the
-    /// plan cache is derived and absent after deserialization.
-    fn eq(&self, other: &Self) -> bool {
-        self.entries == other.entries && self.p == other.p
-    }
 }
 
 /// Default width ratios `(S, M)`; `L` is always 1.0 (paper Table 1).
@@ -236,13 +224,8 @@ impl ModelPool {
     ///
     /// # Panics
     ///
-    /// Panics if out of range, or if the pool was deserialized (the
-    /// plan cache is rebuilt only by [`ModelPool::split`]).
+    /// Panics if out of range.
     pub fn prune_plan(&self, i: usize) -> &PrunePlan {
-        assert!(
-            !self.plans.is_empty() || self.entries.is_empty(),
-            "pool has no plan cache (deserialized?); rebuild it via ModelPool::split"
-        );
         &self.plans[i]
     }
 

@@ -15,7 +15,7 @@ use adaptivefl_tensor::{SliceSpec, Tensor};
 /// configurations are fixed for a run, so [`crate::pool::ModelPool`]
 /// builds one plan per entry at construction instead of rebuilding the
 /// shape table per client dispatch.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PrunePlan {
     specs: Vec<(String, SliceSpec)>,
 }

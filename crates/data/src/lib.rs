@@ -27,6 +27,8 @@
 //! assert!(fed.client(0).len() > 0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod dataset;
 mod federated;
 mod partition;

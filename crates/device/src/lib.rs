@@ -21,6 +21,8 @@
 //! let _ = DeviceClass::Weak.capacity_fraction();
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod dynamics;
 mod fleet;
 mod latency;

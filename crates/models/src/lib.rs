@@ -27,6 +27,8 @@
 //! assert!(cfg.num_params(&small) < cfg.num_params(&full) / 3);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod block;
 pub mod config;
 pub mod cost;

@@ -1,11 +1,14 @@
 //! Executable-network integration tests: blueprint/runtime consistency,
 //! residual gradients, multi-exit training, and learnability.
+//! `suite_passes_with_reference_kernels` reruns the suite under
+//! `TENSOR_NAIVE=1`, so one `cargo test` checks both kernel modes.
 
 use adaptivefl_models::{ModelConfig, Network, PruneSpec};
 use adaptivefl_nn::layer::{Layer, LayerExt, ParamKind};
 use adaptivefl_nn::loss::softmax_cross_entropy;
 use adaptivefl_nn::metrics::accuracy;
 use adaptivefl_nn::optim::Sgd;
+use adaptivefl_tensor::ops::naive_kernels_forced;
 use adaptivefl_tensor::{init, rng, Tensor};
 
 /// Every family: the runtime network's parameter names/shapes must be
@@ -318,4 +321,26 @@ fn inference_equals_training_forward_and_caches_nothing() {
             .unwrap_or_default();
         assert!(msg.contains("without forward"), "{what}: {msg}");
     }
+}
+
+/// A plain `cargo test` runs this suite with the default kernels. This
+/// test reruns it once under `TENSOR_NAIVE=1`, so the reference kernels
+/// are checked by the same cases.
+#[test]
+fn suite_passes_with_reference_kernels() {
+    if naive_kernels_forced() {
+        return; // this process is the reference-kernel run
+    }
+    let me = "suite_passes_with_reference_kernels";
+    let out = std::process::Command::new(std::env::current_exe().expect("test binary path"))
+        .env("TENSOR_NAIVE", "1")
+        .args(["--skip", me])
+        .output()
+        .expect("rerun the suite");
+    assert!(
+        out.status.success(),
+        "suite failed under TENSOR_NAIVE=1:\n{}{}",
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr)
+    );
 }

@@ -24,6 +24,8 @@
 //! assert_eq!(params.names().collect::<Vec<_>>(), ["bias", "weight"]);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod layer;
 pub mod layers;
 pub mod loss;

@@ -24,6 +24,8 @@
 //! directory if one exists, otherwise start fresh — checkpointing
 //! either way.
 
+#![forbid(unsafe_code)]
+
 pub mod crc;
 pub mod format;
 pub mod store;

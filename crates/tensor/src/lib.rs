@@ -20,6 +20,8 @@
 //! assert_eq!(c.as_slice(), a.as_slice());
 //! ```
 
+#![deny(unsafe_code)]
+
 mod tensor;
 
 pub mod init;

@@ -7,17 +7,19 @@
 //!   the semantic ground truth;
 //! * a *blocked* kernel — the default, which processes `MR`-row panels
 //!   of the output with the accumulators held in registers for the
-//!   whole k-loop, runtime-dispatched to an AVX-512 / AVX2 microkernel
-//!   on x86-64 (explicit mul-then-add — **never** FMA, whose single
-//!   rounding would change results) with a portable register-tiled
-//!   fallback elsewhere.
+//!   whole k-loop. Each register tile has one safe-Rust source, which
+//!   `#[target_feature]` wrappers compile for AVX-512 and AVX2 on
+//!   x86-64 (picked at run time) and every other target runs as is.
+//!   Rust never contracts `a * b + c` into an FMA, whose single
+//!   rounding would change results, so each vector lane performs the
+//!   reference's multiply, then its add.
 //!
 //! Blocking only reorders work **across independent output elements**;
 //! for every single output element the k-accumulation order (and the
 //! skip-on-zero rule of the `A·B` reference) is preserved exactly, so
 //! no floating-point sum is ever re-associated and the results match
 //! the reference bit for bit. Every full A panel takes the branchless
-//! microkernel, which adds the `0·b` terms the reference skips. A chain
+//! register tile, which adds the `0·b` terms the reference skips. A chain
 //! that starts at `+0.0` never holds `-0.0`, so adding `0·b` with finite
 //! `b` changes nothing; only `0·(±∞ or NaN)` does, and it leaves NaN.
 //! A post-check therefore recomputes with the reference row loop just
@@ -42,8 +44,9 @@ use crate::Tensor;
 
 /// Rows per register panel.
 const MR: usize = 4;
-/// Columns per portable register tile (`MR·NR` accumulators fit the
-/// baseline x86-64 / aarch64 vector register files).
+/// Columns per segmented `A·Bᵀ` tile, and rows per B panel it stages
+/// (its `2·MR·NR` accumulators fit the baseline x86-64 / aarch64
+/// vector register files).
 const NR: usize = 8;
 
 /// `true` when `TENSOR_NAIVE` is set (to anything but `0`/empty) and the
@@ -59,7 +62,8 @@ pub fn naive_kernels_forced() -> bool {
     })
 }
 
-/// The widest SIMD microkernel the running CPU supports, detected once.
+/// The widest vector ISA the tiles are compiled for that the running
+/// CPU supports, detected once.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Isa {
     #[cfg(target_arch = "x86_64")]
@@ -222,7 +226,7 @@ pub fn matmul_a_bt_reference(a: &Tensor, b: &Tensor) -> Tensor {
 /// Blocked `C = A · B`, bit-identical to [`matmul_reference`].
 ///
 /// Works in `MR`-row panels. Every full panel goes to a branchless
-/// microkernel (SIMD on x86-64, register-tiled scalar elsewhere), which
+/// register tile (`matmul_panel_tiles`, vectorised per ISA), which
 /// adds the `0·b` terms the reference skips. Such a term can change an
 /// output row only by making it NaN (`0·∞`, `0·NaN`), so a post-check
 /// recomputes by the reference row loop each row whose A row holds a
@@ -260,9 +264,10 @@ pub fn matmul_blocked(a: &Tensor, b: &Tensor) -> Tensor {
     Tensor::from_vec(out, &[m, n])
 }
 
-/// Runs the widest microkernel `isa` offers on one full `MR`-row panel:
-/// rows `i0..i0 + MR` of `out` become `apanel · B`, every `0·b` term
-/// included.
+/// Runs the `A·B` tile source at the widest vector width `isa` offers
+/// on one full `MR`-row panel: rows `i0..i0 + MR` of `out` become
+/// `apanel · B`, every `0·b` term included.
+#[allow(unsafe_code)]
 fn matmul_panel(
     isa: Isa,
     apanel: &[f32],
@@ -275,12 +280,26 @@ fn matmul_panel(
     match isa {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `isa()` verified the feature at run time.
-        Isa::Avx512 => unsafe { x86::matmul_panel_avx512(apanel, bv, out, i0, k, n) },
+        Isa::Avx512 => unsafe { matmul_panel_avx512(apanel, bv, out, i0, k, n) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: as above.
-        Isa::Avx2 => unsafe { x86::matmul_panel_avx2(apanel, bv, out, i0, k, n) },
-        Isa::Portable => matmul_panel_portable(apanel, bv, out, i0, k, n),
+        Isa::Avx2 => unsafe { matmul_panel_avx2(apanel, bv, out, i0, k, n) },
+        Isa::Portable => matmul_panel_tiles::<8, 4>(apanel, bv, out, i0, k, n),
     }
+}
+
+/// [`matmul_panel_tiles`] compiled for AVX-512: 32-, then 16-wide tiles.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn matmul_panel_avx512(apanel: &[f32], bv: &[f32], out: &mut [f32], i0: usize, k: usize, n: usize) {
+    matmul_panel_tiles::<32, 16>(apanel, bv, out, i0, k, n)
+}
+
+/// [`matmul_panel_tiles`] compiled for AVX2: 16-, then 8-wide tiles.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn matmul_panel_avx2(apanel: &[f32], bv: &[f32], out: &mut [f32], i0: usize, k: usize, n: usize) {
+    matmul_panel_tiles::<16, 8>(apanel, bv, out, i0, k, n)
 }
 
 /// Gives a panel computed by [`matmul_panel`] the reference's
@@ -306,11 +325,17 @@ fn restore_zero_skips(apanel: &[f32], bv: &[f32], opanel: &mut [f32], k: usize) 
     }
 }
 
-/// Portable microkernel for one `MR`-row panel of
-/// [`matmul_blocked`]: `MR × NR` output tiles accumulate in registers
-/// across the whole k-loop with no branches, which the compiler
-/// auto-vectorises at whatever width the target offers.
-fn matmul_panel_portable(
+/// The one source of the `A·B` register tile, for one full `MR`-row
+/// panel of [`matmul_blocked`]: rows `i0..i0 + MR` of `out` become
+/// `apanel · B`. `MR × W` tiles run first, then `MR × H` tiles, each
+/// holding its accumulators across the whole k-loop with no branches;
+/// every column left over is one serial k-chain per row.
+///
+/// Each lane is one output element's chain, in increasing k, of a
+/// multiply and then an add (Rust never contracts them into an FMA), so
+/// every width performs the reference's roundings in its order.
+#[inline(always)]
+fn matmul_panel_tiles<const W: usize, const H: usize>(
     apanel: &[f32],
     bv: &[f32],
     out: &mut [f32],
@@ -318,25 +343,52 @@ fn matmul_panel_portable(
     k: usize,
     n: usize,
 ) {
-    let mut j0 = 0;
-    while j0 < n {
-        let nw = NR.min(n - j0);
-        let mut acc = [[0.0f32; NR]; MR];
-        for kk in 0..k {
-            let brow = &bv[kk * n + j0..kk * n + j0 + nw];
-            for (ii, arow) in acc.iter_mut().enumerate() {
-                let aik = apanel[ii * k + kk];
-                for (o, &bkj) in arow.iter_mut().zip(brow.iter()) {
-                    *o += aik * bkj;
-                }
+    let arows: [&[f32]; MR] = std::array::from_fn(|ii| &apanel[ii * k..(ii + 1) * k]);
+    let j0 = matmul_tiles::<W>(arows, bv, out, i0, 0, n);
+    let j0 = matmul_tiles::<H>(arows, bv, out, i0, j0, n);
+    for j in j0..n {
+        for (ii, arow) in arows.iter().enumerate() {
+            let mut acc = 0.0f32;
+            for (&aik, brow) in arow.iter().zip(bv.chunks_exact(n)) {
+                acc += aik * brow[j];
+            }
+            out[(i0 + ii) * n + j] = acc;
+        }
+    }
+}
+
+/// The `MR × W` tiles of [`matmul_panel_tiles`], from column `j0` while
+/// `W` columns remain. Returns the first column they leave.
+#[inline(always)]
+fn matmul_tiles<const W: usize>(
+    arows: [&[f32]; MR],
+    bv: &[f32],
+    out: &mut [f32],
+    i0: usize,
+    mut j0: usize,
+    n: usize,
+) -> usize {
+    let [a0, a1, a2, a3] = arows;
+    while j0 + W <= n {
+        let mut acc = [[0.0f32; W]; MR];
+        let ks = bv.chunks_exact(n).zip(a0).zip(a1).zip(a2).zip(a3);
+        for ((((brow, &x0), &x1), &x2), &x3) in ks {
+            let b: [f32; W] = brow[j0..j0 + W].try_into().expect("W columns");
+            let [c0, c1, c2, c3] = &mut acc;
+            for jj in 0..W {
+                c0[jj] += x0 * b[jj];
+                c1[jj] += x1 * b[jj];
+                c2[jj] += x2 * b[jj];
+                c3[jj] += x3 * b[jj];
             }
         }
-        for (ii, arow) in acc.iter().enumerate() {
+        for (ii, c) in acc.iter().enumerate() {
             let off = (i0 + ii) * n + j0;
-            out[off..off + nw].copy_from_slice(&arow[..nw]);
+            out[off..off + W].copy_from_slice(c);
         }
-        j0 += NR;
+        j0 += W;
     }
+    j0
 }
 
 /// Blocked `C = A · Bᵀ`, bit-identical to [`matmul_a_bt_reference`].
@@ -426,7 +478,7 @@ fn a_bt_blocked(a: &Tensor, b: &Tensor, seg: usize) -> Tensor {
     let av = a.as_slice();
     let bv = b.as_slice();
     let isa = isa();
-    // B rows j0..j0+NR transposed to k-major so the microkernel loads
+    // B rows j0..j0+NR transposed to k-major so the tile loads
     // the panel's B values for one k contiguously.
     let mut tbuf = vec![0.0f32; k * NR];
     let mut j0 = 0;
@@ -457,9 +509,10 @@ fn a_bt_blocked(a: &Tensor, b: &Tensor, seg: usize) -> Tensor {
     Tensor::from_vec(out, &[m, n])
 }
 
-/// Runs the segmented `A·Bᵀ` tile `isa` offers: output rows
-/// `i0..i0 + MR`, columns `j0..j0 + NR` from a k-major B panel `tbuf`.
-#[allow(clippy::too_many_arguments)]
+/// Runs the segmented `A·Bᵀ` tile source, compiled for AVX2 on every
+/// x86-64 ISA that has it: output rows `i0..i0 + MR`, columns
+/// `j0..j0 + NR` from a k-major B panel `tbuf`.
+#[allow(clippy::too_many_arguments, unsafe_code)]
 fn a_bt_seg_tile(
     isa: Isa,
     apanel: &[f32],
@@ -474,12 +527,29 @@ fn a_bt_seg_tile(
     match isa {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `isa()` verified the feature at run time (AVX-512
-        // implies AVX2; `NR == 8` fits one ymm).
+        // implies AVX2).
         Isa::Avx512 | Isa::Avx2 => unsafe {
-            x86::a_bt_seg_tile_avx2(apanel, tbuf, out, i0, j0, k, n, seg)
+            a_bt_seg_tile_avx2(apanel, tbuf, out, i0, j0, k, n, seg)
         },
-        Isa::Portable => a_bt_seg_tile_portable(apanel, tbuf, out, i0, j0, k, n, seg),
+        Isa::Portable => a_bt_seg_tile_body(apanel, tbuf, out, i0, j0, k, n, seg),
     }
+}
+
+/// [`a_bt_seg_tile_body`] compiled for AVX2: `NR == 8` fits one ymm.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::too_many_arguments)]
+fn a_bt_seg_tile_avx2(
+    apanel: &[f32],
+    tbuf: &[f32],
+    out: &mut [f32],
+    i0: usize,
+    j0: usize,
+    k: usize,
+    n: usize,
+    seg: usize,
+) {
+    a_bt_seg_tile_body(apanel, tbuf, out, i0, j0, k, n, seg)
 }
 
 /// Reference-order serial dot products for a block of the segmented
@@ -515,11 +585,13 @@ fn a_bt_rows_reference(
     }
 }
 
-/// Portable segmented `MR × NR` tile of the blocked `A·Bᵀ`: per segment
-/// a fresh accumulator tile, added onto the running totals at the
-/// segment's end. Branchless and auto-vectorisable.
+/// The one source of the segmented `MR × NR` tile of the blocked
+/// `A·Bᵀ`: per segment a fresh accumulator tile, added onto the running
+/// totals at the segment's end. Branchless, and vectorised at the width
+/// the caller is compiled for.
+#[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn a_bt_seg_tile_portable(
+fn a_bt_seg_tile_body(
     apanel: &[f32],
     tbuf: &[f32],
     out: &mut [f32],
@@ -529,219 +601,37 @@ fn a_bt_seg_tile_portable(
     n: usize,
     seg: usize,
 ) {
+    let arows: [_; MR] = std::array::from_fn(|ii| apanel[ii * k..(ii + 1) * k].chunks_exact(seg));
+    let [a0, a1, a2, a3] = arows;
     let mut total = [[0.0f32; NR]; MR];
-    for s0 in (0..k).step_by(seg) {
+    let segs = tbuf[..k * NR]
+        .chunks_exact(seg * NR)
+        .zip(a0)
+        .zip(a1)
+        .zip(a2)
+        .zip(a3);
+    for ((((tseg, s0), s1), s2), s3) in segs {
         let mut acc = [[0.0f32; NR]; MR];
-        for kk in s0..s0 + seg {
-            let brow = &tbuf[kk * NR..(kk + 1) * NR];
-            for (ii, arow) in acc.iter_mut().enumerate() {
-                let aik = apanel[ii * k + kk];
-                for (o, &bkj) in arow.iter_mut().zip(brow.iter()) {
-                    *o += aik * bkj;
-                }
+        let ks = tseg.chunks_exact(NR).zip(s0).zip(s1).zip(s2).zip(s3);
+        for ((((brow, &x0), &x1), &x2), &x3) in ks {
+            let b: [f32; NR] = brow.try_into().expect("NR columns");
+            let [c0, c1, c2, c3] = &mut acc;
+            for jj in 0..NR {
+                c0[jj] += x0 * b[jj];
+                c1[jj] += x1 * b[jj];
+                c2[jj] += x2 * b[jj];
+                c3[jj] += x3 * b[jj];
             }
         }
-        for (trow, arow) in total.iter_mut().zip(acc.iter()) {
-            for (t, &a) in trow.iter_mut().zip(arow.iter()) {
-                *t += a;
+        for ii in 0..MR {
+            for jj in 0..NR {
+                total[ii][jj] += acc[ii][jj];
             }
         }
     }
     for (ii, trow) in total.iter().enumerate() {
         let off = (i0 + ii) * n + j0;
         out[off..off + NR].copy_from_slice(trow);
-    }
-}
-
-/// x86-64 SIMD microkernels. All of them compute `acc = acc + a·b`
-/// with separate multiply and add instructions — never FMA — so each
-/// lane performs exactly the scalar reference's two correctly-rounded
-/// operations and the results are bit-identical.
-#[cfg(target_arch = "x86_64")]
-mod x86 {
-    use super::{MR, NR};
-    use std::arch::x86_64::*;
-
-    /// AVX-512 panel kernel: `MR` rows × 32 columns per tile (8 zmm
-    /// accumulators live across the whole k-loop), narrowing to 16-wide
-    /// AVX-512, then the scalar tail.
-    ///
-    /// # Safety
-    ///
-    /// Caller must ensure `avx512f` (and `avx2` for the narrow tile) is
-    /// available, `apanel.len() == MR*k`, `bv.len() >= k*n`, and
-    /// `out.len() >= (i0+MR)*n`.
-    #[target_feature(enable = "avx512f,avx2")]
-    pub unsafe fn matmul_panel_avx512(
-        apanel: &[f32],
-        bv: &[f32],
-        out: &mut [f32],
-        i0: usize,
-        k: usize,
-        n: usize,
-    ) {
-        let ap = apanel.as_ptr();
-        let bp = bv.as_ptr();
-        let op = out.as_mut_ptr();
-        let mut j0 = 0;
-        while j0 + 32 <= n {
-            let mut acc = [_mm512_setzero_ps(); 2 * MR];
-            for kk in 0..k {
-                let base = bp.add(kk * n + j0);
-                let b0 = _mm512_loadu_ps(base);
-                let b1 = _mm512_loadu_ps(base.add(16));
-                for ii in 0..MR {
-                    let a = _mm512_set1_ps(*ap.add(ii * k + kk));
-                    acc[2 * ii] = _mm512_add_ps(acc[2 * ii], _mm512_mul_ps(a, b0));
-                    acc[2 * ii + 1] = _mm512_add_ps(acc[2 * ii + 1], _mm512_mul_ps(a, b1));
-                }
-            }
-            for ii in 0..MR {
-                let dst = op.add((i0 + ii) * n + j0);
-                _mm512_storeu_ps(dst, acc[2 * ii]);
-                _mm512_storeu_ps(dst.add(16), acc[2 * ii + 1]);
-            }
-            j0 += 32;
-        }
-        while j0 + 16 <= n {
-            let mut acc = [_mm512_setzero_ps(); MR];
-            for kk in 0..k {
-                let b0 = _mm512_loadu_ps(bp.add(kk * n + j0));
-                for (ii, c) in acc.iter_mut().enumerate() {
-                    let a = _mm512_set1_ps(*ap.add(ii * k + kk));
-                    *c = _mm512_add_ps(*c, _mm512_mul_ps(a, b0));
-                }
-            }
-            for (ii, c) in acc.iter().enumerate() {
-                _mm512_storeu_ps(op.add((i0 + ii) * n + j0), *c);
-            }
-            j0 += 16;
-        }
-        matmul_panel_tail(apanel, bv, out, i0, j0, k, n);
-    }
-
-    /// AVX2 panel kernel: `MR` rows × 16 columns per tile (8 ymm
-    /// accumulators), then 8-wide, then the scalar tail.
-    ///
-    /// # Safety
-    ///
-    /// Caller must ensure `avx2` is available plus the slice bounds of
-    /// [`matmul_panel_avx512`].
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn matmul_panel_avx2(
-        apanel: &[f32],
-        bv: &[f32],
-        out: &mut [f32],
-        i0: usize,
-        k: usize,
-        n: usize,
-    ) {
-        let ap = apanel.as_ptr();
-        let bp = bv.as_ptr();
-        let op = out.as_mut_ptr();
-        let mut j0 = 0;
-        while j0 + 16 <= n {
-            let mut acc = [_mm256_setzero_ps(); 2 * MR];
-            for kk in 0..k {
-                let base = bp.add(kk * n + j0);
-                let b0 = _mm256_loadu_ps(base);
-                let b1 = _mm256_loadu_ps(base.add(8));
-                for ii in 0..MR {
-                    let a = _mm256_set1_ps(*ap.add(ii * k + kk));
-                    acc[2 * ii] = _mm256_add_ps(acc[2 * ii], _mm256_mul_ps(a, b0));
-                    acc[2 * ii + 1] = _mm256_add_ps(acc[2 * ii + 1], _mm256_mul_ps(a, b1));
-                }
-            }
-            for ii in 0..MR {
-                let dst = op.add((i0 + ii) * n + j0);
-                _mm256_storeu_ps(dst, acc[2 * ii]);
-                _mm256_storeu_ps(dst.add(8), acc[2 * ii + 1]);
-            }
-            j0 += 16;
-        }
-        while j0 + 8 <= n {
-            let mut acc = [_mm256_setzero_ps(); MR];
-            for kk in 0..k {
-                let b0 = _mm256_loadu_ps(bp.add(kk * n + j0));
-                for (ii, c) in acc.iter_mut().enumerate() {
-                    let a = _mm256_set1_ps(*ap.add(ii * k + kk));
-                    *c = _mm256_add_ps(*c, _mm256_mul_ps(a, b0));
-                }
-            }
-            for (ii, c) in acc.iter().enumerate() {
-                _mm256_storeu_ps(op.add((i0 + ii) * n + j0), *c);
-            }
-            j0 += 8;
-        }
-        matmul_panel_tail(apanel, bv, out, i0, j0, k, n);
-    }
-
-    /// Scalar tail columns of a panel: per element one serial k-chain,
-    /// every `0·b` term included, like the vector tiles.
-    #[inline]
-    fn matmul_panel_tail(
-        apanel: &[f32],
-        bv: &[f32],
-        out: &mut [f32],
-        i0: usize,
-        j0: usize,
-        k: usize,
-        n: usize,
-    ) {
-        for ii in 0..MR {
-            for j in j0..n {
-                let mut acc = 0.0f32;
-                for kk in 0..k {
-                    acc += apanel[ii * k + kk] * bv[kk * n + j];
-                }
-                out[(i0 + ii) * n + j] = acc;
-            }
-        }
-    }
-
-    /// AVX2 `MR × NR` tile of the blocked `A·Bᵀ` kernels over a
-    /// transposed B panel (also used by the AVX-512 path — `NR == 8`
-    /// fits one ymm): a fresh accumulator per `seg`-long stretch of k,
-    /// added onto `MR` running-total registers at each segment's end.
-    ///
-    /// # Safety
-    ///
-    /// Caller must ensure `avx2` is available, `apanel.len() == MR*k`,
-    /// `tbuf.len() >= k*NR`, `out.len() >= (i0+MR)*n` with
-    /// `j0 + NR <= n`, and `seg > 0` dividing `k`.
-    #[target_feature(enable = "avx2")]
-    #[allow(clippy::too_many_arguments)]
-    pub unsafe fn a_bt_seg_tile_avx2(
-        apanel: &[f32],
-        tbuf: &[f32],
-        out: &mut [f32],
-        i0: usize,
-        j0: usize,
-        k: usize,
-        n: usize,
-        seg: usize,
-    ) {
-        let ap = apanel.as_ptr();
-        let tp = tbuf.as_ptr();
-        let mut total = [_mm256_setzero_ps(); MR];
-        let mut s0 = 0;
-        while s0 < k {
-            let mut acc = [_mm256_setzero_ps(); MR];
-            for kk in s0..s0 + seg {
-                let b0 = _mm256_loadu_ps(tp.add(kk * NR));
-                for (ii, c) in acc.iter_mut().enumerate() {
-                    let a = _mm256_set1_ps(*ap.add(ii * k + kk));
-                    *c = _mm256_add_ps(*c, _mm256_mul_ps(a, b0));
-                }
-            }
-            for (t, c) in total.iter_mut().zip(acc.iter()) {
-                *t = _mm256_add_ps(*t, *c);
-            }
-            s0 += seg;
-        }
-        for (ii, t) in total.iter().enumerate() {
-            _mm256_storeu_ps(out.as_mut_ptr().add((i0 + ii) * n + j0), *t);
-        }
     }
 }
 
@@ -853,68 +743,7 @@ mod tests {
         Tensor::from_vec(data, &[rows, cols])
     }
 
-    #[test]
-    fn portable_paths_match_reference_bitwise() {
-        // The portable microkernels are exercised regardless of the
-        // machine's SIMD support: drive them directly on shapes that
-        // hit full tiles, ragged edges, and the staging paths.
-        for (m, k, n) in [(4, 5, 8), (4, 3, 11), (9, 4, 8), (12, 7, 19)] {
-            let a = fill(m, k, 1);
-            let b = fill(k, n, 2);
-            let mut out = vec![0.0f32; m * n];
-            let mut i0 = 0;
-            while i0 + MR <= m {
-                matmul_panel_portable(
-                    &a.as_slice()[i0 * k..(i0 + MR) * k],
-                    b.as_slice(),
-                    &mut out,
-                    i0,
-                    k,
-                    n,
-                );
-                i0 += MR;
-            }
-            for i in i0..m {
-                matmul_row_reference(
-                    &a.as_slice()[i * k..(i + 1) * k],
-                    b.as_slice(),
-                    &mut out[i * n..(i + 1) * n],
-                );
-            }
-            let want = matmul_reference(&a, &b);
-            for (x, y) in out.iter().zip(want.as_slice()) {
-                assert_eq!(x.to_bits(), y.to_bits(), "{m}x{k}x{n}");
-            }
-        }
-    }
-
-    #[test]
-    fn portable_segmented_tile_matches_reference_bitwise() {
-        // Two MR-row panels against one NR-wide B panel, at segment
-        // widths 1 (the conv's single-pixel layers) through 4.
-        let m = 2 * MR;
-        for (seg, segs) in [(1, 16), (2, 3), (4, 5)] {
-            let k = seg * segs;
-            let a = fill(m, k, 3);
-            let b = fill(NR, k, 4);
-            let mut tbuf = vec![0.0f32; k * NR];
-            for kk in 0..k {
-                for jj in 0..NR {
-                    tbuf[kk * NR + jj] = b.as_slice()[jj * k + kk];
-                }
-            }
-            let mut out = vec![0.0f32; m * NR];
-            for i0 in (0..m).step_by(MR) {
-                let apanel = &a.as_slice()[i0 * k..(i0 + MR) * k];
-                a_bt_seg_tile_portable(apanel, &tbuf, &mut out, i0, 0, k, NR, seg);
-            }
-            let want = matmul_a_bt_segmented_reference(&a, &b, seg);
-            for (x, y) in out.iter().zip(want.as_slice()) {
-                assert_eq!(x.to_bits(), y.to_bits(), "seg {seg} x {segs}");
-            }
-        }
-    }
-    /// Every microkernel the host can run.
+    /// Every ISA the host can run.
     fn host_isas() -> Vec<Isa> {
         #[allow(unused_mut)]
         let mut isas = vec![Isa::Portable];
@@ -973,14 +802,15 @@ mod tests {
 
     #[test]
     fn every_host_isa_matches_reference_bitwise() {
-        // Widths reach the 32-, 16- and 8-wide tiles and the scalar
-        // tail of every microkernel. Zeros in A meet a finite B, where
-        // the panels must match as computed, and a B with ±∞/NaN, where
-        // the post-check must restore the skipped terms.
+        // Widths reach, at every ISA, the `W`-wide tiles, the `H`-wide
+        // tiles and the scalar tail of the `A·B` tile source: 32/16,
+        // 16/8 and 8/4 wide. Zeros in A meet a finite B, where the panels
+        // must match as computed, and a B with ±∞/NaN, where the
+        // post-check must restore the skipped terms.
         let m = 2 * MR;
         for isa in host_isas() {
-            for k in [1, 5, 9] {
-                for n in [1, 7, 8, 9, 16, 17, 32, 33, 48, 57] {
+            for k in [1, 3, 4, 5, 7, 9] {
+                for n in [1, 7, 8, 9, 11, 12, 16, 17, 19, 28, 32, 33, 48, 57] {
                     let a = with_zeros(m, k, 5);
                     for (bs, b) in [
                         ("finite", fill(k, n, 6)),
@@ -998,7 +828,7 @@ mod tests {
                     }
                 }
             }
-            for (seg, segs) in [(1, 16), (3, 3), (16, 2), (9, 1)] {
+            for (seg, segs) in [(1, 16), (2, 3), (3, 3), (4, 5), (16, 2), (9, 1)] {
                 let (k, n) = (seg * segs, 2 * NR);
                 let a = with_zeros(m, k, 7);
                 for (bs, b) in [

@@ -12,8 +12,6 @@
 //! * [`SliceSpec::scatter_add`] — accumulate a weighted block and bump a
 //!   per-element coverage count (Algorithm 2 of the paper).
 
-use serde::{Deserialize, Serialize};
-
 use crate::Tensor;
 
 /// A prefix block of a tensor: on every axis `d`, the range `0..dims[d]`.
@@ -28,7 +26,7 @@ use crate::Tensor;
 /// let block = spec.extract(&full);
 /// assert_eq!(block.as_slice(), &[0.0, 1.0, 4.0, 5.0]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SliceSpec {
     dims: Vec<usize>,
 }

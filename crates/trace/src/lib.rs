@@ -47,6 +47,8 @@
 //! println!("{}", TraceReport::from_lines(&lines).render());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod record;
 pub mod report;
 pub mod writer;

@@ -49,6 +49,8 @@
 //! `adaptivefl-bench` crate for the experiment grids and the `sweep`
 //! binary that regenerates every table and figure of the paper.
 
+#![forbid(unsafe_code)]
+
 /// Simulated federated transport: wire messages, fault injection,
 /// round deadlines, parallel client execution.
 pub use adaptivefl_comm as comm;

@@ -4,6 +4,10 @@
 //! numerics — initialisation, selection, aggregation, transport
 //! faults — shows up as a golden mismatch.
 //!
+//! `suite_passes_with_reference_kernels` reruns the suite under
+//! `TENSOR_NAIVE=1`, so one `cargo test` checks the goldens against the
+//! reference kernels as well.
+//!
 //! To regenerate after an *intentional* numerical change:
 //!
 //! ```text
@@ -18,6 +22,7 @@ use adaptivefl::core::select::SelectionStrategy;
 use adaptivefl::core::sim::{SimConfig, Simulation};
 use adaptivefl::data::{Partition, SynthSpec};
 use adaptivefl::models::ModelConfig;
+use adaptivefl::tensor::ops::naive_kernels_forced;
 
 /// All seven method kinds of the comparison, in a fixed order.
 fn all_kinds() -> [MethodKind; 7] {
@@ -189,4 +194,28 @@ fn fingerprints_have_nine_decimals_and_method_names() {
         let decimals = loss.split('.').nth(1).map_or(0, str::len);
         assert_eq!(decimals, 9, "{line}");
     }
+}
+
+/// A plain `cargo test` runs this suite with the default kernels. This
+/// test reruns it once under `TENSOR_NAIVE=1`, so the reference kernels
+/// must reproduce the same goldens.
+#[test]
+fn suite_passes_with_reference_kernels() {
+    if naive_kernels_forced() || std::env::var_os("UPDATE_GOLDENS").is_some() {
+        // This process is the reference-kernel run, or a regeneration
+        // that is writing the goldens the rerun would read.
+        return;
+    }
+    let me = "suite_passes_with_reference_kernels";
+    let out = std::process::Command::new(std::env::current_exe().expect("test binary path"))
+        .env("TENSOR_NAIVE", "1")
+        .args(["--skip", me])
+        .output()
+        .expect("rerun the suite");
+    assert!(
+        out.status.success(),
+        "suite failed under TENSOR_NAIVE=1:\n{}{}",
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr)
+    );
 }
