@@ -44,10 +44,7 @@ impl AdaptiveFl {
             .pool
             .entries()
             .iter()
-            .map(|e| {
-                let prune = env.pool.prune_plan(e.index).clone();
-                Arch::new(env, e.name(), model.full_blueprint(&e.plan), Some(prune))
-            })
+            .map(|e| Arch::new(env, e.name(), model.full_blueprint(&e.plan)))
             .collect();
         AdaptiveFl {
             global: env.fresh_global(),

@@ -26,7 +26,7 @@ impl AllLarge {
         let blueprint = env.cfg.model.full_blueprint(&l1.plan);
         AllLarge {
             global: env.fresh_global(),
-            full: [Arch::new(env, l1.name(), blueprint, None)],
+            full: [Arch::new(env, l1.name(), blueprint)],
         }
     }
 }

@@ -27,7 +27,7 @@ impl Decoupled {
             .pool
             .level_representatives()
             .into_iter()
-            .map(|rep| Arch::new(env, rep.name(), model.full_blueprint(&rep.plan), None))
+            .map(|rep| Arch::new(env, rep.name(), model.full_blueprint(&rep.plan)))
             .collect();
         let globals = levels
             .iter()

@@ -15,7 +15,6 @@ use crate::methods::{
     assign_by_class, evaluate_levels, uniform_plan, Arch, Assignments, Fit, RoundHooks,
 };
 use crate::metrics::EvalRecord;
-use crate::prune::PrunePlan;
 use crate::sim::Env;
 
 /// Uniform width ratios per level: 1.0× / 0.5× / 0.25× model size,
@@ -37,9 +36,8 @@ impl HeteroFl {
         let levels = WIDTH_RATIOS
             .iter()
             .map(|&(name, r)| {
-                let plan = uniform_plan(model, r);
-                let prune = PrunePlan::new(model, &plan);
-                Arch::new(env, name.into(), model.full_blueprint(&plan), Some(prune))
+                let bp = model.full_blueprint(&uniform_plan(model, r));
+                Arch::new(env, name.into(), bp)
             })
             .collect();
         HeteroFl {

@@ -27,10 +27,10 @@ use std::ops::Range;
 use adaptivefl_device::DeviceClass;
 use adaptivefl_models::cost::cost_of;
 use adaptivefl_models::{Blueprint, ModelConfig, Network, PruneSpec, WidthPlan};
-use adaptivefl_nn::layer::LayerExt;
+use adaptivefl_nn::layer::{Layer, LayerExt};
 use adaptivefl_nn::metrics::RunningMean;
 use adaptivefl_nn::ParamMap;
-use adaptivefl_tensor::Tensor;
+use adaptivefl_tensor::{SliceSpec, Tensor};
 use rand::seq::SliceRandom;
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
@@ -41,7 +41,6 @@ use crate::checkpoint::MethodState;
 use crate::error::CoreError;
 use crate::executor::map_ordered_with;
 use crate::metrics::{EvalRecord, RoundRecord};
-use crate::prune::PrunePlan;
 use crate::rl::{RlState, PAPER_REWARD_CAP};
 use crate::select::SelectionStrategy;
 use crate::sim::Env;
@@ -268,15 +267,14 @@ impl std::fmt::Display for MethodKind {
     }
 }
 
-/// One submodel a method dispatches: how to build it, how to cut it
-/// out of the server's weights, and what it costs.
+/// One submodel a method dispatches: how to build it and what it
+/// costs. Its blueprint also fixes which part of the server's weights
+/// it takes: the prefix block of each weight in the submodel's own
+/// parameter shape (paper §3.2).
 pub(crate) struct Arch {
     /// Level name in evaluation records (`S_1`, …).
     pub(crate) name: String,
     pub(crate) blueprint: Blueprint,
-    /// Extraction table from the server weights; `None` loads them
-    /// whole.
-    pub(crate) prune: Option<PrunePlan>,
     /// Parameters moved per transfer, down or up.
     pub(crate) params: u64,
     /// Training MACs per sample, computed once here rather than per
@@ -285,12 +283,11 @@ pub(crate) struct Arch {
 }
 
 impl Arch {
-    pub(crate) fn new(env: &Env, name: String, bp: Blueprint, prune: Option<PrunePlan>) -> Self {
+    pub(crate) fn new(env: &Env, name: String, bp: Blueprint) -> Self {
         let cost = cost_of(&bp, env.cfg.model.input);
         Arch {
             name,
             blueprint: bp,
-            prune,
             params: cost.params,
             macs: cost.macs,
         }
@@ -300,9 +297,14 @@ impl Arch {
     /// [`Network::build`] on it would: that build draws one word per
     /// weight element (`init::kaiming_uniform`), so the build here
     /// starts from zeros, counts the elements and skips that many
-    /// words (DESIGN.md §5, rule 3). Each weight, or its pruned block,
-    /// is then copied into the zero-built tensor, so every parameter is
-    /// allocated once.
+    /// words (DESIGN.md §5, rule 3). Each parameter then copies the
+    /// prefix block of its shape out of the same-named server weight,
+    /// so every parameter is allocated once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `weights` lacks one of the submodel's parameters, or
+    /// if a block does not nest in its server weight.
     fn load(&self, weights: &ParamMap, rng: &mut ChaCha8Rng) -> Network {
         let mut drawn = 0u64;
         let mut net = Network::build_with(&self.blueprint, |shape, _| {
@@ -311,10 +313,15 @@ impl Arch {
             zeros
         });
         rng.skip_words(drawn);
-        match &self.prune {
-            Some(prune) => prune.extract_into(weights, &mut net),
-            None => net.load_param_map(weights),
-        }
+        net.visit_params_mut(
+            "",
+            &mut |name: &str, _, value: &mut Tensor, _: &mut Tensor| {
+                let full = weights
+                    .get(name)
+                    .unwrap_or_else(|| panic!("server weights lack parameter {name}"));
+                SliceSpec::new(value.shape().to_vec()).extract_into(full, value);
+            },
+        );
         net
     }
 }
@@ -617,20 +624,18 @@ pub(crate) fn evaluate_levels<'a>(
 mod tests {
     use super::*;
     use adaptivefl_data::{Partition, SynthSpec};
-    use adaptivefl_nn::layer::Layer;
     use adaptivefl_tensor::{init, rng};
     use rand::RngCore;
 
+    use crate::prune::PrunePlan;
     use crate::sim::{SimConfig, Simulation};
 
     /// The load that `Arch::load` must match: a Kaiming build on `rng`,
-    /// then every weight overwritten from the server's.
+    /// then every weight overwritten with the blueprint's blocks of the
+    /// server's.
     fn reference_load(arch: &Arch, weights: &ParamMap, rng: &mut ChaCha8Rng) -> Network {
         let mut net = Network::build(&arch.blueprint, rng);
-        match &arch.prune {
-            Some(prune) => net.load_param_map(&prune.extract(weights)),
-            None => net.load_param_map(weights),
-        }
+        net.load_param_map(&PrunePlan::from_shapes(&arch.blueprint.shapes()).extract(weights));
         net
     }
 
@@ -706,14 +711,47 @@ mod tests {
             assert_eq!(adaptive.parts().0.len(), env.pool.entries().len());
             assert_method_loads_match(env, &mut adaptive);
             assert_method_loads_match(env, &mut Decoupled::new(env));
+            assert_method_loads_match(env, &mut HeteroFl::new(env));
+            assert_method_loads_match(env, &mut AllLarge::new(env));
 
             // ScaleFL's levels, then the complete multi-exit model its
             // evaluation loads.
             let mut scalefl = ScaleFl::new(env);
             assert_method_loads_match(env, &mut scalefl);
             let bp = model.blueprint(&model.full_plan(), model.max_depth(), true);
-            let full = Arch::new(env, "full".into(), bp, None);
+            let full = Arch::new(env, "full".into(), bp);
             assert_load_matches(env, &full, &scalefl.parts().1[0], 17);
         }
+    }
+
+    fn tiny_sim() -> Simulation {
+        Simulation::prepare(
+            &SimConfig::quick_test(5),
+            &SynthSpec::test_spec(4),
+            Partition::Iid,
+        )
+    }
+
+    #[test]
+    #[should_panic(expected = "server weights lack parameter")]
+    fn load_rejects_weights_that_lack_a_parameter() {
+        let sim = tiny_sim();
+        let global = sim.env().fresh_global();
+        let last = global.names().last().expect("a parameter").to_string();
+        let weights: ParamMap = global.into_iter().filter(|(n, _)| *n != last).collect();
+        AllLarge::new(sim.env()).parts().0[0].load(&weights, &mut rng::seeded(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit in shape")]
+    fn load_rejects_a_weight_too_small_for_its_block() {
+        // The full model `L_1`, loaded from an `S_1`-shaped map.
+        let sim = tiny_sim();
+        let env = sim.env();
+        let s1 = env
+            .cfg
+            .model
+            .build(&env.pool.entry(0).plan, &mut rng::seeded(1));
+        AllLarge::new(env).parts().0[0].load(&s1.param_map(), &mut rng::seeded(2));
     }
 }

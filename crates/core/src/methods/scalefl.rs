@@ -17,7 +17,6 @@ use crate::methods::{
     assign_by_class, evaluate_levels, uniform_plan, Arch, Assignments, Fit, RoundHooks,
 };
 use crate::metrics::EvalRecord;
-use crate::prune::PrunePlan;
 use crate::sim::Env;
 
 /// Distillation weight of the early exits toward the final exit.
@@ -51,14 +50,13 @@ impl ScaleFl {
             .iter()
             .map(|&(name, r, depth)| {
                 let bp = cfg.blueprint(&uniform_plan(cfg, r), depth, true);
-                let prune = PrunePlan::from_shapes(&bp.shapes());
-                Arch::new(env, name.into(), bp, Some(prune))
+                Arch::new(env, name.into(), bp)
             })
             .collect();
 
         // Global = full width, full depth, all exits.
         let bp = cfg.blueprint(&cfg.full_plan(), d, true);
-        let full = Arch::new(env, "full".into(), bp, None);
+        let full = Arch::new(env, "full".into(), bp);
         let mut rng = adaptivefl_tensor::rng::derived(env.cfg.seed, "scalefl-init");
         let global = Network::build(&full.blueprint, &mut rng).param_map();
         ScaleFl {

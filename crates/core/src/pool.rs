@@ -78,7 +78,9 @@ impl PoolEntry {
 /// The ordered pool of `2p+1` nested submodels.
 ///
 /// Each entry carries a precomputed [`PrunePlan`] (index-aligned with
-/// `entries`) so per-round extraction never rebuilds the shape table.
+/// `entries`) for code that extracts a submodel as a map of its own.
+/// Rounds do not: a client's network copies its blocks straight from
+/// the server's weights.
 #[derive(Debug, Clone)]
 pub struct ModelPool {
     entries: Vec<PoolEntry>,

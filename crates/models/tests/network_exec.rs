@@ -323,6 +323,62 @@ fn inference_equals_training_forward_and_caches_nothing() {
     }
 }
 
+/// FNV-1a over the bits of `values`, continuing from `hash`.
+fn fnv1a(mut hash: u64, values: &[f32]) -> u64 {
+    for byte in values.iter().flat_map(|v| v.to_bits().to_le_bytes()) {
+        hash ^= u64::from(byte);
+        hash = hash.wrapping_mul(0x0100_0000_01b3);
+    }
+    hash
+}
+
+/// The checks above relate two runs of the same kernels, so an error
+/// both runs share passes them. This one pins absolute bits: one SGD
+/// step on a fixed batch, then an sBN forward, hashed (FNV-1a of the
+/// logits, then of every parameter in visit order) against constants
+/// recorded before any kernel they exercise was rewritten.
+#[test]
+fn one_step_then_inference_matches_pinned_bits() {
+    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    let cases = [
+        (
+            "vgg16-fast",
+            ModelConfig::vgg16_fast(10),
+            0x3178_b6cc_16b4_7933,
+            0xc1b7_fda9_d1c5_afad,
+        ),
+        (
+            "resnet18-fast",
+            ModelConfig::resnet18_fast(10),
+            0x6023_1f37_c703_cb7c,
+            0x7423_7b78_064c_0989,
+        ),
+        (
+            "mobilenetv2-fast",
+            ModelConfig::mobilenet_v2_fast(10),
+            0x6fa0_5fcd_0242_8927,
+            0xec9d_bddf_ca4a_5c9f,
+        ),
+    ];
+    for (what, cfg, want_logits, want_params) in cases {
+        let mut r = rng::seeded(24);
+        let mut net = cfg.build(&cfg.full_plan(), &mut r);
+        let (c, h, w) = cfg.input;
+        let x = init::normal(&[5, c, h, w], 1.0, &mut r);
+        let labels = [0usize, 3, 6, 9, 2];
+        net.zero_grads();
+        let logits = net.forward(x.clone(), true);
+        let _ = net.backward(softmax_cross_entropy(&logits, &labels).dlogits);
+        Sgd::new(0.05, 0.9).step(&mut net);
+        let logits = fnv1a(OFFSET, net.forward(x, false).as_slice());
+        let params = net
+            .param_map()
+            .iter()
+            .fold(OFFSET, |hash, (_, t)| fnv1a(hash, t.as_slice()));
+        assert_eq!((logits, params), (want_logits, want_params), "{what}");
+    }
+}
+
 /// A plain `cargo test` runs this suite with the default kernels. This
 /// test reruns it once under `TENSOR_NAIVE=1`, so the reference kernels
 /// are checked by the same cases.

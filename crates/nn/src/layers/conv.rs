@@ -33,8 +33,8 @@ pub struct Conv2d {
 #[derive(Debug)]
 struct ForwardCache {
     /// The minibatch's column matrix from `conv2d_forward`:
-    /// `[c_in·k·k, n·oh·ow]`, or `[c_in, n]` when only the centre tap
-    /// reads the input (a 1×1 plane with `k = 2·pad + 1`).
+    /// `[c_in·L, n·oh·ow]` over the `L` taps that read the input at
+    /// some output (all `k·k` unless the plane is small).
     cols: Tensor,
     in_shape: Vec<usize>,
 }

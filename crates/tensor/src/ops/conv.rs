@@ -2,11 +2,12 @@
 //!
 //! Input layout is NCHW. Each layer is lowered **once per minibatch**:
 //! every sample's receptive fields are unfolded into one column matrix
-//! `cols` of shape `[K, n·P]` (`K = c_in·kh·kw`, `P = oh·ow`; sample `i`
-//! owns columns `i·P..(i+1)·P`), so the forward pass is a single
-//! `W₂d · cols` and the input gradient a single `W₂dᵀ · dY`. The unfold
-//! and its adjoint fold walk a map of contiguous runs per kernel tap,
-//! built once per call, in place of per-element bounds checks.
+//! `cols` of shape `[K, n·P]` (`K = c_in·L` for the `L` live taps,
+//! `P = oh·ow`; sample `i` owns columns `i·P..(i+1)·P`), so the forward
+//! pass is a single `W₂d · cols` and the input gradient a single
+//! `W₂dᵀ · dY`. The unfold and its adjoint fold walk a map of contiguous
+//! runs per kernel tap, built once per call, in place of per-element
+//! bounds checks.
 //!
 //! Widening the B operand of a matrix product leaves every output
 //! element's k-chain (and the zero-skip on `W`) untouched, so the results
@@ -14,11 +15,12 @@
 //! gradients keep their per-sample accumulation order (see
 //! [`conv2d_backward`] and DESIGN.md §10).
 //!
-//! A square `(2·pad + 1)` kernel over a 1×1 plane reads padding at every
-//! tap but the centre. Such a layer is lowered as the pointwise conv of
-//! its centre tap `W[:, :, pad, pad]`, with `cols` of shape `[c_in, n]`;
-//! the padding taps' only observable effect, NaN from `∞·0`, is applied
-//! as a row rule (DESIGN.md §10, "Taps that read only padding").
+//! A tap is dead when it reads padding at every output, as all taps but
+//! the centre do when a square `(2·pad + 1)` kernel meets a 1×1 plane.
+//! Dead taps are left out of the lowering: their rows of `cols` would
+//! hold only `+0.0`. Their only observable effect, NaN from `∞·0`, is
+//! applied as a rule per output channel (DESIGN.md §10, "Taps that read
+//! only padding").
 
 use crate::ops::matmul::{matmul, matmul_a_bt_segmented, transpose};
 use crate::Tensor;
@@ -80,35 +82,18 @@ pub struct Conv2dGrads {
     pub db: Tensor,
 }
 
-/// A 1×1 kernel at stride 1 without padding.
-const POINTWISE: ConvGeometry = ConvGeometry {
-    kh: 1,
-    kw: 1,
-    stride: 1,
-    pad: 0,
-};
-
-/// `true` when every tap but the centre reads padding: a 1×1 plane under
-/// a square `(2·pad + 1)` kernel with `pad > 0`. The output is then 1×1
-/// at any stride, and the layer is the pointwise conv of its centre tap.
-fn centre_only(geo: ConvGeometry, h: usize, w: usize) -> bool {
-    (h, w) == (1, 1) && geo.pad > 0 && geo.kh == 2 * geo.pad + 1 && geo.kw == geo.kh
-}
-
-/// The matrix a layer is lowered with and the geometry of its columns:
-/// `W₂d = [c_out, c_in·kh·kw]` under `geo`, or, for a [`centre_only`]
-/// layer, the centre taps `W[:, :, pad, pad]` as `[c_out, c_in]`
-/// (one strided copy) under [`POINTWISE`].
-fn lowering(weight: &Tensor, geo: ConvGeometry, h: usize, w: usize) -> (Tensor, ConvGeometry) {
+/// The matrix `W₂d = [c_out, c_in·L]` a layer is lowered with, over the
+/// `L` live taps of `map`: a reshape of `weight` when every tap is live,
+/// else a gather of the live taps' columns.
+fn lowering(weight: &Tensor, map: &TapRuns) -> Tensor {
     let ws = weight.shape();
     let (c_out, c_in, kk) = (ws[0], ws[1], ws[2] * ws[3]);
-    if centre_only(geo, h, w) {
-        let centre = geo.pad * geo.kw + geo.pad;
-        let wc = weight.as_slice()[centre..].iter().step_by(kk).copied();
-        (Tensor::from_vec(wc.collect(), &[c_out, c_in]), POINTWISE)
-    } else {
-        (weight.reshape(&[c_out, c_in * kk]), geo)
+    if map.live.len() == kk {
+        return weight.reshape(&[c_out, c_in * kk]);
     }
+    let taps = weight.as_slice().chunks_exact(kk);
+    let w2d = taps.flat_map(|taps| map.live.iter().map(|&t| taps[t]));
+    Tensor::from_vec(w2d.collect(), &[c_out, c_in * map.live.len()])
 }
 
 /// `true` if any element of `v` is `±∞` or NaN (one branch-free pass).
@@ -128,7 +113,8 @@ pub(super) struct Run {
 
 /// The im2col map of one `(h, w, geo)`, as runs per tap `(ki, kj)` in
 /// row-major tap order. Padding cells belong to no run, so a column
-/// matrix or input gradient that starts zeroed keeps `+0.0` there.
+/// matrix or input gradient that starts zeroed keeps `+0.0` there, and
+/// a tap that reads only padding (a dead tap) owns no run.
 /// Runs that continue each other (one output row's end meets the next
 /// row's start, in the output and in the input) are merged, so a
 /// pointwise layer's single tap is one run over the whole plane. The
@@ -138,6 +124,9 @@ pub(super) struct TapRuns {
     runs: Vec<Run>,
     /// Tap `t` owns `runs[starts[t]..starts[t + 1]]`.
     starts: Vec<usize>,
+    /// The live taps, those that own a run, ascending. Row `r` of a
+    /// column matrix is input channel `r / L`, tap `live[r % L]`.
+    live: Vec<usize>,
     stride: usize,
     /// Input cells per plane, `h·w`.
     hw: usize,
@@ -185,17 +174,17 @@ impl TapRuns {
             }
         }
         starts.push(runs.len());
+        let live = (0..geo.kh * geo.kw)
+            .filter(|&t| starts[t] < starts[t + 1])
+            .collect();
         TapRuns {
             runs,
             starts,
+            live,
             stride: s,
             hw: h * w,
             p: oh * ow,
         }
-    }
-
-    fn taps(&self) -> usize {
-        self.starts.len() - 1
     }
 
     pub(super) fn tap(&self, t: usize) -> &[Run] {
@@ -203,7 +192,8 @@ impl TapRuns {
     }
 
     /// `true` when the map is one tap whose one run is the whole plane:
-    /// a pointwise layer, or a [`centre_only`] one.
+    /// a pointwise layer, or a 1×1 plane under a square `(2·pad + 1)`
+    /// kernel, whose only live tap is the centre.
     fn whole_plane(&self) -> bool {
         self.runs
             == [Run {
@@ -215,10 +205,10 @@ impl TapRuns {
     }
 
     /// Unfolds the batch `x` `[n, c, h, w]` into the zeroed column
-    /// matrix `cols` `[c·kh·kw, n·P]`, sample `i` in columns
-    /// `i·P..(i + 1)·P`.
+    /// matrix `cols` `[c·L, n·P]` of the `L` live taps, sample `i` in
+    /// columns `i·P..(i + 1)·P`.
     fn im2col(&self, x: &[f32], n: usize, c: usize, cols: &mut [f32]) {
-        let (hw, p, s, taps) = (self.hw, self.p, self.stride, self.taps());
+        let (hw, p, s, taps) = (self.hw, self.p, self.stride, self.live.len());
         if n * p == 0 || hw == 0 {
             return;
         }
@@ -232,7 +222,7 @@ impl TapRuns {
             return;
         }
         for (r, row) in cols.chunks_exact_mut(n * p).enumerate() {
-            let (ci, t) = (r / taps, r % taps);
+            let (ci, t) = (r / taps, self.live[r % taps]);
             for run in self.tap(t) {
                 let (p0, q0, len) = (run.p, ci * hw + run.q, run.len);
                 for (block, sample) in row.chunks_exact_mut(p).zip(x.chunks_exact(c * hw)) {
@@ -249,13 +239,13 @@ impl TapRuns {
         }
     }
 
-    /// Folds the column matrix `dcols` `[c·kh·kw, n·P]` into the zeroed
+    /// Folds the column matrix `dcols` `[c·L, n·P]` into the zeroed
     /// batch gradient `dx` `[n, c, h, w]` (adjoint of
     /// [`TapRuns::im2col`]). Each input cell takes its taps' terms in
     /// `(ki, kj)` order, added onto its `+0.0`: an add, not a copy, even
     /// where one tap covers the cell, since `+0.0 + -0.0` is `+0.0`.
     fn col2im(&self, dcols: &[f32], n: usize, c: usize, dx: &mut [f32]) {
-        let (hw, p, s, taps) = (self.hw, self.p, self.stride, self.taps());
+        let (hw, p, s, taps) = (self.hw, self.p, self.stride, self.live.len());
         if n * p == 0 || hw == 0 {
             return;
         }
@@ -272,7 +262,7 @@ impl TapRuns {
             return;
         }
         for (r, row) in dcols.chunks_exact(n * p).enumerate() {
-            let (ci, t) = (r / taps, r % taps);
+            let (ci, t) = (r / taps, self.live[r % taps]);
             for run in self.tap(t) {
                 let (p0, q0, len) = (run.p, ci * hw + run.q, run.len);
                 for (block, sample) in row.chunks_exact(p).zip(dx.chunks_exact_mut(c * hw)) {
@@ -299,12 +289,11 @@ impl TapRuns {
 /// * `bias` — `[c_out]`
 ///
 /// Returns the output `[n, c_out, oh, ow]` and the batch column matrix
-/// `[K, n·oh·ow]` needed by [`conv2d_backward`]. `K` is `c_in·kh·kw`,
-/// or `c_in` when only the centre tap reads the input (a 1×1 plane
-/// under a square `(2·pad + 1)` kernel): such a layer runs as the
-/// pointwise conv of `W[:, :, pad, pad]`, and an output row `co` is NaN
-/// wherever an off-centre weight of `co` is non-finite (`∞·0`), exactly
-/// as the full lowering computes it.
+/// `[K, n·oh·ow]` needed by [`conv2d_backward`]. `K` is `c_in·L` for
+/// the `L` taps that read the input at some output: a tap that reads
+/// only padding (dead) is left out. All of output channel `co` is NaN
+/// if any dead-tap weight of `co` is non-finite (`∞·0`), exactly as the
+/// full lowering computes it.
 ///
 /// # Panics
 ///
@@ -323,12 +312,13 @@ pub fn conv2d_forward(
     assert_eq!((kh, kw), (geo.kh, geo.kw), "kernel/geometry mismatch");
     assert_eq!(bias.numel(), c_out, "bias size mismatch");
     let (oh, ow) = geo.out_hw(h, w);
-    let (w2d, lgeo) = lowering(weight, geo, h, w);
+    let map = TapRuns::new(h, w, geo);
+    let w2d = lowering(weight, &map);
     let (k, p) = (w2d.shape()[1], oh * ow);
     let np = n * p;
 
     let mut cols = vec![0.0f32; k * np];
-    TapRuns::new(h, w, lgeo).im2col(x.as_slice(), n, c_in, &mut cols);
+    map.im2col(x.as_slice(), n, c_in, &mut cols);
     let cols = Tensor::from_vec(cols, &[k, np]);
     let y = matmul(&w2d, &cols); // [c_out, n·P]
 
@@ -343,18 +333,17 @@ pub fn conv2d_forward(
             }
         }
     }
-    if lgeo != geo {
-        // The full lowering adds `w·(+0.0)` per padding tap: a no-op on
-        // a chain that starts at `+0.0`, unless `w` is `±∞` or NaN.
-        let centre = geo.pad * kw + geo.pad;
+    if map.live.len() < kh * kw {
+        // The full lowering adds `w·(+0.0)` per dead tap at every
+        // output: a no-op on a chain that starts at `+0.0`, unless `w`
+        // is `±∞` or NaN.
         for (co, row) in weight.as_slice().chunks_exact(c_in * kh * kw).enumerate() {
+            let mut taps = row.iter().enumerate();
             let poisoned = any_non_finite(row)
-                && row.chunks_exact(kh * kw).any(|taps| {
-                    any_non_finite(&taps[..centre]) || any_non_finite(&taps[centre + 1..])
-                });
+                && taps.any(|(i, w)| !w.is_finite() && map.tap(i % (kh * kw)).is_empty());
             if poisoned {
                 for ni in 0..n {
-                    out[ni * c_out + co] = f32::NAN;
+                    out[(ni * c_out + co) * p..][..p].fill(f32::NAN);
                 }
             }
         }
@@ -373,11 +362,10 @@ pub fn conv2d_forward(
 /// sample order onto a `+0.0` start, exactly as `n` separate per-sample
 /// backward passes summed into a zeroed gradient would.
 ///
-/// A layer whose taps read only padding but the centre (see
-/// [`conv2d_forward`]) runs as its centre-tap pointwise conv: `dx` is
-/// `W_cᵀ · dY`, the centre taps of `dw` are the pointwise `dw`, and
-/// every off-centre tap of row `co` is `+0.0`, or NaN if any `dY` of
-/// channel `co` is non-finite (`∞·0`), as the full lowering computes.
+/// Dead taps (see [`conv2d_forward`]) are left out of `W₂d` and `cols`
+/// here too. Their entries of `dw` row `co` are `+0.0`, or NaN once any
+/// `dY` of channel `co` is non-finite (`∞·0`), as the full lowering
+/// computes them.
 ///
 /// # Panics
 ///
@@ -415,7 +403,8 @@ pub fn conv2d_backward(
         (oh, ow),
         "conv backward: dy spatial size does not match in_shape"
     );
-    let (w2d, lgeo) = lowering(weight, geo, h, w);
+    let map = TapRuns::new(h, w, geo);
+    let w2d = lowering(weight, &map);
     let (k, p) = (w2d.shape()[1], oh * ow);
     let np = n * p;
     assert_eq!(
@@ -438,7 +427,7 @@ pub fn conv2d_backward(
     // dcols = W₂dᵀ · dY in one product, then one fold for the batch.
     let dcols = matmul(&transpose(&w2d), &dyg); // [K, n·P]
     let mut dx = vec![0.0f32; n * c_in * h * w];
-    TapRuns::new(h, w, lgeo).col2im(dcols.as_slice(), n, c_in, &mut dx);
+    map.col2im(dcols.as_slice(), n, c_in, &mut dx);
 
     // dW = ((+0.0 + dY₀·cols₀ᵀ) + dY₁·cols₁ᵀ) + …, one segment per
     // sample; db likewise, from per-sample row sums.
@@ -450,23 +439,22 @@ pub fn conv2d_backward(
             db.as_mut_slice()[co] += row.iter().sum::<f32>();
         }
     }
-    let dw = if lgeo == geo {
+    let kk = ws[2] * ws[3];
+    let dw = if map.live.len() == kk {
         dw2d.reshape(&ws)
     } else {
-        // Each padding tap's sum is `+0.0 + dY·(+0.0)`: `+0.0`, or NaN
+        // Each dead tap's sum is `+0.0 + dY·(+0.0)`: `+0.0`, or NaN
         // once a `dY` of its row is non-finite.
-        let (kk, centre) = (ws[2] * ws[3], geo.pad * ws[3] + geo.pad);
+        let (live, dws) = (&map.live, dw2d.as_slice());
         let mut dw = vec![0.0f32; c_out * c_in * kk];
-        let rows = dw.chunks_exact_mut(c_in * kk);
-        for ((row, dyr), dwc) in rows
-            .zip(dyg.as_slice().chunks_exact(np))
-            .zip(dw2d.as_slice().chunks_exact(c_in))
-        {
-            if any_non_finite(dyr) {
+        for (co, row) in dw.chunks_exact_mut(c_in * kk).enumerate() {
+            if any_non_finite(&dyg.as_slice()[co * np..][..np]) {
                 row.fill(f32::NAN);
             }
-            for (taps, &v) in row.chunks_exact_mut(kk).zip(dwc) {
-                taps[centre] = v;
+            for (ci, taps) in row.chunks_exact_mut(kk).enumerate() {
+                for (j, &t) in live.iter().enumerate() {
+                    taps[t] = dws[(co * c_in + ci) * live.len() + j];
+                }
             }
         }
         Tensor::from_vec(dw, &ws)
@@ -487,6 +475,14 @@ pub(super) fn nchw(t: &Tensor) -> (usize, usize, usize, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A 1×1 kernel at stride 1 without padding.
+    const POINTWISE: ConvGeometry = ConvGeometry {
+        kh: 1,
+        kw: 1,
+        stride: 1,
+        pad: 0,
+    };
 
     fn geo3() -> ConvGeometry {
         ConvGeometry {
@@ -692,7 +688,7 @@ mod tests {
         // one run; the top-left tap starts at output (1, 1), one run per
         // output row; the top-centre tap's rows continue each other.
         let runs = TapRuns::new(3, 4, geo3());
-        assert_eq!(runs.taps(), 9);
+        assert_eq!(runs.live, (0..9).collect::<Vec<_>>());
         assert_eq!(
             runs.tap(4),
             [Run {
@@ -740,6 +736,11 @@ mod tests {
                 }
             ]
         );
+        // On a 2×2 plane at stride 2 the one output reads padding at
+        // every tap of the top row and the left column: those are dead.
+        let runs = TapRuns::new(2, 2, g2);
+        assert_eq!(runs.live, [4, 5, 7, 8]);
+        assert!(runs.tap(0).is_empty() && runs.tap(6).is_empty());
     }
 
     #[test]

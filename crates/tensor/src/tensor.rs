@@ -275,11 +275,6 @@ impl Tensor {
             .map(|(i, _)| i)
     }
 
-    /// Returns `true` if any element is NaN or infinite.
-    pub fn has_non_finite(&self) -> bool {
-        self.data.iter().any(|x| !x.is_finite())
-    }
-
     /// Matrix product of two 2-D tensors (see [`crate::ops::matmul`]).
     ///
     /// # Panics
@@ -372,14 +367,6 @@ mod tests {
         let i = Tensor::eye(2);
         assert_eq!(a.matmul(&i).as_slice(), a.as_slice());
         assert_eq!(i.matmul(&a).as_slice(), a.as_slice());
-    }
-
-    #[test]
-    fn non_finite_detection() {
-        let mut t = Tensor::zeros(&[2]);
-        assert!(!t.has_non_finite());
-        t.as_mut_slice()[1] = f32::NAN;
-        assert!(t.has_non_finite());
     }
 
     #[test]

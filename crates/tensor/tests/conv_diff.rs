@@ -353,53 +353,57 @@ fn pointwise_layers_with_signed_zeros_are_bit_equal() {
     }
 }
 
-/// k×k kernels over a 1×1 plane with `k = 2·pad + 1`, which run as the
-/// pointwise conv of their centre tap. The per-sample oracle multiplies
-/// every padding tap by `+0.0`, so a non-finite weight that sits only
-/// off-centre must still make its output row NaN, and a single `±∞` or
-/// NaN in a row of `dy` must still make that row's off-centre `dW` NaN.
+/// Layers with dead taps, which read only padding: k×k kernels over a
+/// 1×1 plane with `k = 2·pad + 1`, whose only live tap is the centre,
+/// and ResNet18-fast's first `layer6` conv (3×3, stride 2, on a 2×2
+/// plane; taps 4, 5, 7 and 8 live). The per-sample oracle multiplies
+/// every dead tap by `+0.0`, so a non-finite weight that sits only at a
+/// dead tap must still make its output channel NaN, and a single `±∞`
+/// or NaN in a channel of `dy` must still make that channel's dead-tap
+/// `dW` NaN.
 #[test]
 fn centre_tap_layers_are_bit_equal() {
+    // (plane side, k, pad, stride, the tap poisoned in rows 0..4 of the
+    // weight: in input channel 0, the last one, the last one, then 0).
+    let mut cases = Vec::new();
     for (k, pad) in [(3, 1), (5, 2)] {
         for stride in [1, 2] {
-            let geo = ConvGeometry {
-                kh: k,
-                kw: k,
-                stride,
-                pad,
-            };
             let centre = pad * k + pad;
-            for &n in &BATCHES {
-                for (c_in, c_out) in [(1, 1), (3, 8), (64, 64)] {
-                    let what = format!("{geo:?} n={n} c_in={c_in} c_out={c_out}");
-                    let seed = (k * 100 + stride * 10 + c_in) as u64 + n as u64;
-                    let x = fill(&[n, c_in, 1, 1], seed, Salt::Zeros);
-                    let mut weight = fill(&[c_out, c_in, k, k], seed ^ 0x5a5a, Salt::Zeros);
-                    let bias = fill(&[c_out], seed ^ 0x3c3c, Salt::Zeros);
-                    let mut dy = fill(&[n, c_out, 1, 1], seed ^ 0xa5a5, Salt::Zeros);
-                    // Row co's only non-finite weight: off-centre in rows
-                    // 0..3 (tap `co`, then the last tap of the last input
-                    // channel), at the centre in row 3.
-                    let kk = k * k;
-                    let row = c_in * kk;
-                    let w = weight.as_mut_slice();
-                    let poison = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN, f32::INFINITY];
-                    for (co, v) in poison.into_iter().enumerate().take(c_out) {
-                        let at = match co {
-                            0 => 0,
-                            1 => row - 1,
-                            2 => (c_in - 1) * kk + centre + 1,
-                            _ => centre,
-                        };
-                        w[co * row + at] = v;
-                    }
-                    // One non-finite `dy` per poisoned row, in the last
-                    // sample: ∞ in channel 0, NaN in the last channel.
-                    let d = dy.as_mut_slice();
-                    d[(n - 1) * c_out] = f32::INFINITY;
-                    d[n * c_out - 1] = f32::NAN;
-                    compare(geo, &x, &weight, &bias, &dy, &what);
+            cases.push((1, k, pad, stride, [0, k * k - 1, centre + 1, centre]));
+        }
+    }
+    cases.push((2, 3, 1, 2, [0, 6, 3, 2]));
+    for (side, k, pad, stride, taps) in cases {
+        let geo = ConvGeometry {
+            kh: k,
+            kw: k,
+            stride,
+            pad,
+        };
+        for &n in &BATCHES {
+            for (c_in, c_out) in [(1, 1), (3, 8), (64, 64)] {
+                let what = format!("{geo:?} side={side} n={n} c_in={c_in} c_out={c_out}");
+                let seed = ((side - 1) * 1000 + k * 100 + stride * 10 + c_in) as u64 + n as u64;
+                let x = fill(&[n, c_in, side, side], seed, Salt::Zeros);
+                let mut weight = fill(&[c_out, c_in, k, k], seed ^ 0x5a5a, Salt::Zeros);
+                let bias = fill(&[c_out], seed ^ 0x3c3c, Salt::Zeros);
+                // Every case has a 1×1 output.
+                let mut dy = fill(&[n, c_out, 1, 1], seed ^ 0xa5a5, Salt::Zeros);
+                // Row co's only non-finite weight.
+                let kk = k * k;
+                let row = c_in * kk;
+                let w = weight.as_mut_slice();
+                let poison = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN, f32::INFINITY];
+                for (co, v) in poison.into_iter().enumerate().take(c_out) {
+                    let channel = if co == 1 || co == 2 { c_in - 1 } else { 0 };
+                    w[co * row + channel * kk + taps[co]] = v;
                 }
+                // One non-finite `dy` per poisoned row, in the last
+                // sample: ∞ in channel 0, NaN in the last channel.
+                let d = dy.as_mut_slice();
+                d[(n - 1) * c_out] = f32::INFINITY;
+                d[n * c_out - 1] = f32::NAN;
+                compare(geo, &x, &weight, &bias, &dy, &what);
             }
         }
     }
