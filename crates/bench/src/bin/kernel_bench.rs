@@ -7,13 +7,17 @@
 //! kernel's post-check meet), `dW = dYᵀ·X` being `matmul` on a
 //! transposed `dY`; the Linear forward `X·Wᵀ` of VGG16-fast; and the
 //! segmented `A·Bᵀ` of the conv weight gradient at one and sixteen
+//! pixels per sample, and at the shapes of MobileNetV2 ×0.5's (the fig6
+//! test-bed model's) 1×1 convs at training batch 16, with 1, 4 and 16
 //! pixels per sample. Each shape is bit-checked against the reference.
-//! Then the depthwise forward and backward of every depthwise layer of
-//! MobileNetV2 ×0.5 (the fig6 test-bed model) at training batch 16, one
-//! heterogeneous aggregation round and one full local training session
-//! each of TinyCnn, VGG16-fast (the fig3 model) and MobileNetV2 ×0.5
-//! are timed. Results land in a JSON report (default
-//! `BENCH_KERNELS.json`, override with `--out PATH`).
+//! In the fig6 model at training batch 16, the depthwise forward and
+//! backward of every depthwise layer, a batch-norm forward and backward
+//! at every batch-norm shape and the per-sample transposes of the
+//! depthwise layers are timed; so are one heterogeneous aggregation
+//! round and one full local training session each of TinyCnn,
+//! VGG16-fast (the fig3 model), ResNet18-fast and MobileNetV2 ×0.5.
+//! Results land in a JSON report (default `BENCH_KERNELS.json`,
+//! override with `--out PATH`).
 //!
 //! Exits non-zero when the blocked kernel is not measurably faster
 //! than the reference on the largest matmul shape
@@ -36,8 +40,9 @@ use adaptivefl_core::pool::{ModelPool, DEFAULT_RATIOS};
 use adaptivefl_core::trace::NoopTracer;
 use adaptivefl_core::trainer::LocalTrainer;
 use adaptivefl_data::{SynthSpec, SynthTask};
-use adaptivefl_models::{Block, ModelConfig};
-use adaptivefl_nn::layer::LayerExt;
+use adaptivefl_models::{Block, ConvSpec, ModelConfig};
+use adaptivefl_nn::layer::{Layer, LayerExt};
+use adaptivefl_nn::layers::BatchNorm2d;
 use adaptivefl_tensor::ops::{
     depthwise_backward, depthwise_forward, matmul_a_bt_blocked, matmul_a_bt_reference,
     matmul_a_bt_segmented_blocked, matmul_a_bt_segmented_reference, matmul_blocked,
@@ -79,6 +84,27 @@ struct DepthwiseReport {
     backward_ns: u64,
 }
 
+/// One batch-norm shape of the fig6 model.
+#[derive(Debug, Serialize)]
+struct BatchNormReport {
+    batch: usize,
+    channels: usize,
+    /// Side of the square plane.
+    side: usize,
+    /// A training forward and its backward, copies of the input and
+    /// the output gradient included.
+    forward_backward_ns: u64,
+}
+
+/// One per-sample transpose of the fig6 depthwise layers.
+#[derive(Debug, Serialize)]
+struct TransposeReport {
+    rows: usize,
+    cols: usize,
+    /// `transpose` of a `[rows, cols]` matrix, allocation included.
+    transpose_ns: u64,
+}
+
 #[derive(Debug, Serialize)]
 struct SessionReport {
     model: String,
@@ -94,6 +120,8 @@ struct Report {
     largest_shape_speedup: f64,
     shapes: Vec<ShapeReport>,
     depthwise: Vec<DepthwiseReport>,
+    batchnorm: Vec<BatchNormReport>,
+    transposes: Vec<TransposeReport>,
     aggregation_round_us: u64,
     sessions: Vec<SessionReport>,
 }
@@ -149,7 +177,7 @@ fn half_zeros(t: Tensor) -> Tensor {
 
 /// A timed product; `A` is `[m, k]` and the output `[m, n]` unless
 /// noted.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum Op {
     /// `A·B`, `B [k, n]`.
     Matmul,
@@ -266,23 +294,22 @@ fn fig6_mobilenet() -> (ModelConfig, SynthSpec) {
     (model, widar)
 }
 
-/// Appends `(channels, side, stride)` of each depthwise conv in
-/// `blocks` on a `side`² input plane; returns the output side.
-fn depthwise_layers(
-    blocks: &[Block],
-    mut side: usize,
-    out: &mut Vec<(usize, usize, usize)>,
-) -> usize {
+/// One conv of the fig6 model with the sides of its input and output
+/// planes.
+type ConvLayer = (ConvSpec, usize, usize);
+
+/// Appends each conv of `blocks`, starting from a `side`² input;
+/// returns the output side.
+fn conv_layers(blocks: &[Block], mut side: usize, out: &mut Vec<ConvLayer>) -> usize {
     for b in blocks {
         match b {
             Block::Conv(c) => {
-                if c.depthwise {
-                    out.push((c.out_c, side, c.stride));
-                }
-                side = (side + 2 * c.pad - c.k) / c.stride + 1;
+                let out_side = (side + 2 * c.pad - c.k) / c.stride + 1;
+                out.push((c.clone(), side, out_side));
+                side = out_side;
             }
             Block::Residual { main, .. } | Block::LinearResidual { main } => {
-                side = depthwise_layers(main, side, out);
+                side = conv_layers(main, side, out);
             }
             _ => {}
         }
@@ -290,20 +317,29 @@ fn depthwise_layers(
     side
 }
 
-/// Depthwise forward and backward of every depthwise layer of the fig6
-/// model at training batch 16.
-fn bench_depthwise() -> Vec<DepthwiseReport> {
+/// Every conv of the fig6 model, in order.
+fn fig6_convs() -> Vec<ConvLayer> {
     let (model, _) = fig6_mobilenet();
     let mut layers = Vec::new();
     let mut side = model.input.1;
     for seg in &model.full_blueprint(&model.full_plan()).segments {
-        side = depthwise_layers(seg, side, &mut layers);
+        side = conv_layers(seg, side, &mut layers);
     }
-    let batch = 16;
-    let mut r = rng::seeded(64);
     layers
+}
+
+/// Training batch of the per-layer rows.
+const BATCH: usize = 16;
+
+/// Depthwise forward and backward of every depthwise layer of the fig6
+/// model at training batch 16.
+fn bench_depthwise() -> Vec<DepthwiseReport> {
+    let mut r = rng::seeded(64);
+    fig6_convs()
         .into_iter()
-        .map(|(c, side, stride)| {
+        .filter(|(c, _, _)| c.depthwise)
+        .map(|(spec, side, _)| {
+            let (c, stride) = (spec.out_c, spec.stride);
             let geo = ConvGeometry {
                 kh: 3,
                 kw: 3,
@@ -312,7 +348,7 @@ fn bench_depthwise() -> Vec<DepthwiseReport> {
             };
             let w = init::normal(&[c, 1, 3, 3], 0.5, &mut r);
             let b = init::normal(&[c], 0.5, &mut r);
-            let x = init::normal(&[batch, c, side, side], 1.0, &mut r);
+            let x = init::normal(&[BATCH, c, side, side], 1.0, &mut r);
             let y = depthwise_forward(&x, &w, &b, geo);
             let dy = init::normal(y.shape(), 1.0, &mut r);
             let (mut dw, mut db) = (Tensor::zeros(w.shape()), Tensor::zeros(&[c]));
@@ -324,7 +360,7 @@ fn bench_depthwise() -> Vec<DepthwiseReport> {
                 },
             ]);
             DepthwiseReport {
-                batch,
+                batch: BATCH,
                 channels: c,
                 side,
                 stride,
@@ -333,6 +369,94 @@ fn bench_depthwise() -> Vec<DepthwiseReport> {
             }
         })
         .collect()
+}
+
+/// `(channels, side)` of each distinct batch-norm plane of the fig6
+/// model, in order of first use.
+fn fig6_bn_shapes() -> Vec<(usize, usize)> {
+    let mut shapes = Vec::new();
+    for (c, _, out_side) in fig6_convs() {
+        let out = (c.out_c, out_side);
+        if c.bn && !shapes.contains(&out) {
+            shapes.push(out);
+        }
+    }
+    shapes
+}
+
+/// A training forward and backward of batch norm at every fig6 shape.
+fn bench_batchnorm() -> Vec<BatchNormReport> {
+    let mut r = rng::seeded(65);
+    fig6_bn_shapes()
+        .into_iter()
+        .map(|(c, side)| {
+            let mut bn = BatchNorm2d::new(c);
+            let x = init::normal(&[BATCH, c, side, side], 1.0, &mut r);
+            let dy = init::normal(x.shape(), 1.0, &mut r);
+            let [forward_backward_ns] = time_interleaved([&mut || {
+                drop(std::hint::black_box(bn.forward(x.clone(), true)));
+                drop(std::hint::black_box(bn.backward(dy.clone())));
+            }]);
+            BatchNormReport {
+                batch: BATCH,
+                channels: c,
+                side,
+                forward_backward_ns,
+            }
+        })
+        .collect()
+}
+
+/// The per-sample transposes of the fig6 depthwise layers: each
+/// sample's `[c, h·w]` input to channel-last and its `[oh·ow, c]`
+/// output back, distinct shapes in order of first use.
+fn bench_transposes() -> Vec<TransposeReport> {
+    let mut shapes = Vec::new();
+    for (c, side, out_side) in fig6_convs().into_iter().filter(|(c, _, _)| c.depthwise) {
+        for shape in [(c.out_c, side * side), (out_side * out_side, c.out_c)] {
+            if !shapes.contains(&shape) {
+                shapes.push(shape);
+            }
+        }
+    }
+    shapes
+        .into_iter()
+        .map(|(rows, cols)| {
+            let a = matrix(rows, cols, 31 + rows as u64);
+            let [transpose_ns] =
+                time_interleaved([&mut || drop(std::hint::black_box(transpose(&a)))]);
+            TransposeReport {
+                rows,
+                cols,
+                transpose_ns,
+            }
+        })
+        .collect()
+}
+
+/// The weight-gradient products of the fig6 model's 1×1 convs at
+/// training batch 16, one per distinct `(c_out, c_in, P)`: the segmented
+/// `dY·colsᵀ` `[c_out, 16·P]·[c_in, 16·P]ᵀ` with one segment per
+/// sample, and at `P = 1` also the one-segment product the conv runs.
+fn fig6_pointwise_dw() -> Vec<(Op, usize, usize, usize)> {
+    let mut runs = Vec::new();
+    for (c, _, out_side) in fig6_convs() {
+        if c.k != 1 || c.depthwise {
+            continue;
+        }
+        let p = out_side * out_side;
+        let (m, k, n) = (c.out_c, BATCH * p, c.in_c);
+        let mut ops = vec![Op::ABtSegmented(p)];
+        if p == 1 {
+            ops.push(Op::ABt);
+        }
+        for op in ops {
+            if !runs.contains(&(op, m, k, n)) {
+                runs.push((op, m, k, n));
+            }
+        }
+    }
+    runs
 }
 
 /// Samples per timed local session.
@@ -437,7 +561,12 @@ fn main() -> ExitCode {
         .iter()
         .map(|&(m, k, n)| (Op::Matmul, m, k, n, false))
         .chain(sparse.map(|(op, m, k, n)| (op, m, k, n, true)))
-        .chain(dense.map(|(op, m, k, n)| (op, m, k, n, false)));
+        .chain(dense.map(|(op, m, k, n)| (op, m, k, n, false)))
+        .chain(
+            fig6_pointwise_dw()
+                .into_iter()
+                .map(|(op, m, k, n)| (op, m, k, n, false)),
+        );
     let mut shapes = Vec::new();
     for (op, m, k, n, sparse_a) in runs {
         let rep = bench_shape(op, m, k, n, sparse_a);
@@ -478,6 +607,26 @@ fn main() -> ExitCode {
         total(|d| d.backward_ns),
     );
 
+    let batchnorm = bench_batchnorm();
+    for b in &batchnorm {
+        println!(
+            "batchnorm {}x{}x{s}x{s}: forward + backward {:.3}ms",
+            b.batch,
+            b.channels,
+            b.forward_backward_ns as f64 / 1e6,
+            s = b.side,
+        );
+    }
+    let transposes = bench_transposes();
+    for t in &transposes {
+        println!(
+            "transpose {}x{}: {:.2}us",
+            t.rows,
+            t.cols,
+            t.transpose_ns as f64 / 1e3
+        );
+    }
+
     let aggregation_round_us = bench_aggregation_round();
     println!("aggregation round (tiny, 3 uploads): {aggregation_round_us}us");
     let sessions = bench_sessions(&session_models());
@@ -502,6 +651,8 @@ fn main() -> ExitCode {
         largest_shape_speedup: largest,
         shapes,
         depthwise,
+        batchnorm,
+        transposes,
         aggregation_round_us,
         sessions,
     };

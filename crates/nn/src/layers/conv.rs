@@ -105,10 +105,15 @@ impl Layer for Conv2d {
 
     fn backward(&mut self, dy: Tensor) -> Tensor {
         let cache = self.cache.take().expect("conv backward without forward");
-        let grads = conv2d_backward(&dy, &self.weight, &cache.cols, &cache.in_shape, self.geo);
-        self.dweight.add_assign(&grads.dw);
-        self.dbias.add_assign(&grads.db);
-        grads.dx
+        conv2d_backward(
+            &dy,
+            &self.weight,
+            &cache.cols,
+            &cache.in_shape,
+            self.geo,
+            &mut self.dweight,
+            &mut self.dbias,
+        )
     }
 
     fn visit_params(&self, prefix: &str, v: &mut dyn ParamVisitor) {

@@ -6,7 +6,8 @@
 //!
 //! Covered: batch, channel and plane sizes down to 1×1 planes and
 //! planes smaller than the kernel (which fit only once padded), 1 to 11
-//! channels (the vectorized channel loops' remainders), kernels 1 to 5
+//! channels (the vectorized channel loops' remainders), batch norm on
+//! planes of 1 to 64 cells at 1 to 20 channels, kernels 1 to 5
 //! at strides 1 to 3 with padding 0 to 2, `Linear` widths
 //! from 1 to the VGG16-fast classifier's, and inputs, weights and
 //! gradients salted with exact `+0.0` / `-0.0`, `±∞` and NaN. Every case
@@ -708,6 +709,23 @@ fn mobilenet_shapes_are_bit_equal() {
             check_depthwise(8, c, side, side, 3, stride, 1, seed, salts(s));
             check_batchnorm(8, c, side, side, seed, salts(s));
             check_relu(&[8, c, side, side], seed, salts(s));
+        }
+    }
+}
+
+/// Batch norm on planes of 1, 4, 16 and 64 cells (the 1×1 to 8×8
+/// planes of the 8×8-input models), with channel counts on both sides
+/// of multiples of 4 and 8 and batches of 1 to 16.
+#[test]
+fn batchnorm_plane_sizes_are_bit_equal() {
+    for (i, side) in [1, 2, 4, 8].into_iter().enumerate() {
+        for (j, c) in [1, 3, 7, 9, 13, 20].into_iter().enumerate() {
+            for n in [1, 3, 16] {
+                for s in [0, 4, 13, 26] {
+                    let seed = 300 + (i * 10 + j) as u64 + n as u64;
+                    check_batchnorm(n, c, side, side, seed, salts(s));
+                }
+            }
         }
     }
 }

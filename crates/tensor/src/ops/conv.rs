@@ -22,7 +22,7 @@
 //! applied as a rule per output channel (DESIGN.md §10, "Taps that read
 //! only padding").
 
-use crate::ops::matmul::{matmul, matmul_a_bt_segmented, transpose};
+use crate::ops::matmul::{matmul, matmul_a_bt, matmul_a_bt_segmented, transpose, transpose_into};
 use crate::Tensor;
 
 /// Static geometry of a convolution: kernel, stride, padding and the
@@ -69,17 +69,6 @@ impl ConvGeometry {
             (pw - self.kw) / self.stride + 1,
         )
     }
-}
-
-/// Gradients produced by [`conv2d_backward`].
-#[derive(Debug, Clone)]
-pub struct Conv2dGrads {
-    /// Gradient w.r.t. the input, shape `[n, c_in, h, w]`.
-    pub dx: Tensor,
-    /// Gradient w.r.t. the weight, shape `[c_out, c_in, kh, kw]`.
-    pub dw: Tensor,
-    /// Gradient w.r.t. the bias, shape `[c_out]`.
-    pub db: Tensor,
 }
 
 /// The matrix `W₂d = [c_out, c_in·L]` a layer is lowered with, over the
@@ -213,6 +202,11 @@ impl TapRuns {
             return;
         }
         if self.whole_plane() {
+            if p == 1 {
+                // `x` is `[n, c]` and `cols` its transpose.
+                transpose_into(x, n, c, cols);
+                return;
+            }
             // One block copy per (sample, channel), in input order.
             for (ni, sample) in x.chunks_exact(c * hw).enumerate() {
                 for (ci, plane) in sample.chunks_exact(hw).enumerate() {
@@ -250,6 +244,15 @@ impl TapRuns {
             return;
         }
         if self.whole_plane() {
+            if p == 1 {
+                // `dx` is `[n, c]`: the transpose of `dcols`, added onto
+                // the `+0.0` it held.
+                transpose_into(dcols, c, n, dx);
+                for d in dx.iter_mut() {
+                    *d += 0.0;
+                }
+                return;
+            }
             // One block add per (sample, channel), so `dx` is written in
             // order rather than one sample apart.
             for (ni, sample) in dx.chunks_exact_mut(c * hw).enumerate() {
@@ -323,13 +326,23 @@ pub fn conv2d_forward(
     let y = matmul(&w2d, &cols); // [c_out, n·P]
 
     let mut out = vec![0.0f32; n * c_out * p];
-    let ys = y.as_slice();
-    for (co, &b) in bias.as_slice().iter().enumerate() {
-        for ni in 0..n {
-            let src = &ys[co * np + ni * p..co * np + (ni + 1) * p];
-            let dst = &mut out[(ni * c_out + co) * p..(ni * c_out + co + 1) * p];
-            for (o, &v) in dst.iter_mut().zip(src) {
-                *o = v + b;
+    let (ys, bs) = (y.as_slice(), bias.as_slice());
+    if p == 1 {
+        // `out` is `[n, c_out]`, the transpose of `y`, plus the bias.
+        transpose_into(ys, c_out, n, &mut out);
+        for row in out.chunks_exact_mut(c_out.max(1)) {
+            for (o, &b) in row.iter_mut().zip(bs) {
+                *o += b;
+            }
+        }
+    } else {
+        for (co, &b) in bs.iter().enumerate() {
+            for ni in 0..n {
+                let src = &ys[co * np + ni * p..co * np + (ni + 1) * p];
+                let dst = &mut out[(ni * c_out + co) * p..(ni * c_out + co + 1) * p];
+                for (o, &v) in dst.iter_mut().zip(src) {
+                    *o = v + b;
+                }
             }
         }
     }
@@ -351,19 +364,21 @@ pub fn conv2d_forward(
     (Tensor::from_vec(out, &[n, c_out, oh, ow]), cols)
 }
 
-/// Backward 2-D convolution given the forward column matrix.
+/// Backward 2-D convolution given the forward column matrix: adds `dW`
+/// and `db` onto `dweight` and `dbias` and returns `dX`.
 ///
 /// `dy` has shape `[n, c_out, oh, ow]`; `cols` and `in_shape` are the
 /// column matrix returned by [`conv2d_forward`] and the shape of its
 /// input.
 ///
-/// `dx` is one `W₂dᵀ · dY` over the whole batch. `dw` and `db` keep the
+/// `dX` is one `W₂dᵀ · dY` over the whole batch. `dW` and `db` keep the
 /// per-sample order: each sample's sum starts at `0.0` and is added in
 /// sample order onto a `+0.0` start, exactly as `n` separate per-sample
-/// backward passes summed into a zeroed gradient would.
+/// backward passes summed into a zeroed gradient would. Each element of
+/// `dweight` and `dbias` then takes that total in one `+=`.
 ///
 /// Dead taps (see [`conv2d_forward`]) are left out of `W₂d` and `cols`
-/// here too. Their entries of `dw` row `co` are `+0.0`, or NaN once any
+/// here too. Their entries of `dW` row `co` are `+0.0`, or NaN once any
 /// `dY` of channel `co` is non-finite (`∞·0`), as the full lowering
 /// computes them.
 ///
@@ -371,15 +386,18 @@ pub fn conv2d_forward(
 ///
 /// Panics on shape inconsistency with the forward pass: `in_shape` not
 /// 4-D, a batch size, channel count or output size that does not match
-/// `dy` and `weight`, or a `cols` of another shape than
-/// [`conv2d_forward`] returns for `in_shape`.
+/// `dy` and `weight`, a `cols` of another shape than [`conv2d_forward`]
+/// returns for `in_shape`, or gradient buffers of other shapes than
+/// `weight` and `[c_out]`.
 pub fn conv2d_backward(
     dy: &Tensor,
     weight: &Tensor,
     cols: &Tensor,
     in_shape: &[usize],
     geo: ConvGeometry,
-) -> Conv2dGrads {
+    dweight: &mut Tensor,
+    dbias: &mut Tensor,
+) -> Tensor {
     let (n, c_out, oh, ow) = nchw(dy);
     assert_eq!(
         in_shape.len(),
@@ -392,7 +410,7 @@ pub fn conv2d_backward(
         in_shape[0]
     );
     let (c_in, h, w) = (in_shape[1], in_shape[2], in_shape[3]);
-    let ws = weight.shape().to_vec();
+    let ws = weight.shape();
     assert_eq!(ws.len(), 4, "conv weight must be 4-D");
     assert_eq!(
         ws[1], c_in,
@@ -402,6 +420,12 @@ pub fn conv2d_backward(
         geo.out_hw(h, w),
         (oh, ow),
         "conv backward: dy spatial size does not match in_shape"
+    );
+    assert_eq!(dweight.shape(), ws, "conv backward: dweight shape");
+    assert_eq!(
+        dbias.shape(),
+        [c_out],
+        "conv backward: dbias must be [c_out]"
     );
     let map = TapRuns::new(h, w, geo);
     let w2d = lowering(weight, &map);
@@ -416,10 +440,14 @@ pub fn conv2d_backward(
 
     // dY gathered channel-major, [c_out, n·P]: sample i in columns i·P.. .
     let mut dyg = vec![0.0f32; c_out * np];
-    for ni in 0..n {
-        for co in 0..c_out {
-            dyg[co * np + ni * p..co * np + (ni + 1) * p]
-                .copy_from_slice(&dys[(ni * c_out + co) * p..(ni * c_out + co + 1) * p]);
+    if p == 1 {
+        transpose_into(dys, n, c_out, &mut dyg);
+    } else {
+        for ni in 0..n {
+            for co in 0..c_out {
+                dyg[co * np + ni * p..co * np + (ni + 1) * p]
+                    .copy_from_slice(&dys[(ni * c_out + co) * p..(ni * c_out + co + 1) * p]);
+            }
         }
     }
     let dyg = Tensor::from_vec(dyg, &[c_out, np]);
@@ -430,40 +458,55 @@ pub fn conv2d_backward(
     map.col2im(dcols.as_slice(), n, c_in, &mut dx);
 
     // dW = ((+0.0 + dY₀·cols₀ᵀ) + dY₁·cols₁ᵀ) + …, one segment per
-    // sample; db likewise, from per-sample row sums.
-    let dw2d = matmul_a_bt_segmented(&dyg, cols, p); // [c_out, K]
-    let mut db = Tensor::zeros(&[c_out]);
+    // sample. One-column segments make the same sums as one segment
+    // over the batch (DESIGN.md §10), which runs faster.
+    let dw2d = if p == 1 {
+        matmul_a_bt(&dyg, cols)
+    } else {
+        matmul_a_bt_segmented(&dyg, cols, p)
+    }; // [c_out, K]
+    let kk = ws[2] * ws[3];
+    let (live, dws) = (&map.live, dw2d.as_slice());
+    if live.len() == kk {
+        for (d, &v) in dweight.as_mut_slice().iter_mut().zip(dws) {
+            *d += v;
+        }
+    } else {
+        // Each dead tap's sum is `+0.0 + dY·(+0.0)`: `+0.0`, or NaN
+        // once a `dY` of its row is non-finite. One row of sums is laid
+        // out over all the taps, then added in one pass.
+        let mut sums = vec![0.0f32; c_in * kk];
+        let rows = dweight.as_mut_slice().chunks_exact_mut(c_in * kk);
+        for (co, row) in rows.enumerate() {
+            let dead = if any_non_finite(&dyg.as_slice()[co * np..][..np]) {
+                f32::NAN
+            } else {
+                0.0
+            };
+            sums.fill(dead);
+            for (ci, taps) in sums.chunks_exact_mut(kk).enumerate() {
+                let src = &dws[(co * c_in + ci) * live.len()..];
+                for (&t, &v) in live.iter().zip(src) {
+                    taps[t] = v;
+                }
+            }
+            for (d, &v) in row.iter_mut().zip(&sums) {
+                *d += v;
+            }
+        }
+    }
+    // db likewise, from per-sample row sums.
+    let mut db = vec![0.0f32; c_out];
     for ni in 0..n {
         for co in 0..c_out {
             let row = &dys[(ni * c_out + co) * p..(ni * c_out + co + 1) * p];
-            db.as_mut_slice()[co] += row.iter().sum::<f32>();
+            db[co] += row.iter().sum::<f32>();
         }
     }
-    let kk = ws[2] * ws[3];
-    let dw = if map.live.len() == kk {
-        dw2d.reshape(&ws)
-    } else {
-        // Each dead tap's sum is `+0.0 + dY·(+0.0)`: `+0.0`, or NaN
-        // once a `dY` of its row is non-finite.
-        let (live, dws) = (&map.live, dw2d.as_slice());
-        let mut dw = vec![0.0f32; c_out * c_in * kk];
-        for (co, row) in dw.chunks_exact_mut(c_in * kk).enumerate() {
-            if any_non_finite(&dyg.as_slice()[co * np..][..np]) {
-                row.fill(f32::NAN);
-            }
-            for (ci, taps) in row.chunks_exact_mut(kk).enumerate() {
-                for (j, &t) in live.iter().enumerate() {
-                    taps[t] = dws[(co * c_in + ci) * live.len() + j];
-                }
-            }
-        }
-        Tensor::from_vec(dw, &ws)
-    };
-    Conv2dGrads {
-        dx: Tensor::from_vec(dx, &[n, c_in, h, w]),
-        dw,
-        db,
+    for (d, v) in dbias.as_mut_slice().iter_mut().zip(db) {
+        *d += v;
     }
+    Tensor::from_vec(dx, &[n, c_in, h, w])
 }
 
 pub(super) fn nchw(t: &Tensor) -> (usize, usize, usize, usize) {
@@ -475,6 +518,20 @@ pub(super) fn nchw(t: &Tensor) -> (usize, usize, usize, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// [`conv2d_backward`] into zeroed gradients: `(dx, dw, db)`.
+    fn backward(
+        dy: &Tensor,
+        weight: &Tensor,
+        cols: &Tensor,
+        in_shape: &[usize],
+        geo: ConvGeometry,
+    ) -> (Tensor, Tensor, Tensor) {
+        let mut dw = Tensor::zeros(weight.shape());
+        let mut db = Tensor::zeros(&[weight.shape()[0]]);
+        let dx = conv2d_backward(dy, weight, cols, in_shape, geo, &mut dw, &mut db);
+        (dx, dw, db)
+    }
 
     /// A 1×1 kernel at stride 1 without padding.
     const POINTWISE: ConvGeometry = ConvGeometry {
@@ -598,7 +655,7 @@ mod tests {
             |x: &Tensor, wt: &Tensor, b: &Tensor| -> f32 { conv2d_forward(x, wt, b, geo).0.sum() };
         let (y, cols) = conv2d_forward(&x, &wt, &b, geo);
         let dy = Tensor::ones(y.shape());
-        let grads = conv2d_backward(&dy, &wt, &cols, x.shape(), geo);
+        let (dx, dw, db) = backward(&dy, &wt, &cols, x.shape(), geo);
 
         let eps = 1e-2f32;
         // Check a scattering of weight gradient entries.
@@ -608,7 +665,7 @@ mod tests {
             let mut wm = wt.clone();
             wm.as_mut_slice()[idx] -= eps;
             let num = (loss(&x, &wp, &b) - loss(&x, &wm, &b)) / (2.0 * eps);
-            let ana = grads.dw.as_slice()[idx];
+            let ana = dw.as_slice()[idx];
             assert!(
                 (num - ana).abs() < 0.05 * (1.0 + ana.abs()),
                 "dW[{idx}] numeric {num} vs analytic {ana}"
@@ -621,7 +678,7 @@ mod tests {
             let mut bm = b.clone();
             bm.as_mut_slice()[idx] -= eps;
             let num = (loss(&x, &wt, &bp) - loss(&x, &wt, &bm)) / (2.0 * eps);
-            let ana = grads.db.as_slice()[idx];
+            let ana = db.as_slice()[idx];
             assert!((num - ana).abs() < 0.05 * (1.0 + ana.abs()));
         }
         // Input gradient entries.
@@ -631,7 +688,7 @@ mod tests {
             let mut xm = x.clone();
             xm.as_mut_slice()[idx] -= eps;
             let num = (loss(&xp, &wt, &b) - loss(&xm, &wt, &b)) / (2.0 * eps);
-            let ana = grads.dx.as_slice()[idx];
+            let ana = dx.as_slice()[idx];
             assert!((num - ana).abs() < 0.05 * (1.0 + ana.abs()));
         }
     }
@@ -665,7 +722,7 @@ mod tests {
 
     #[test]
     fn pointwise_col2im_adds_onto_zero() {
-        // A 1×1 fold is a block add, not a copy: `+0.0 + -0.0` is `+0.0`.
+        // A 1×1 fold is an add, not a copy: `+0.0 + -0.0` is `+0.0`.
         // Two samples of two 1×2 channels; sample 0 owns columns 0..2 of
         // the [2, 4] column matrix, sample 1 columns 2..4.
         let runs = TapRuns::new(1, 2, POINTWISE);
@@ -680,6 +737,20 @@ mod tests {
         let mut cols = [7.0f32; 8];
         runs.im2col(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0], 2, 2, &mut cols);
         assert_eq!(cols, [1.0, 2.0, 5.0, 6.0, 3.0, 4.0, 7.0, 8.0]);
+
+        // On a 1×1 plane the fold is a transpose, still added onto
+        // `+0.0`: three samples of two channels, `dcols` `[2, 3]`.
+        let runs = TapRuns::new(1, 1, POINTWISE);
+        let src = [-0.0f32, 1.5, -2.0, 3.0, -0.0, f32::INFINITY];
+        let mut out = [0.0f32; 6];
+        runs.col2im(&src, 3, 2, &mut out);
+        assert_eq!(
+            out.map(f32::to_bits),
+            [0.0f32, 3.0, 1.5, 0.0, -2.0, f32::INFINITY].map(f32::to_bits)
+        );
+        let mut cols = [7.0f32; 6];
+        runs.im2col(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0], 3, 2, &mut cols);
+        assert_eq!(cols, [1.0, 3.0, 5.0, 2.0, 4.0, 6.0]);
     }
 
     #[test]
@@ -791,15 +862,15 @@ mod tests {
                 assert_eq!(bits(&y), bits(&y_pw), "y: k={k} stride={stride}");
 
                 let dy = Tensor::from_vec(salted(n * c_out, 4.0), y.shape());
-                let g = conv2d_backward(&dy, &wt, &cols, x.shape(), geo);
-                let g_pw = conv2d_backward(&dy, &wc, &cols_pw, x.shape(), POINTWISE);
-                assert_eq!(bits(&g.dx), bits(&g_pw.dx), "dx: k={k} stride={stride}");
-                assert_eq!(bits(&g.db), bits(&g_pw.db), "db: k={k} stride={stride}");
-                for (i, (taps, &v)) in
-                    g.dw.as_slice()
-                        .chunks(k * k)
-                        .zip(g_pw.dw.as_slice())
-                        .enumerate()
+                let (dx, dw, db) = backward(&dy, &wt, &cols, x.shape(), geo);
+                let (dx_pw, dw_pw, db_pw) = backward(&dy, &wc, &cols_pw, x.shape(), POINTWISE);
+                assert_eq!(bits(&dx), bits(&dx_pw), "dx: k={k} stride={stride}");
+                assert_eq!(bits(&db), bits(&db_pw), "db: k={k} stride={stride}");
+                for (i, (taps, &v)) in dw
+                    .as_slice()
+                    .chunks(k * k)
+                    .zip(dw_pw.as_slice())
+                    .enumerate()
                 {
                     assert_eq!(taps[centre].to_bits(), v.to_bits(), "dw centre {i}");
                     for (t, &d) in taps.iter().enumerate().filter(|&(t, _)| t != centre) {
@@ -817,7 +888,7 @@ mod tests {
         let w = Tensor::ones(&[4, 2, 3, 3]);
         let (y, _) = conv2d_forward(&x, &w, &Tensor::zeros(&[4]), geo3());
         let cols = Tensor::zeros(&[2 * 9, 3]);
-        conv2d_backward(&Tensor::ones(y.shape()), &w, &cols, x.shape(), geo3());
+        backward(&Tensor::ones(y.shape()), &w, &cols, x.shape(), geo3());
     }
 
     fn backward_fixture() -> (Tensor, Tensor, Tensor) {
@@ -831,28 +902,28 @@ mod tests {
     #[should_panic(expected = "in_shape must be NCHW")]
     fn backward_rejects_short_in_shape() {
         let (dy, w, cols) = backward_fixture();
-        conv2d_backward(&dy, &w, &cols, &[2, 1, 3], geo3());
+        backward(&dy, &w, &cols, &[2, 1, 3], geo3());
     }
 
     #[test]
     #[should_panic(expected = "differs from dy batch")]
     fn backward_rejects_batch_mismatch() {
         let (dy, w, cols) = backward_fixture();
-        conv2d_backward(&dy, &w, &cols, &[3, 1, 3, 3], geo3());
+        backward(&dy, &w, &cols, &[3, 1, 3, 3], geo3());
     }
 
     #[test]
     #[should_panic(expected = "channels differ from weight")]
     fn backward_rejects_channel_mismatch() {
         let (dy, w, cols) = backward_fixture();
-        conv2d_backward(&dy, &w, &cols, &[2, 2, 3, 3], geo3());
+        backward(&dy, &w, &cols, &[2, 2, 3, 3], geo3());
     }
 
     #[test]
     #[should_panic(expected = "spatial size does not match")]
     fn backward_rejects_spatial_mismatch() {
         let (dy, w, cols) = backward_fixture();
-        conv2d_backward(&dy, &w, &cols, &[2, 1, 4, 4], geo3());
+        backward(&dy, &w, &cols, &[2, 1, 4, 4], geo3());
     }
 
     #[test]
@@ -860,6 +931,25 @@ mod tests {
     fn backward_rejects_wrong_cols_shape() {
         let (dy, w, _) = backward_fixture();
         let cols = Tensor::zeros(&[9, 9]);
-        conv2d_backward(&dy, &w, &cols, &[2, 1, 3, 3], geo3());
+        backward(&dy, &w, &cols, &[2, 1, 3, 3], geo3());
+    }
+
+    #[test]
+    #[should_panic(expected = "dweight shape")]
+    fn backward_rejects_wrong_gradient_shape() {
+        let (dy, w, cols) = backward_fixture();
+        let (mut dw, mut db) = (Tensor::zeros(&[2, 1, 1, 1]), Tensor::zeros(&[2]));
+        conv2d_backward(&dy, &w, &cols, &[2, 1, 3, 3], geo3(), &mut dw, &mut db);
+    }
+
+    #[test]
+    fn one_pixel_plane_without_output_channels() {
+        let x = Tensor::ones(&[3, 2, 1, 1]);
+        let w = Tensor::zeros(&[0, 2, 1, 1]);
+        let (y, cols) = conv2d_forward(&x, &w, &Tensor::zeros(&[0]), POINTWISE);
+        assert_eq!(y.shape(), &[3, 0, 1, 1]);
+        let (dx, dw, db) = backward(&y, &w, &cols, x.shape(), POINTWISE);
+        assert_eq!(dx, Tensor::zeros(&[3, 2, 1, 1]));
+        assert_eq!((dw.numel(), db.numel()), (0, 0));
     }
 }

@@ -48,6 +48,19 @@ const MR: usize = 4;
 /// (its `2·MR·NR` accumulators fit the baseline x86-64 / aarch64
 /// vector register files).
 const NR: usize = 8;
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+/// Columns of the AVX-512 segmented `A·Bᵀ` tile for short segments, as
+/// wide as the AVX-512 `A·B` tile (its `2·MR·WIDE` accumulators take 16
+/// of the 32 zmm registers).
+const WIDE: usize = 32;
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+/// The longest segment that takes the [`WIDE`] tile.
+const SHORT_SEG: usize = 4;
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+/// The longest shared dimension that takes the [`WIDE`] tile whatever
+/// its segments: the weight gradient of a conv on a 1×1 plane, one
+/// segment over a training batch.
+const SHORT_K: usize = 16;
 
 /// `true` when `TENSOR_NAIVE` is set (to anything but `0`/empty) and the
 /// public entry points dispatch to the reference kernels.
@@ -148,14 +161,48 @@ pub fn transpose(a: &Tensor) -> Tensor {
 /// Writes the row-major `[rows, cols]` matrix `src` into `dst` as
 /// `[cols, rows]`.
 pub(super) fn transpose_into(src: &[f32], rows: usize, cols: usize, dst: &mut [f32]) {
-    // Eight rows of `src` at a time, so each output row takes eight
-    // contiguous writes per pass.
-    for (blk, band) in src[..rows * cols].chunks(8 * cols.max(1)).enumerate() {
-        for j in 0..cols {
-            for (ii, row) in band.chunks_exact(cols).enumerate() {
-                dst[j * rows + 8 * blk + ii] = row[j];
-            }
-        }
+    let (src, dst) = (&src[..rows * cols], &mut dst[..rows * cols]);
+    if rows <= 1 || cols <= 1 {
+        // A row or a column (or nothing): the same elements in the same
+        // order.
+        dst.copy_from_slice(src);
+        return;
+    }
+    // Bands of eight rows, then one band each of four, two and one for
+    // the rows left over.
+    let mut i0 = 0;
+    while i0 + 8 <= rows {
+        transpose_band::<8>(src, rows, cols, dst, i0);
+        i0 += 8;
+    }
+    if rows - i0 >= 4 {
+        transpose_band::<4>(src, rows, cols, dst, i0);
+        i0 += 4;
+    }
+    if rows - i0 >= 2 {
+        transpose_band::<2>(src, rows, cols, dst, i0);
+        i0 += 2;
+    }
+    if rows > i0 {
+        transpose_band::<1>(src, rows, cols, dst, i0);
+    }
+}
+
+/// Rows `i0..i0 + R` of [`transpose_into`]: each column of the band is
+/// gathered into one `R`-wide store.
+#[inline(always)]
+fn transpose_band<const R: usize>(
+    src: &[f32],
+    rows: usize,
+    cols: usize,
+    dst: &mut [f32],
+    i0: usize,
+) {
+    let band = &src[i0 * cols..(i0 + R) * cols];
+    let r: [&[f32]; R] = std::array::from_fn(|ii| &band[ii * cols..(ii + 1) * cols]);
+    for j in 0..cols {
+        let column: [f32; R] = std::array::from_fn(|ii| r[ii][j]);
+        dst[j * rows + i0..][..R].copy_from_slice(&column);
     }
 }
 
@@ -404,7 +451,7 @@ pub fn matmul_a_bt_blocked(a: &Tensor, b: &Tensor) -> Tensor {
     let (_, k) = dims2(a, "matmul_a_bt lhs");
     let (_, k2) = dims2(b, "matmul_a_bt rhs");
     assert_eq!(k, k2, "matmul_a_bt shared dim {k} vs {k2}");
-    a_bt_blocked(a, b, k.max(1))
+    a_bt_blocked(isa(), a, b, k.max(1))
 }
 
 /// `C = Σₛ Aₛ · Bₛᵀ`, where `Aₛ`, `Bₛ` are the `seg`-wide column
@@ -456,7 +503,7 @@ pub fn matmul_a_bt_segmented_reference(a: &Tensor, b: &Tensor, seg: usize) -> Te
 /// See [`matmul_a_bt_segmented`].
 pub fn matmul_a_bt_segmented_blocked(a: &Tensor, b: &Tensor, seg: usize) -> Tensor {
     check_segments(a, b, seg);
-    a_bt_blocked(a, b, seg)
+    a_bt_blocked(isa(), a, b, seg)
 }
 
 fn check_segments(a: &Tensor, b: &Tensor, seg: usize) {
@@ -469,51 +516,75 @@ fn check_segments(a: &Tensor, b: &Tensor, seg: usize) {
     );
 }
 
-/// Panel loop of the blocked `A·Bᵀ` kernels: every full `MR × NR` tile
-/// runs on [`a_bt_seg_tile`], the ragged edges on the reference order.
-fn a_bt_blocked(a: &Tensor, b: &Tensor, seg: usize) -> Tensor {
+/// Panel loop of the blocked `A·Bᵀ` kernels on `isa`: full tiles run
+/// on [`a_bt_seg_tile`], the ragged edges on the reference order.
+/// On AVX-512, products with segments of at most [`SHORT_SEG`] columns,
+/// or with a shared dimension of at most [`SHORT_K`], take
+/// [`WIDE`]-column tiles first; every other product, and the columns
+/// the wide tiles leave, `NR`-column tiles. (On long segments of short
+/// products the wide tile ran slower: 1.5× at 16×512×512 and 1.3× at
+/// 16×256×144 in 16-column segments.)
+fn a_bt_blocked(isa: Isa, a: &Tensor, b: &Tensor, seg: usize) -> Tensor {
     let (m, k) = (a.shape()[0], a.shape()[1]);
     let n = b.shape()[0];
     let mut out = vec![0.0f32; m * n];
-    let av = a.as_slice();
-    let bv = b.as_slice();
-    let isa = isa();
-    // B rows j0..j0+NR transposed to k-major so the tile loads
-    // the panel's B values for one k contiguously.
-    let mut tbuf = vec![0.0f32; k * NR];
+    let (av, bv) = (a.as_slice(), b.as_slice());
     let mut j0 = 0;
-    while j0 < n {
-        let nw = NR.min(n - j0);
-        if nw == NR {
-            for kk in 0..k {
-                for jj in 0..NR {
-                    tbuf[kk * NR + jj] = bv[(j0 + jj) * k + kk];
-                }
-            }
-            let mut i0 = 0;
-            while i0 < m {
-                let mh = MR.min(m - i0);
-                if mh == MR {
-                    let apanel = &av[i0 * k..(i0 + MR) * k];
-                    a_bt_seg_tile(isa, apanel, &tbuf, &mut out, i0, j0, k, n, seg);
-                } else {
-                    a_bt_rows_reference(av, bv, &mut out, i0, mh, j0, nw, k, n, seg);
-                }
-                i0 += MR;
-            }
-        } else {
-            a_bt_rows_reference(av, bv, &mut out, 0, m, j0, nw, k, n, seg);
-        }
-        j0 += NR;
+    #[cfg(target_arch = "x86_64")]
+    if isa == Isa::Avx512 && (seg <= SHORT_SEG || k <= SHORT_K) {
+        j0 = a_bt_panels::<WIDE>(isa, av, bv, &mut out, j0, (m, k, n), seg);
     }
+    j0 = a_bt_panels::<NR>(isa, av, bv, &mut out, j0, (m, k, n), seg);
+    a_bt_rows_reference(av, bv, &mut out, 0, m, j0, n - j0, k, n, seg);
     Tensor::from_vec(out, &[m, n])
 }
 
-/// Runs the segmented `A·Bᵀ` tile source, compiled for AVX2 on every
-/// x86-64 ISA that has it: output rows `i0..i0 + MR`, columns
-/// `j0..j0 + NR` from a k-major B panel `tbuf`.
+/// The `W`-column panels of [`a_bt_blocked`] from column `j0` while `W`
+/// columns remain; returns the first column they leave.
+fn a_bt_panels<const W: usize>(
+    isa: Isa,
+    av: &[f32],
+    bv: &[f32],
+    out: &mut [f32],
+    mut j0: usize,
+    (m, k, n): (usize, usize, usize),
+    seg: usize,
+) -> usize {
+    if j0 + W > n {
+        return j0;
+    }
+    // B rows j0..j0+W transposed to k-major so the tile loads the
+    // panel's B values for one k contiguously. The constant stride `W`
+    // lets this loop vectorise.
+    let mut tbuf = vec![0.0f32; k * W];
+    while j0 + W <= n {
+        for kk in 0..k {
+            for jj in 0..W {
+                tbuf[kk * W + jj] = bv[(j0 + jj) * k + kk];
+            }
+        }
+        let mut i0 = 0;
+        while i0 < m {
+            let mh = MR.min(m - i0);
+            if mh == MR {
+                let apanel = &av[i0 * k..(i0 + MR) * k];
+                a_bt_seg_tile::<W>(isa, apanel, &tbuf, out, i0, j0, k, n, seg);
+            } else {
+                a_bt_rows_reference(av, bv, out, i0, mh, j0, W, k, n, seg);
+            }
+            i0 += MR;
+        }
+        j0 += W;
+    }
+    j0
+}
+
+/// Runs the segmented `A·Bᵀ` tile source on `isa`: output rows
+/// `i0..i0 + MR`, columns `j0..j0 + W` from a k-major B panel `tbuf`.
+/// The `NR`-wide tile is compiled for AVX2 on both x86-64 ISAs, the
+/// [`WIDE`] one for AVX-512.
 #[allow(clippy::too_many_arguments, unsafe_code)]
-fn a_bt_seg_tile(
+fn a_bt_seg_tile<const W: usize>(
     isa: Isa,
     apanel: &[f32],
     tbuf: &[f32],
@@ -526,20 +597,24 @@ fn a_bt_seg_tile(
 ) {
     match isa {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `isa()` verified the feature at run time (AVX-512
-        // implies AVX2).
-        Isa::Avx512 | Isa::Avx2 => unsafe {
-            a_bt_seg_tile_avx2(apanel, tbuf, out, i0, j0, k, n, seg)
+        // SAFETY: `isa()` verified the feature at run time.
+        Isa::Avx512 if W > NR => unsafe {
+            a_bt_seg_tile_avx512::<W>(apanel, tbuf, out, i0, j0, k, n, seg)
         },
-        Isa::Portable => a_bt_seg_tile_body(apanel, tbuf, out, i0, j0, k, n, seg),
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as above (AVX-512 implies AVX2).
+        Isa::Avx512 | Isa::Avx2 => unsafe {
+            a_bt_seg_tile_avx2::<W>(apanel, tbuf, out, i0, j0, k, n, seg)
+        },
+        Isa::Portable => a_bt_seg_tile_body::<W>(apanel, tbuf, out, i0, j0, k, n, seg),
     }
 }
 
-/// [`a_bt_seg_tile_body`] compiled for AVX2: `NR == 8` fits one ymm.
+/// [`a_bt_seg_tile_body`] compiled for AVX-512.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
+#[target_feature(enable = "avx512f")]
 #[allow(clippy::too_many_arguments)]
-fn a_bt_seg_tile_avx2(
+fn a_bt_seg_tile_avx512<const W: usize>(
     apanel: &[f32],
     tbuf: &[f32],
     out: &mut [f32],
@@ -549,7 +624,24 @@ fn a_bt_seg_tile_avx2(
     n: usize,
     seg: usize,
 ) {
-    a_bt_seg_tile_body(apanel, tbuf, out, i0, j0, k, n, seg)
+    a_bt_seg_tile_body::<W>(apanel, tbuf, out, i0, j0, k, n, seg)
+}
+
+/// [`a_bt_seg_tile_body`] compiled for AVX2: `NR == 8` fits one ymm.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::too_many_arguments)]
+fn a_bt_seg_tile_avx2<const W: usize>(
+    apanel: &[f32],
+    tbuf: &[f32],
+    out: &mut [f32],
+    i0: usize,
+    j0: usize,
+    k: usize,
+    n: usize,
+    seg: usize,
+) {
+    a_bt_seg_tile_body::<W>(apanel, tbuf, out, i0, j0, k, n, seg)
 }
 
 /// Reference-order serial dot products for a block of the segmented
@@ -585,13 +677,13 @@ fn a_bt_rows_reference(
     }
 }
 
-/// The one source of the segmented `MR × NR` tile of the blocked
+/// The one source of the segmented `MR × W` tile of the blocked
 /// `A·Bᵀ`: per segment a fresh accumulator tile, added onto the running
 /// totals at the segment's end. Branchless, and vectorised at the width
 /// the caller is compiled for.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn a_bt_seg_tile_body(
+fn a_bt_seg_tile_body<const W: usize>(
     apanel: &[f32],
     tbuf: &[f32],
     out: &mut [f32],
@@ -603,20 +695,20 @@ fn a_bt_seg_tile_body(
 ) {
     let arows: [_; MR] = std::array::from_fn(|ii| apanel[ii * k..(ii + 1) * k].chunks_exact(seg));
     let [a0, a1, a2, a3] = arows;
-    let mut total = [[0.0f32; NR]; MR];
-    let segs = tbuf[..k * NR]
-        .chunks_exact(seg * NR)
+    let mut total = [[0.0f32; W]; MR];
+    let segs = tbuf[..k * W]
+        .chunks_exact(seg * W)
         .zip(a0)
         .zip(a1)
         .zip(a2)
         .zip(a3);
     for ((((tseg, s0), s1), s2), s3) in segs {
-        let mut acc = [[0.0f32; NR]; MR];
-        let ks = tseg.chunks_exact(NR).zip(s0).zip(s1).zip(s2).zip(s3);
+        let mut acc = [[0.0f32; W]; MR];
+        let ks = tseg.chunks_exact(W).zip(s0).zip(s1).zip(s2).zip(s3);
         for ((((brow, &x0), &x1), &x2), &x3) in ks {
-            let b: [f32; NR] = brow.try_into().expect("NR columns");
+            let b: [f32; W] = brow.try_into().expect("W columns");
             let [c0, c1, c2, c3] = &mut acc;
-            for jj in 0..NR {
+            for jj in 0..W {
                 c0[jj] += x0 * b[jj];
                 c1[jj] += x1 * b[jj];
                 c2[jj] += x2 * b[jj];
@@ -624,14 +716,14 @@ fn a_bt_seg_tile_body(
             }
         }
         for ii in 0..MR {
-            for jj in 0..NR {
+            for jj in 0..W {
                 total[ii][jj] += acc[ii][jj];
             }
         }
     }
     for (ii, trow) in total.iter().enumerate() {
         let off = (i0 + ii) * n + j0;
-        out[off..off + NR].copy_from_slice(trow);
+        out[off..off + W].copy_from_slice(trow);
     }
 }
 
@@ -828,30 +920,28 @@ mod tests {
                     }
                 }
             }
-            for (seg, segs) in [(1, 16), (2, 3), (3, 3), (4, 5), (16, 2), (9, 1)] {
-                let (k, n) = (seg * segs, 2 * NR);
-                let a = with_zeros(m, k, 7);
-                for (bs, b) in [
-                    ("finite", fill(n, k, 8)),
-                    ("±∞/NaN", with_non_finite(n, k, 8, false)),
-                ] {
-                    let mut out = vec![0.0f32; m * n];
-                    let mut tbuf = vec![0.0f32; k * NR];
-                    for j0 in (0..n).step_by(NR) {
-                        for kk in 0..k {
-                            for jj in 0..NR {
-                                tbuf[kk * NR + jj] = b.as_slice()[(j0 + jj) * k + kk];
-                            }
-                        }
-                        for i0 in (0..m).step_by(MR) {
-                            let apanel = &a.as_slice()[i0 * k..(i0 + MR) * k];
-                            a_bt_seg_tile(isa, apanel, &tbuf, &mut out, i0, j0, k, n, seg);
-                        }
-                    }
-                    let what = format!("{isa:?} a_bt seg {seg} x {segs}, {bs} B");
-                    assert_bits(&out, &matmul_a_bt_segmented_reference(&a, &b, seg), &what);
+            // Widths that reach, on AVX-512 at segments up to
+            // `SHORT_SEG`, the `WIDE` tiles, then the `NR` tiles and the
+            // scalar tail; one ragged row below the full panels.
+            for (seg, segs) in [(1, 16), (2, 3), (3, 3), (4, 5), (5, 2), (16, 2), (9, 1)] {
+                let k = seg * segs;
+                let a = with_zeros(m + 1, k, 7);
+                for (n, (bs, b)) in
+                    [2 * NR, WIDE + NR + 3, 2 * WIDE + 1]
+                        .into_iter()
+                        .flat_map(|n| {
+                            [
+                                (n, ("finite", fill(n, k, 8))),
+                                (n, ("±∞/NaN", with_non_finite(n, k, 8, false))),
+                            ]
+                        })
+                {
+                    let out = a_bt_blocked(isa, &a, &b, seg);
+                    let out = out.as_slice();
+                    let what = format!("{isa:?} a_bt seg {seg} x {segs}, n = {n}, {bs} B");
+                    assert_bits(out, &matmul_a_bt_segmented_reference(&a, &b, seg), &what);
                     if segs == 1 {
-                        assert_bits(&out, &matmul_a_bt_reference(&a, &b), &what);
+                        assert_bits(out, &matmul_a_bt_reference(&a, &b), &what);
                     }
                 }
             }

@@ -12,7 +12,7 @@ mod matmul;
 mod pool;
 mod softmax;
 
-pub use conv::{conv2d_backward, conv2d_forward, Conv2dGrads, ConvGeometry};
+pub use conv::{conv2d_backward, conv2d_forward, ConvGeometry};
 pub use depthwise::{depthwise_backward, depthwise_forward};
 pub use matmul::{
     matmul, matmul_a_bt, matmul_a_bt_blocked, matmul_a_bt_reference, matmul_a_bt_segmented,

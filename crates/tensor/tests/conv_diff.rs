@@ -13,7 +13,9 @@
 //! `-0.0` (the zero-skip of the A-side kernels), `±∞` and NaN. 3×3 and
 //! 5×5 kernels over a 1×1 plane, which run as their centre tap's
 //! pointwise conv, are checked with non-finite values placed where only
-//! the skipped padding taps would meet them.
+//! the skipped padding taps would meet them. 1×1 convs on a 1×1 plane,
+//! whose data moves are transposes, are checked at every salt level.
+//! The gradients are added onto buffers salted with `±0.0`.
 //! `suite_passes_with_reference_kernels` reruns the suite under
 //! `TENSOR_NAIVE=1`, so one `cargo test` checks the reference kernels
 //! underneath as well.
@@ -257,16 +259,26 @@ fn assert_bits_equal(got: &Tensor, want: &Tensor, what: &str) {
 }
 
 /// Runs one layer both ways and compares `y`, `dx`, `dw` and `db`.
+/// The gradients are added onto buffers salted with `±0.0`: each element
+/// must be its old value plus the oracle's zero-started total, in one
+/// add (a `-0.0` there tells `+= +0.0` from no add at all).
 fn compare(geo: ConvGeometry, x: &Tensor, weight: &Tensor, bias: &Tensor, dy: &Tensor, what: &str) {
     let (y, cols) = conv2d_forward(x, weight, bias, geo);
     let (y_ref, caches) = oracle_forward(x, weight, bias, geo);
     assert_bits_equal(&y, &y_ref, &format!("y: {what}"));
 
-    let grads = conv2d_backward(dy, weight, &cols, x.shape(), geo);
+    let dw0 = fill(weight.shape(), 0x77, Salt::Zeros);
+    let db0 = fill(bias.shape(), 0x78, Salt::Zeros);
+    let (mut dw, mut db) = (dw0.clone(), db0.clone());
+    let dx = conv2d_backward(dy, weight, &cols, x.shape(), geo, &mut dw, &mut db);
     let (dx_ref, dw_ref, db_ref) = oracle_backward(dy, weight, &caches, x.shape(), geo);
-    assert_bits_equal(&grads.dx, &dx_ref, &format!("dx: {what}"));
-    assert_bits_equal(&grads.dw, &dw_ref, &format!("dw: {what}"));
-    assert_bits_equal(&grads.db, &db_ref, &format!("db: {what}"));
+    let added = |start: &Tensor, total: &Tensor| {
+        let sums = start.as_slice().iter().zip(total.as_slice());
+        Tensor::from_vec(sums.map(|(a, b)| a + b).collect(), start.shape())
+    };
+    assert_bits_equal(&dx, &dx_ref, &format!("dx: {what}"));
+    assert_bits_equal(&dw, &added(&dw0, &dw_ref), &format!("dw: {what}"));
+    assert_bits_equal(&db, &added(&db0, &db_ref), &format!("db: {what}"));
 }
 
 /// A random layer with `x`, the weights and `dy` salted at the levels
@@ -348,6 +360,28 @@ fn pointwise_layers_with_signed_zeros_are_bit_equal() {
                 let bias = fill(&[c_out], seed ^ 0x3c3c, Salt::Zeros);
                 let dy = fill(&[n, c_out, side, side], seed ^ 0xa5a5, Salt::Zeros).map(|v| -v);
                 compare(geo, &x, &weight, &bias, &dy, &what);
+            }
+        }
+    }
+}
+
+/// 1×1 layers on a 1×1 plane (the deep MobileNetV2 expand/project
+/// convs at 8×8 input), whose im2col, output scatter, `dY` gather and
+/// col2im are `[n, c] ↔ [c, n]` transposes and whose `dW` has one
+/// column per sample. Batches 1, 3 and 16 and channel counts from 1 to
+/// past a multiple of 8 reach the transposes' plain copy, their 8-row
+/// bands and their leftover rows, at every salt level.
+#[test]
+fn pointwise_single_pixel_layers_are_bit_equal() {
+    let geo = GEOMETRIES[2];
+    for &n in &BATCHES {
+        for (c_in, c_out) in [(1, 7), (5, 1), (8, 16), (13, 21), (40, 67)] {
+            for (i, x_salt) in SALTS.into_iter().enumerate() {
+                for (j, w_salt) in SALTS.into_iter().enumerate() {
+                    let dy_salt = SALTS[(i + j) % 3];
+                    let seed = (n * 1000 + c_in * 10 + 3 * i + j) as u64;
+                    check(geo, n, c_in, c_out, 1, seed, [x_salt, w_salt, dy_salt]);
+                }
             }
         }
     }

@@ -9,11 +9,15 @@
 //! recomputes such rows by the reference loop, and
 //! [`zero_panels_against_non_finite_b_match_bitwise`] checks that on
 //! full panels. `Aᵀ·B` is `matmul_blocked` on `transpose(A)`, checked
-//! against the k-outer loop [`at_b_reference`].
+//! against the k-outer loop [`at_b_reference`]. Segmented `A·Bᵀ` with
+//! one-column segments equals one segment up to NaN bits
+//! ([`one_column_segments_are_one_segment`]), and `transpose` is an
+//! exact copy on every shape ([`transpose_is_an_exact_copy`]).
 
 use adaptivefl_tensor::ops::{
-    matmul_a_bt_blocked, matmul_a_bt_reference, matmul_a_bt_segmented_blocked,
-    matmul_a_bt_segmented_reference, matmul_blocked, matmul_reference, transpose,
+    matmul_a_bt, matmul_a_bt_blocked, matmul_a_bt_reference, matmul_a_bt_segmented,
+    matmul_a_bt_segmented_blocked, matmul_a_bt_segmented_reference, matmul_blocked,
+    matmul_reference, transpose,
 };
 use adaptivefl_tensor::Tensor;
 use proptest::prelude::*;
@@ -300,4 +304,110 @@ fn zero_panels_against_non_finite_b_match_bitwise() {
 #[should_panic(expected = "does not divide")]
 fn segmented_rejects_ragged_segments() {
     matmul_a_bt_segmented_blocked(&matrix(2, 5, 1), &matrix(3, 5, 2), 2);
+}
+
+/// [`matrix`] with one in five entries `+∞`, `-∞` or NaN.
+fn non_finite(rows: usize, cols: usize, seed: u64) -> Tensor {
+    let mut t = matrix(rows, cols, seed);
+    for (i, v) in t.as_mut_slice().iter_mut().enumerate() {
+        if (i * 7 + seed as usize).is_multiple_of(5) {
+            *v = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN][i % 3];
+        }
+    }
+    t
+}
+
+/// Equal by `to_bits`, except that any two NaNs match (DESIGN.md §10):
+/// which operand's NaN an add propagates is not fixed by the order of
+/// operations.
+fn assert_equal_up_to_nan(got: &Tensor, want: &Tensor, what: &str) {
+    assert_eq!(got.shape(), want.shape(), "{what}: shape");
+    for (i, (x, y)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+        assert!(
+            x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()),
+            "{what}: element {i} differs: {x:?} ({:#010x}) vs {y:?} ({:#010x})",
+            x.to_bits(),
+            y.to_bits()
+        );
+    }
+}
+
+/// A segmented `A·Bᵀ` whose segments are one column wide is one
+/// segment: `t + (0.0 + a·b)` differs from `t + a·b` only when
+/// `a·b = -0.0`, and then only if `t` is `-0.0`, which a chain from
+/// `+0.0` never holds. Conv backward relies on this for the weight
+/// gradient of 1×1-plane layers. Checked in both kernel modes, on
+/// inputs with `±0.0`, overflowing magnitudes, `±∞` and NaN.
+#[test]
+fn one_column_segments_are_one_segment() {
+    for m in [1, 3, 4, 9, 16] {
+        for k in [1, 2, 3, 16, 17] {
+            for n in [1, 7, 8, 33, 65] {
+                for (salt, (a, b)) in [
+                    ("±0", (matrix(m, k, 3), matrix(n, k, 4))),
+                    ("±∞/NaN", (non_finite(m, k, 5), non_finite(n, k, 6))),
+                ] {
+                    let what = format!("{m}x{k}x{n} {salt}");
+                    assert_equal_up_to_nan(
+                        &matmul_a_bt_segmented(&a, &b, 1),
+                        &matmul_a_bt(&a, &b),
+                        &format!("dispatched, {what}"),
+                    );
+                    assert_equal_up_to_nan(
+                        &matmul_a_bt_segmented_blocked(&a, &b, 1),
+                        &matmul_a_bt_blocked(&a, &b),
+                        &format!("blocked, {what}"),
+                    );
+                    assert_equal_up_to_nan(
+                        &matmul_a_bt_segmented_reference(&a, &b, 1),
+                        &matmul_a_bt_reference(&a, &b),
+                        &format!("reference, {what}"),
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Short segments (1, 2 and 4 columns) at widths that reach the 32-wide
+/// AVX-512 tile, the 8-wide tile and the scalar tail, with ragged rows.
+#[test]
+fn short_segments_are_bit_equal_at_every_tile_width() {
+    for seg in [1, 2, 4] {
+        for segs in [1, 3, 16] {
+            let k = seg * segs;
+            for n in [7, 8, 31, 32, 33, 40, 41, 47, 64, 65, 72, 75] {
+                for m in [4, 9] {
+                    let a = matrix(m, k, (seg * 100 + n) as u64);
+                    let b = matrix(n, k, (segs * 100 + m) as u64);
+                    assert_bits_equal(
+                        &matmul_a_bt_segmented_blocked(&a, &b, seg),
+                        &matmul_a_bt_segmented_reference(&a, &b, seg),
+                        &format!("seg {seg} x {segs}, {m}x{n}"),
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// `transpose` moves bits and nothing else, on rows and columns (a
+/// plain copy), on row counts that fill 8-row bands exactly, and on row
+/// counts that leave a remainder, with `±0.0`, `±∞` and NaN.
+#[test]
+fn transpose_is_an_exact_copy() {
+    let dims = [0, 1, 2, 3, 7, 8, 9, 15, 16, 17, 24, 31];
+    for &rows in &dims {
+        for &cols in &dims {
+            let a = non_finite(rows, cols, (rows * 32 + cols) as u64);
+            let t = transpose(&a);
+            assert_eq!(t.shape(), &[cols, rows]);
+            for i in 0..rows {
+                for j in 0..cols {
+                    let (x, y) = (t.as_slice()[j * rows + i], a.as_slice()[i * cols + j]);
+                    assert_eq!(x.to_bits(), y.to_bits(), "{rows}x{cols} at ({i}, {j})");
+                }
+            }
+        }
+    }
 }
